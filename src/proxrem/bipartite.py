@@ -12,7 +12,7 @@ is what decides proximity == remoteness here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .digraph import (
     Digraph,
@@ -68,6 +68,84 @@ def require_bipartite_tournament(D: Digraph) -> PartiteStructure:
     return structure
 
 
+def part_lookup(parts: Sequence[Sequence[int]], n: int) -> List[Sequence[int]]:
+    """``lookup[v]`` is the part containing vertex v."""
+    lookup: List[Sequence[int]] = [()] * n
+    for part in parts:
+        for v in part:
+            lookup[v] = part
+    return lookup
+
+
+def bad_witness(rows: Sequence[int], part_of: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
+    """The smallest pair (u, v) of one part with the out-neighborhood of u
+    properly contained in that of v, or None when the instance is good.
+
+    ``part_of[u]`` lists the vertices of u's part in increasing order (see
+    ``part_lookup``), so the first pair found is the smallest.
+    """
+    for u, ru in enumerate(rows):
+        for v in part_of[u]:
+            rv = rows[v]
+            if ru != rv and ru & rv == ru:
+                return (u, v)
+    return None
+
+
+def class_sizes(rows: Sequence[int], parts: Sequence[Sequence[int]]) -> List[int]:
+    """mu per vertex: how many vertices of its part share its out-neighborhood."""
+    mu = [0] * len(rows)
+    for part in parts:
+        counts: Dict[int, int] = {}
+        for v in part:
+            counts[rows[v]] = counts.get(rows[v], 0) + 1
+        for v in part:
+            mu[v] = counts[rows[v]]
+    return mu
+
+
+def shared_value(values: Sequence[int]) -> Optional[int]:
+    """The one value every entry takes, or None."""
+    distinct = set(values)
+    return distinct.pop() if len(distinct) == 1 else None
+
+
+def class_constants(
+    rows: Sequence[int], parts: Sequence[Sequence[int]], mu: Sequence[int]
+) -> List[int]:
+    """c(v) = 2*(mu(v) - d+(v)) + |other part| per vertex.
+
+    On a good strong instance the distance sum of v is c(v) + 2n - 4 (see
+    ``formula_sigmas``), so proximity equals remoteness exactly when c is
+    constant.
+    """
+    n = len(rows)
+    c = [0] * n
+    for part in parts:
+        other = n - len(part)
+        for v in part:
+            c[v] = 2 * (mu[v] - rows[v].bit_count()) + other
+    return c
+
+
+def formula_sigmas(c: Sequence[int]) -> List[int]:
+    """Closed-form distance sums 2*(mu - d+) + 2*|own part| + 3*|other part| - 4
+    of a good strong instance, from its class constants."""
+    shift = 2 * len(c) - 4
+    return [x + shift for x in c]
+
+
+def beats_half(rows: Sequence[int], parts: Sequence[Sequence[int]]) -> bool:
+    """True when every vertex beats exactly half of the opposite part."""
+    n = len(rows)
+    for part in parts:
+        other = n - len(part)
+        for v in part:
+            if 2 * rows[v].bit_count() != other:
+                return False
+    return True
+
+
 def classify_good_bad(
     D: Digraph, structure: Optional[PartiteStructure] = None
 ) -> Tuple[bool, Optional[Tuple[int, int]]]:
@@ -75,17 +153,7 @@ def classify_good_bad(
     the out-neighborhood of u properly contained in that of v."""
     if structure is None:
         structure = require_bipartite_tournament(D)
-    rows = D.rows
-    witness = None
-    for part in structure.parts:
-        for u in part:
-            for v in part:
-                if u == v:
-                    continue
-                ru, rv = rows[u], rows[v]
-                if ru != rv and (ru & rv) == ru:
-                    if witness is None or (u, v) < witness:
-                        witness = (u, v)
+    witness = bad_witness(D.rows, part_lookup(structure.parts, D.n))
     return witness is None, witness
 
 
@@ -113,11 +181,18 @@ def mu_values(
     D: Digraph, structure: Optional[PartiteStructure] = None
 ) -> Dict[int, int]:
     """Class size (mu) per vertex."""
-    mus: Dict[int, int] = {}
-    for cls in neighborhood_classes(D, structure):
-        for v in cls.members:
-            mus[v] = cls.mu
-    return mus
+    if structure is None:
+        structure = require_bipartite_tournament(D)
+    return dict(enumerate(class_sizes(D.rows, structure.parts)))
+
+
+def _require_good_strong(D: Digraph, structure: PartiteStructure, what: str) -> None:
+    pair = find_unreachable_pair(D)
+    if pair is not None:
+        raise NotStrongError(pair)
+    good, witness = classify_good_bad(D, structure)
+    if not good:
+        raise ValueError(f"{what} needs a good instance; bad witness {witness}")
 
 
 def sigma_by_formula(
@@ -132,22 +207,11 @@ def sigma_by_formula(
     """
     if structure is None:
         structure = require_bipartite_tournament(D)
-    pair = find_unreachable_pair(D)
-    if pair is not None:
-        raise NotStrongError(pair)
-    good, witness = classify_good_bad(D, structure)
-    if not good:
-        raise ValueError(f"formula needs a good instance; bad witness {witness}")
-    part_a, part_b = structure.parts
-    if v in part_a:
-        own, other = len(part_a), len(part_b)
-    elif v in part_b:
-        own, other = len(part_b), len(part_a)
-    else:
+    _require_good_strong(D, structure, "formula")
+    if not 0 <= v < D.n:
         raise ValueError(f"vertex {v} outside 0..{D.n - 1}")
-    mu = mu_values(D, structure)[v]
-    d_out = D.rows[v].bit_count()
-    return 2 * (mu - d_out) + 2 * own + 3 * other - 4
+    mu = class_sizes(D.rows, structure.parts)
+    return formula_sigmas(class_constants(D.rows, structure.parts, mu))[v]
 
 
 def equality_constant(
@@ -157,13 +221,8 @@ def equality_constant(
     vertex, or None when no such constant exists."""
     if structure is None:
         structure = require_bipartite_tournament(D)
-    mus = mu_values(D, structure)
-    part_a, part_b = structure.parts
-    sizes = {**{v: len(part_b) for v in part_a}, **{v: len(part_a) for v in part_b}}
-    values = {2 * (mus[v] - D.rows[v].bit_count()) + sizes[v] for v in range(D.n)}
-    if len(values) == 1:
-        return values.pop()
-    return None
+    mu = class_sizes(D.rows, structure.parts)
+    return shared_value(class_constants(D.rows, structure.parts, mu))
 
 
 def check_equality_criterion(D: Digraph) -> BipartiteReport:
@@ -198,16 +257,7 @@ def check_cor_reg(D: Digraph) -> bool:
     vertices of both parts; raises ValueError otherwise.
     """
     structure = require_bipartite_tournament(D)
-    pair = find_unreachable_pair(D)
-    if pair is not None:
-        raise NotStrongError(pair)
-    good, witness = classify_good_bad(D, structure)
-    if not good:
-        raise ValueError(f"degree test needs a good instance; bad witness {witness}")
-    mus = mu_values(D, structure)
-    if len(set(mus.values())) != 1:
+    _require_good_strong(D, structure, "degree test")
+    if len(set(class_sizes(D.rows, structure.parts))) != 1:
         raise ValueError("degree test needs one class size shared by every vertex")
-    part_a, part_b = structure.parts
-    return all(
-        2 * D.rows[v].bit_count() == len(part_b) for v in part_a
-    ) and all(2 * D.rows[u].bit_count() == len(part_a) for u in part_b)
+    return beats_half(D.rows, structure.parts)

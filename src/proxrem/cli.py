@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from . import constructions
 from .bipartite import check_equality_criterion
-from .digraph import Digraph, NotStrongError, is_symmetric
+from .digraph import Digraph, NotStrongError, is_strong, is_symmetric
 from .formats import (
     parse_edge_list,
     read_digraph6,
@@ -126,6 +126,19 @@ def _parse_int_list(text: str) -> Tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
+def _class_size(cls: str, text: str) -> Tuple[Optional[int], Optional[Tuple[int, int]]]:
+    """(n, parts) from a size argument: part sizes a,b for bipartite
+    tournaments, a single order for the other classes."""
+    sizes = _parse_int_list(text)
+    if cls == "bipartite_tournaments":
+        if len(sizes) != 2:
+            raise ValueError("bipartite_tournaments takes part sizes a,b")
+        return None, (sizes[0], sizes[1])
+    if len(sizes) != 1:
+        raise ValueError(f"class {cls} takes a single order")
+    return sizes[0], None
+
+
 def _construct_params(args) -> Tuple[int, ...]:
     if args.params:
         return _parse_int_list(args.params)
@@ -168,16 +181,9 @@ def _verify_instances(args):
         spec = constructions.ConstructionSpec(name, _parse_int_list(param_text))
         yield args.family, constructions.build(spec)
     elif args.enumerate:
-        tokens = args.enumerate.split(",")
-        cls = tokens[0]
-        sizes = tuple(int(t) for t in tokens[1:])
-        if cls == "bipartite_tournaments":
-            members = enumerate_class(cls, parts=(sizes[0], sizes[1]))
-        else:
-            members = enumerate_class(cls, n=sizes[0])
-        from .digraph import is_strong
-
-        for D in members:
+        cls, _, size_text = args.enumerate.partition(",")
+        n, parts = _class_size(cls, size_text)
+        for D in enumerate_class(cls, n=n, parts=parts):
             if is_strong(D):
                 yield write_digraph6(D).strip(), D
     else:
@@ -241,14 +247,11 @@ def cmd_search(args) -> int:
             return _fail(2, str(exc))
         print(json.dumps(result.as_json_dict()))
         return 0 if result.success else 1
-    parts = None
-    if args.parts:
-        p = _parse_int_list(args.parts)
-        if len(p) != 2:
-            return _fail(2, "--parts takes two sizes, e.g. 3,4")
-        parts = (p[0], p[1])
     predicates = tuple(t for t in (args.pred or "").split(",") if t)
     try:
+        parts = _parse_int_list(args.parts) if args.parts else None
+        if parts is not None and len(parts) != 2:
+            return _fail(2, "--parts takes two sizes, e.g. 3,4")
         query = SearchQuery(
             cls=args.cls,
             n=args.n,
@@ -273,18 +276,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_exhaustive_verify(args) -> int:
-    sizes = _parse_int_list(args.size)
-    parts = None
-    n = None
-    if args.cls == "bipartite_tournaments":
-        if len(sizes) != 2:
-            return _fail(2, "bipartite_tournaments takes part sizes a,b")
-        parts = (sizes[0], sizes[1])
-    else:
-        if len(sizes) != 1:
-            return _fail(2, f"class {args.cls} takes a single order")
-        n = sizes[0]
     try:
+        n, parts = _class_size(args.cls, args.size)
         result = exhaustive_verify(
             args.theorem, args.cls, n=n, parts=parts, shards=_default_shards(args.shards)
         )

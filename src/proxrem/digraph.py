@@ -137,15 +137,6 @@ class PartiteStructure:
     def sizes(self) -> Tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
 
-    def part_masks(self) -> Tuple[int, ...]:
-        masks = []
-        for part in self.parts:
-            m = 0
-            for v in part:
-                m |= 1 << v
-            masks.append(m)
-        return tuple(masks)
-
 
 def _check_pair(n: int, u: int, v: int) -> None:
     if not (0 <= u < n and 0 <= v < n):
@@ -173,18 +164,19 @@ def from_undirected_edge_list(n: int, pairs: Iterable[Tuple[int, int]]) -> Digra
     return Digraph(n, rows)
 
 
-def reach_mask(rows: Sequence[int], n: int, source: int) -> int:
-    """Bitmask of vertices reachable from ``source`` (including itself)."""
-    seen = 1 << source
-    frontier = 1 << source
-    while frontier:
+def reach_within(rows: Sequence[int], source: int, steps: int) -> int:
+    """Bitmask of the vertices within ``steps`` arcs of ``source`` (itself
+    included); with steps >= n - 1, every vertex reachable from it."""
+    seen = frontier = 1 << source
+    for _ in range(steps):
         nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
+        while frontier:
+            low = frontier & -frontier
             nxt |= rows[low.bit_length() - 1]
-            f ^= low
+            frontier ^= low
         frontier = nxt & ~seen
+        if not frontier:
+            break
         seen |= frontier
     return seen
 
@@ -192,28 +184,24 @@ def reach_mask(rows: Sequence[int], n: int, source: int) -> int:
 def is_strong(D: Digraph) -> bool:
     """True when every ordered vertex pair is joined by a dipath.
 
-    A single vertex counts as strong.  Decided by forward and backward
-    reachability from vertex 0, which is equivalent to a full
-    strong-components pass for this yes/no question.
+    A single vertex counts as strong.
     """
-    if D.n == 1:
-        return True
-    full = (1 << D.n) - 1
-    if reach_mask(D.rows, D.n, 0) != full:
-        return False
-    return reach_mask(D.reverse_rows, D.n, 0) == full
+    return find_unreachable_pair(D) is None
 
 
 def find_unreachable_pair(D: Digraph) -> Optional[Tuple[int, int]]:
-    """Some ordered pair (u, v) with no (u, v)-dipath, or None if strong."""
-    if D.n == 1:
-        return None
-    full = (1 << D.n) - 1
-    fwd = reach_mask(D.rows, D.n, 0)
+    """Some ordered pair (u, v) with no (u, v)-dipath, or None if strong.
+
+    Decided by forward and backward reachability from vertex 0, which is
+    equivalent to a full strong-components pass for this yes/no question.
+    """
+    n = D.n
+    full = (1 << n) - 1
+    fwd = reach_within(D.rows, 0, n - 1)
     if fwd != full:
         missing = (~fwd & full)
         return (0, (missing & -missing).bit_length() - 1)
-    bwd = reach_mask(D.reverse_rows, D.n, 0)
+    bwd = reach_within(D.reverse_rows, 0, n - 1)
     if bwd != full:
         missing = (~bwd & full)
         return ((missing & -missing).bit_length() - 1, 0)
@@ -293,7 +281,7 @@ def multipartite_tournament_structure(D: Digraph) -> Optional[PartiteStructure]:
     comps = []
     while unvisited:
         start = (unvisited & -unvisited).bit_length() - 1
-        comp = reach_mask(nonadj, n, start)
+        comp = reach_within(nonadj, start, n - 1)
         comps.append(comp)
         unvisited &= ~comp
     if len(comps) < 2:

@@ -21,6 +21,7 @@ from .digraph import (
     is_regular,
     is_symmetric,
     is_tournament,
+    reach_within,
 )
 
 
@@ -91,36 +92,43 @@ def g_of(xs: Sequence[int]) -> int:
     return sum(i * x for i, x in enumerate(xs))
 
 
-def sigma_ecc_vectors(D: Digraph) -> Tuple[List[int], List[int]]:
-    """Per-vertex distance sums and eccentricities; requires a strong digraph."""
-    n = D.n
-    rows = D.rows
+def distance_sums(rows: Sequence[int], n: int):
+    """Per-vertex distance sums and eccentricities of the digraph on ``rows``.
+
+    Returns (sigmas, eccs), or (None, (u, v)) naming an unreachable ordered
+    pair when the digraph is not strong.  This is the one distance kernel:
+    the exhaustive scans call it once per instance, so the BFS stays an
+    inline loop.
+    """
     full = (1 << n) - 1
     sigmas = []
     eccs = []
     for u in range(n):
-        seen = 1 << u
-        frontier = 1 << u
-        sig = 0
-        d = 0
-        while frontier:
+        seen = frontier = 1 << u
+        sig = d = 0
+        while seen != full:
             nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
+            while frontier:
+                low = frontier & -frontier
                 nxt |= rows[low.bit_length() - 1]
-                f ^= low
+                frontier ^= low
             frontier = nxt & ~seen
             if not frontier:
-                break
+                missing = ~seen & full
+                return None, (u, (missing & -missing).bit_length() - 1)
             d += 1
             sig += d * frontier.bit_count()
             seen |= frontier
-        if seen != full:
-            missing = (~seen) & full
-            raise NotStrongError((u, (missing & -missing).bit_length() - 1))
         sigmas.append(sig)
         eccs.append(d)
+    return sigmas, eccs
+
+
+def sigma_ecc_vectors(D: Digraph) -> Tuple[List[int], List[int]]:
+    """Per-vertex distance sums and eccentricities; requires a strong digraph."""
+    sigmas, eccs = distance_sums(D.rows, D.n)
+    if sigmas is None:
+        raise NotStrongError(eccs)
     return sigmas, eccs
 
 
@@ -156,22 +164,7 @@ def is_p_king(D: Digraph, u: int, p: int) -> bool:
         raise ValueError(f"vertex {u} outside 0..{D.n - 1}")
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
-    full = (1 << D.n) - 1
-    rows = D.rows
-    seen = 1 << u
-    frontier = 1 << u
-    for _ in range(p):
-        if seen == full:
-            return True
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= rows[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
+    return reach_within(D.rows, u, p) == (1 << D.n) - 1
 
 
 @dataclass(frozen=True)

@@ -24,78 +24,90 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from random import Random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .canonical import canonical_form
-from .digraph import Digraph
+from .digraph import Digraph, is_regular, is_tournament
 from .formats import read_digraph6, write_digraph6
-from .metrics import MetricsReport, distance_layers, metrics_report
-from .verifiers import THEOREM_MIN_N, THEOREMS
 
-CLASS_NAMES = ("all_digraphs", "tournaments", "bipartite_tournaments", "symmetric_digraphs")
+# distance_layers is bound here for the benchmark's boundary tracer
+# (perfbench/tracer.py), which patches it by name in this module.
+from .metrics import MetricsReport, distance_layers, distance_sums, metrics_report  # noqa: F401
+from .verifiers import CLAIMS, THEOREMS, InstanceFacts
+
+
+class _Class(NamedTuple):
+    """An enumeration class: its size ceiling, how a Gray-code bit changes
+    the rows, and the claims the table-driven scan serves."""
+
+    ceiling: int  # largest n, or largest a*b for a class sized by its parts
+    sized_by_parts: bool
+    flip: str  # "arc": toggle u->v; "edge": toggle both arcs; "orient": reverse u->v
+    scan_claims: frozenset
+    screen: bool  # skip instances with an empty row or a vertex without in-arcs
+
+
+_CLASSES: Dict[str, _Class] = {
+    "all_digraphs": _Class(5, False, "arc", frozenset({"thm-2.1-pi", "thm-2.1-rho", "thm-2.2"}), True),
+    "tournaments": _Class(
+        8, False, "orient", frozenset({"thm-3.2-pi", "thm-3.2-rho", "thm-3.3", "prop-3.1"}), False
+    ),
+    "bipartite_tournaments": _Class(
+        26, True, "orient", frozenset({"lem-3.4", "lem-3.5", "lem-3.6", "cor-3.7", "cor-3.8"}), False
+    ),
+    "symmetric_digraphs": _Class(8, False, "edge", frozenset(), False),
+}
+
+CLASS_NAMES = tuple(_CLASSES)
 
 _CEILING_MSG = "exceeds the exhaustive ceiling; use the randomized mode (--randomized)"
 
 
-def _check_ceiling(cls: str, n: Optional[int], parts: Optional[Tuple[int, int]]) -> None:
-    if cls == "all_digraphs":
-        if n is None or n > 5:
-            raise ValueError(f"all_digraphs with n={n} {_CEILING_MSG}")
-    elif cls == "tournaments":
-        if n is None or n > 8:
-            raise ValueError(f"tournaments with n={n} {_CEILING_MSG}")
-    elif cls == "symmetric_digraphs":
-        if n is None or n > 8:
-            raise ValueError(f"symmetric_digraphs with n={n} {_CEILING_MSG}")
-    elif cls == "bipartite_tournaments":
-        if parts is None or parts[0] * parts[1] > 26:
-            raise ValueError(f"bipartite_tournaments with parts={parts} {_CEILING_MSG}")
-    else:
+def _spec(cls: str) -> _Class:
+    if cls not in _CLASSES:
         raise ValueError(f"unknown class {cls!r}; expected one of {CLASS_NAMES}")
+    return _CLASSES[cls]
+
+
+def _check_size(cls: str, n: Optional[int], parts: Optional[Tuple[int, int]]) -> None:
+    spec = _spec(cls)
+    if spec.sized_by_parts:
+        if parts is None or parts[0] * parts[1] > spec.ceiling:
+            raise ValueError(f"{cls} with parts={parts} {_CEILING_MSG}")
+        if min(parts) < 1:
+            raise ValueError(f"{cls} needs two nonempty parts, got parts={parts}")
+    elif n is None or n > spec.ceiling:
+        raise ValueError(f"{cls} with n={n} {_CEILING_MSG}")
+    elif n < 1:
+        raise ValueError(f"{cls} needs n >= 1, got n={n}")
 
 
 def _layout(cls: str, n: Optional[int], parts: Optional[Tuple[int, int]]):
-    """(order, nbits, base_rows, flips): flips[k] lists (vertex, xor mask)."""
-    if cls == "all_digraphs":
-        assert n is not None
-        flips = []
-        for u in range(n):
-            for j in range(n - 1):
-                v = j if j < u else j + 1
-                flips.append(((u, 1 << v),))
-        return n, n * (n - 1), [0] * n, flips
-    if cls == "tournaments":
-        assert n is not None
-        base = [0] * n
-        flips = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                base[u] |= 1 << v
-                flips.append(((u, 1 << v), (v, 1 << u)))
-        return n, n * (n - 1) // 2, base, flips
-    if cls == "bipartite_tournaments":
-        assert parts is not None
+    """(order, nbits, base_rows, flips, part_ranges): flips[k] lists
+    (vertex, xor mask); part_ranges is None outside the bipartite class."""
+    spec = _spec(cls)
+    if spec.sized_by_parts:
         a, b = parts
         order = a + b
-        base = [0] * order
-        flips = []
-        for i in range(a):
-            for j in range(b):
-                base[i] |= 1 << (a + j)
-                flips.append(((i, 1 << (a + j)), (a + j, 1 << i)))
-        return order, a * b, base, flips
-    if cls == "symmetric_digraphs":
-        assert n is not None
-        flips = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                flips.append(((u, 1 << v), (v, 1 << u)))
-        return n, n * (n - 1) // 2, [0] * n, flips
-    raise ValueError(f"unknown class {cls!r}")
+        pairs = [(i, a + j) for i in range(a) for j in range(b)]
+        part_ranges = range(a), range(a, order)
+    else:
+        order = n
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        if spec.flip == "arc":
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        part_ranges = None
+    base = [0] * order
+    flips = []
+    for u, v in pairs:
+        if spec.flip == "orient":
+            base[u] |= 1 << v
+        flips.append(((u, 1 << v),) if spec.flip == "arc" else ((u, 1 << v), (v, 1 << u)))
+    return order, len(pairs), base, flips, part_ranges
 
 
 def total_count(cls: str, n: Optional[int] = None, parts: Optional[Tuple[int, int]] = None) -> int:
-    _, nbits, _, _ = _layout(cls, n, parts)
+    _, nbits, _, _, _ = _layout(cls, n, parts)
     return 1 << nbits
 
 
@@ -114,17 +126,14 @@ def _rows_at(base: List[int], flips, code: int) -> List[int]:
 
 def _iter_rows(cls: str, n: Optional[int], parts, start: int, stop: int) -> Iterator[List[int]]:
     """Yields the (shared, mutated in place) row list for codes start..stop-1."""
-    order, nbits, base, flips = _layout(cls, n, parts)
+    order, nbits, base, flips, _ = _layout(cls, n, parts)
     rows = _rows_at(base, flips, start)
-    idx = start
-    while idx < stop:
+    if start < stop:
         yield rows
-        idx += 1
-        if idx >= stop:
-            break
-        k = (idx & -idx).bit_length() - 1
-        for v, mask in flips[k]:
+    for idx in range(start + 1, stop):
+        for v, mask in flips[(idx & -idx).bit_length() - 1]:
             rows[v] ^= mask
+        yield rows
 
 
 def shard_range(total: int, index: int, count: int) -> Tuple[int, int]:
@@ -140,45 +149,19 @@ def enumerate_class(
     shard: Optional[Tuple[int, int]] = None,
 ) -> Iterator[Digraph]:
     """Every labeled member exactly once, in Gray-code-adjacent order."""
-    _check_ceiling(cls, n, parts)
-    order, nbits, base, flips = _layout(cls, n, parts)
+    _check_size(cls, n, parts)
+    order, nbits, base, flips, _ = _layout(cls, n, parts)
     total = 1 << nbits
     start, stop = shard_range(total, *shard) if shard else (0, total)
     for rows in _iter_rows(cls, n, parts, start, stop):
         yield Digraph(order, tuple(rows))
 
 
-# ---------------------------------------------------------------------------
-# Shared per-instance computation
-# ---------------------------------------------------------------------------
-
-def _sigma_ecc_or_none(rows: Sequence[int], order: int, full: int):
-    """(sigmas, eccs) or (None, None) when some vertex misses some other."""
-    sigmas = []
-    eccs = []
-    for u in range(order):
-        seen = 1 << u
-        frontier = seen
-        sig = 0
-        d = 0
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= rows[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~seen
-            if not frontier:
-                break
-            d += 1
-            sig += d * frontier.bit_count()
-            seen |= frontier
-        if seen != full:
-            return None, None
-        sigmas.append(sig)
-        eccs.append(d)
-    return sigmas, eccs
+def _map_shards(worker, jobs):
+    if len(jobs) == 1:
+        return [worker(jobs[0])]
+    with get_context("fork").Pool(processes=min(len(jobs), os.cpu_count() or 1)) as pool:
+        return pool.map(worker, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -214,205 +197,94 @@ class SearchResult:
         }
 
 
-class _Ctx:
-    """Lazy per-instance facts shared by the predicate functions."""
-
-    __slots__ = ("order", "rows", "full", "parts", "_sig", "_ecc", "_strong", "_degs")
-
-    def __init__(self, order: int, rows: Sequence[int], parts):
-        self.order = order
-        self.rows = rows
-        self.full = (1 << order) - 1
-        self.parts = parts
-        self._sig = self._ecc = self._strong = self._degs = None
-
-    def degrees(self):
-        if self._degs is None:
-            out = [r.bit_count() for r in self.rows]
-            inn = [0] * self.order
-            for u, r in enumerate(self.rows):
-                while r:
-                    low = r & -r
-                    inn[low.bit_length() - 1] += 1
-                    r ^= low
-            self._degs = (out, inn)
-        return self._degs
-
-    def metrics(self):
-        if self._strong is None:
-            sig, ecc = _sigma_ecc_or_none(self.rows, self.order, self.full)
-            self._sig, self._ecc = sig, ecc
-            self._strong = sig is not None
-        return self._strong, self._sig, self._ecc
+def _observed(claim_id: str):
+    """Predicate: some equality case of the claim is observed."""
+    claim = CLAIMS[claim_id]
+    return lambda f: True in claim.bind(f.n)(f)[1]
 
 
-def _pred_strong(ctx: _Ctx) -> bool:
-    return ctx.metrics()[0]
-
-
-def _pred_tournament(ctx: _Ctx) -> bool:
-    out, inn = ctx.degrees()
-    n = ctx.order
-    return all(o + i == n - 1 for o, i in zip(out, inn)) and _no_two_cycles(ctx)
-
-
-def _no_two_cycles(ctx: _Ctx) -> bool:
-    rows = ctx.rows
-    for u in range(ctx.order):
-        r = rows[u]
-        while r:
-            low = r & -r
-            v = low.bit_length() - 1
-            if (rows[v] >> u) & 1:
-                return False
-            r ^= low
-    return True
-
-
-def _pred_regular(ctx: _Ctx) -> bool:
-    out, inn = ctx.degrees()
-    return min(min(out), min(inn)) == max(max(out), max(inn))
-
-
-def _good_witness(ctx: _Ctx):
-    parts = ctx.parts
-    if parts is None:
-        raise ValueError("good/bad predicates need the bipartite_tournaments class")
-    a, b = parts
-    groups = (range(a), range(a, a + b))
-    for grp in groups:
-        for u in grp:
-            ru = ctx.rows[u]
-            for v in grp:
-                rv = ctx.rows[v]
-                if ru != rv and ru & rv == ru:
-                    return (u, v)
-    return None
-
-
-_METRIC_PREDS = {}
-
-
-def _register_metric_equalities():
-    def t21pi(ctx):
-        strong, sig, _ = ctx.metrics()
-        n = ctx.order
-        return strong and (min(sig) == n - 1 or 2 * min(sig) == n * (n - 1))
-
-    def t21rho(ctx):
-        strong, sig, _ = ctx.metrics()
-        n = ctx.order
-        return strong and (max(sig) == n - 1 or 2 * max(sig) == n * (n - 1))
-
-    def t22(ctx):
-        strong, sig, _ = ctx.metrics()
-        n = ctx.order
-        return strong and 2 * (max(sig) - min(sig)) == (n - 1) * (n - 2)
-
-    def t32pi(ctx):
-        strong, sig, _ = ctx.metrics()
-        n = ctx.order
-        if not strong:
-            return False
-        cap = 3 * (n - 1) if n % 2 else 3 * n - 4
-        return min(sig) == n or 2 * min(sig) == cap
-
-    def t32rho(ctx):
-        strong, sig, _ = ctx.metrics()
-        n = ctx.order
-        if not strong:
-            return False
-        cap = 3 * (n - 1) if n % 2 else 3 * n - 2
-        return 2 * max(sig) == cap or 2 * max(sig) == n * (n - 1)
-
-    def t33(ctx):
-        strong, sig, _ = ctx.metrics()
-        return strong and min(sig) == max(sig)
-
-    _METRIC_PREDS.update(
-        {
-            "equality_thm_2_1_pi": t21pi,
-            "equality_thm_2_1_rho": t21rho,
-            "equality_thm_2_2": t22,
-            "equality_thm_3_2_pi": t32pi,
-            "equality_thm_3_2_rho": t32rho,
-            "equality_thm_3_3": t33,
-        }
-    )
-
-
-_register_metric_equalities()
-
-#: name -> (tier, fn); tiers run cheap to expensive: 0 degrees, 1 strong, 2 metrics.
+#: name -> (needs the distance kernel, predicate over InstanceFacts).  The
+#: kernel predicates hold only on strong instances; the others run first.
 PREDICATES = {
-    "tournament": (0, _pred_tournament),
-    "regular": (0, _pred_regular),
-    "non_regular": (0, lambda ctx: not _pred_regular(ctx)),
-    "good": (0, lambda ctx: _good_witness(ctx) is None),
-    "bad": (0, lambda ctx: _good_witness(ctx) is not None),
-    "strong": (1, _pred_strong),
-    "connected": (1, _pred_strong),
-    "pi_eq_rho": (2, lambda ctx: ctx.metrics()[0] and min(ctx.metrics()[1]) == max(ctx.metrics()[1])),
-    "pi_ne_rho": (2, lambda ctx: ctx.metrics()[0] and min(ctx.metrics()[1]) != max(ctx.metrics()[1])),
-    "rho_eq_half_n": (
-        2,
-        lambda ctx: ctx.metrics()[0]
-        and 2 * max(ctx.metrics()[1]) == ctx.order * (ctx.order - 1),
-    ),
-    **{name: (2, fn) for name, fn in _METRIC_PREDS.items()},
+    "tournament": (False, lambda f: is_tournament(Digraph(f.n, f.rows))),
+    "regular": (False, lambda f: is_regular(Digraph(f.n, f.rows))),
+    "non_regular": (False, lambda f: not is_regular(Digraph(f.n, f.rows))),
+    "good": (False, lambda f: f.witness is None),
+    "bad": (False, lambda f: f.witness is not None),
+    "strong": (True, lambda f: True),
+    "connected": (True, lambda f: True),
+    "pi_eq_rho": (True, lambda f: f.smin == f.smax),
+    "pi_ne_rho": (True, lambda f: f.smin != f.smax),
+    "rho_eq_half_n": (True, lambda f: 2 * f.smax == f.n * (f.n - 1)),
+    **{
+        "equality_" + c.replace("-", "_").replace(".", "_"): (True, _observed(c))
+        for c in ("thm-2.1-pi", "thm-2.1-rho", "thm-2.2", "thm-3.2-pi", "thm-3.2-rho", "thm-3.3")
+    },
 }
 
 
-def _search_worker(args) -> Tuple[int, List[str]]:
+def _search_worker(args) -> Tuple[int, int, List[str]]:
+    """(scanned, matches, the smallest ``cap`` match strings or all of them)."""
     cls, n, parts, start, stop, predicates, cap = args
-    order, _, _, _ = _layout(cls, n, parts)
-    preds = sorted(predicates, key=lambda p: PREDICATES[p][0])
-    fns = [PREDICATES[p][1] for p in preds]
+    order, _, _, _, part_ranges = _layout(cls, n, parts)
+    facts = InstanceFacts(order, part_ranges)
+    cheap = [PREDICATES[p][1] for p in predicates if not PREDICATES[p][0]]
+    costly = [PREDICATES[p][1] for p in predicates if PREDICATES[p][0]]
     matches: List[str] = []
-    scanned = 0
+    scanned = found = 0
     for rows in _iter_rows(cls, n, parts, start, stop):
         scanned += 1
-        ctx = _Ctx(order, rows, parts)
-        if all(fn(ctx) for fn in fns):
-            matches.append(write_digraph6(Digraph(order, tuple(rows))))
+        if cheap:
+            facts.load(rows, None, None)
+            if not all(fn(facts) for fn in cheap):
+                continue
+        if costly:
+            sigmas, eccs = distance_sums(rows, order)
+            if sigmas is None:
+                continue
+            facts.load(rows, sigmas, eccs)
+            if not all(fn(facts) for fn in costly):
+                continue
+        found += 1
+        matches.append(write_digraph6(Digraph(order, tuple(rows))))
     if cap is not None and len(matches) > cap:
         matches = sorted(matches)[:cap]
-    return scanned, matches
+    return scanned, found, matches
 
 
 def search(query: SearchQuery) -> SearchResult:
     """Run a predicate-filtered exhaustive scan.
 
     The match set is normalized (sorted by digraph6 string) before dedup
-    and limit are applied, so it does not depend on the shard count.
+    and limit are applied, so it does not depend on the shard count, and
+    ``dedup_stats`` counts every match and class before the limit.
     """
     for p in query.predicates:
         if p not in PREDICATES:
             raise ValueError(f"unknown predicate {p!r}; known: {sorted(PREDICATES)}")
-    _check_ceiling(query.cls, query.n, query.parts)
-    t0 = time.time()
+    if query.limit is not None and query.limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {query.limit}")
+    if query.cls != "bipartite_tournaments" and {"good", "bad"} & set(query.predicates):
+        raise ValueError("good/bad predicates need the bipartite_tournaments class")
+    _check_size(query.cls, query.n, query.parts)
+    t0 = time.perf_counter()
     total = total_count(query.cls, query.n, query.parts)
     shards = max(1, query.shards)
+    # Without dedup each shard may keep just its smallest `limit` matches.
+    cap = query.limit if query.dedup == "none" else None
     jobs = [
-        (query.cls, query.n, query.parts, *shard_range(total, i, shards), query.predicates, query.limit)
+        (query.cls, query.n, query.parts, *shard_range(total, i, shards), query.predicates, cap)
         for i in range(shards)
     ]
-    if shards == 1:
-        outputs = [_search_worker(jobs[0])]
-    else:
-        with get_context("fork").Pool(processes=min(shards, os.cpu_count() or 1)) as pool:
-            outputs = pool.map(_search_worker, jobs)
+    outputs = _map_shards(_search_worker, jobs)
     scanned = sum(o[0] for o in outputs)
-    all_matches = sorted(m for o in outputs for m in o[1])
-    dedup_stats = {"labeled_matches": len(all_matches)}
+    all_matches = sorted(m for o in outputs for m in o[2])
+    dedup_stats = {"labeled_matches": sum(o[1] for o in outputs)}
     if query.dedup == "canonical":
         groups: Dict[bytes, str] = {}
+        parts_arg = _layout(query.cls, query.n, query.parts)[4]
         for d6 in all_matches:
             D = read_digraph6(d6)
-            parts_arg = None
-            if query.cls == "bipartite_tournaments" and query.parts is not None:
-                a, b = query.parts
-                parts_arg = (tuple(range(a)), tuple(range(a, a + b)))
             key = canonical_form(D, parts_arg).bytes
             groups.setdefault(key, d6)
         all_matches = sorted(groups.values())
@@ -429,7 +301,7 @@ def search(query: SearchQuery) -> SearchResult:
     return SearchResult(
         matches=decorated,
         scanned=scanned,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
         dedup_stats=dedup_stats,
         shards=shards,
     )
@@ -444,15 +316,17 @@ THEOREM_ALIASES = {
     "thm-3.2": ("thm-3.2-pi", "thm-3.2-rho"),
 }
 
-_FAST_SETS = {
-    "all_digraphs": {"thm-2.1-pi", "thm-2.1-rho", "thm-2.2"},
-    "tournaments": {"thm-3.2-pi", "thm-3.2-rho", "thm-3.3", "prop-3.1"},
-    "bipartite_tournaments": {"lem-3.4", "lem-3.5", "lem-3.6", "cor-3.7", "cor-3.8"},
-}
-
 
 @dataclass
 class ExhaustiveResult:
+    """Counts of one exhaustive run.
+
+    ``checked`` depends on the path: the table-driven scan (a class whose
+    requested claims it serves) counts instances on which at least one
+    requested claim ran; the reference path counts (claim, instance) pairs,
+    one per ``THEOREMS`` call.
+    """
+
     theorems: Tuple[str, ...]
     cls: str
     scanned: int
@@ -506,306 +380,69 @@ def _cert(order: int, rows: Sequence[int], theorem: str, info: dict) -> dict:
     }
 
 
-def _scan_digraphs_worker(args) -> dict:
-    n, start, stop, want = args
-    full = (1 << n) - 1
-    n1 = n - 1
-    want_pi = "thm-2.1-pi" in want
-    want_rho = "thm-2.1-rho" in want
-    want_22 = "thm-2.2" in want
-    fails = {t: 0 for t in want}
-    certs: List[dict] = []
-    scanned = strong = 0
-    for rows in _iter_rows("all_digraphs", n, None, start, stop):
-        scanned += 1
-        # Cheap strongness screen: no empty row, every vertex has an in-arc.
-        acc = 0
-        screen_ok = True
-        for r in rows:
-            if not r:
-                screen_ok = False
-                break
-            acc |= r
-        if not screen_ok or acc != full:
-            continue
-        sigmas, eccs = _sigma_ecc_or_none(rows, n, full)
-        if sigmas is None:
-            continue
-        strong += 1
-        smin = min(sigmas)
-        smax = max(sigmas)
-        if want_pi:
-            bound = smin >= n1 and 2 * smin <= n * n1
-            lower_obs = smin == n1
-            lower_pred = any(r.bit_count() == n1 for r in rows)
-            upper_obs = 2 * smin == n * n1
-            m = sum(r.bit_count() for r in rows)
-            upper_pred = m == n and all(r.bit_count() == 1 for r in rows)
-            if not bound or lower_obs != lower_pred or upper_obs != upper_pred:
-                fails["thm-2.1-pi"] += 1
-                if len(certs) < MAX_CERTIFICATES:
-                    certs.append(_cert(n, rows, "thm-2.1-pi", {"sigmas": sigmas}))
-        if want_rho:
-            bound = smax >= n1 and 2 * smax <= n * n1
-            lower_obs = smax == n1
-            lower_pred = sum(r.bit_count() for r in rows) == n * n1
-            upper_obs = 2 * smax == n * n1
-            upper_pred = max(eccs) == n1
-            if not bound or lower_obs != lower_pred or upper_obs != upper_pred:
-                fails["thm-2.1-rho"] += 1
-                if len(certs) < MAX_CERTIFICATES:
-                    certs.append(_cert(n, rows, "thm-2.1-rho", {"sigmas": sigmas}))
-        if want_22:
-            spread = smax - smin
-            bound = 2 * spread <= n1 * (n - 2)
-            obs = 2 * spread == n1 * (n - 2)
-            pred = False
-            if max(eccs) == n1:
-                for u in range(n):
-                    if eccs[u] != n1:
-                        continue
-                    layers = distance_layers(rows, n, u)
-                    if len(layers) != n:
-                        continue
-                    order_v = [l.bit_length() - 1 for l in layers]
-                    if any(
-                        rows[v].bit_count() == n1 for v in (order_v[-2], order_v[-1])
-                    ):
-                        pred = True
-                        break
-            if not bound or obs != pred:
-                fails["thm-2.2"] += 1
-                if len(certs) < MAX_CERTIFICATES:
-                    certs.append(_cert(n, rows, "thm-2.2", {"sigmas": sigmas}))
-    return {"scanned": scanned, "strong": strong, "checked": strong, "fails": fails, "certs": certs}
-
-
-def _scan_tournaments_worker(args) -> dict:
-    n, start, stop, want = args
-    full = (1 << n) - 1
-    odd = n % 2 == 1
-    pi_cap = 3 * (n - 1) if odd else 3 * n - 4
-    rho_cap = 3 * (n - 1) if odd else 3 * n - 2
-    tn_scores = sorted([1, 1] + list(range(2, n - 1)) + [n - 2]) if n >= 3 else []
-    want_pi = "thm-3.2-pi" in want
-    want_rho = "thm-3.2-rho" in want
-    want_33 = "thm-3.3" in want
-    want_31 = "prop-3.1" in want
-    fails = {t: 0 for t in want}
-    certs: List[dict] = []
-    scanned = strong = 0
-    for rows in _iter_rows("tournaments", n, None, start, stop):
-        scanned += 1
-        if want_31:
-            # Applies to every tournament, strong or not.
-            maxd = 0
-            for r in rows:
-                c = r.bit_count()
-                if c > maxd:
-                    maxd = c
-            ok31 = True
-            for v in range(n):
-                if rows[v].bit_count() == maxd:
-                    reach = (1 << v) | rows[v]
-                    r = rows[v]
-                    while r:
-                        low = r & -r
-                        reach |= rows[low.bit_length() - 1]
-                        r ^= low
-                    if reach != full:
-                        ok31 = False
-                        break
-            if not ok31:
-                fails["prop-3.1"] += 1
-                if len(certs) < MAX_CERTIFICATES:
-                    certs.append(_cert(n, rows, "prop-3.1", {}))
-        sigmas, eccs = _sigma_ecc_or_none(rows, n, full)
-        if sigmas is None:
-            continue
-        strong += 1
-        if n < 3:
-            continue
-        smin = min(sigmas)
-        smax = max(sigmas)
-        degs = [r.bit_count() for r in rows]
-        maxd, mind = max(degs), min(degs)
-        regular = odd and 2 * maxd == n - 1 and 2 * mind == n - 1
-        almost = (not odd) and 2 * maxd <= n and 2 * mind >= n - 2
-        reg_or_almost = regular or almost
-        if want_pi:
-            bound = smin >= n and 2 * smin <= pi_cap
-            lower_obs = smin == n
-            lower_pred = maxd == n - 2
-            upper_obs = 2 * smin == pi_cap
-            if not bound or lower_obs != lower_pred or upper_obs != reg_or_almost:
-                fails["thm-3.2-pi"] += 1
-                if len(certs) < MAX_CERTIFICATES:
-                    certs.append(
-                        _cert(n, rows, "thm-3.2-pi", {"sigmas": sigmas, "degrees": degs})
-                    )
-        if want_rho:
-            bound = 2 * smax >= rho_cap and 2 * smax <= n * (n - 1)
-            lower_obs = 2 * smax == rho_cap
-            upper_obs = 2 * smax == n * (n - 1)
-            upper_pred = False
-            if sorted(degs) == tn_scores:
-                for u in range(n):
-                    if eccs[u] != n - 1:
-                        continue
-                    layers = distance_layers(rows, n, u)
-                    order_v = [l.bit_length() - 1 for l in layers]
-                    ok = True
-                    for i, v in enumerate(order_v):
-                        wantrow = 0
-                        if i + 1 < n:
-                            wantrow |= 1 << order_v[i + 1]
-                        for j in range(i - 1):
-                            wantrow |= 1 << order_v[j]
-                        if rows[v] != wantrow:
-                            ok = False
-                            break
-                    if ok:
-                        upper_pred = True
-                        break
-            if not bound or lower_obs != reg_or_almost or upper_obs != upper_pred:
-                fails["thm-3.2-rho"] += 1
-                if len(certs) < MAX_CERTIFICATES:
-                    certs.append(
-                        _cert(n, rows, "thm-3.2-rho", {"sigmas": sigmas, "degrees": degs})
-                    )
-        if want_33:
-            obs = smin == smax
-            pred = maxd == mind  # all out-degrees equal forces in-degrees equal
-            if obs != pred:
-                fails["thm-3.3"] += 1
-                if len(certs) < MAX_CERTIFICATES:
-                    certs.append(
-                        _cert(n, rows, "thm-3.3", {"sigmas": sigmas, "degrees": degs})
-                    )
-    return {"scanned": scanned, "strong": strong, "checked": scanned, "fails": fails, "certs": certs}
-
-
-def _scan_bipartite_worker(args) -> dict:
-    (a, b), start, stop, want = args
-    order = a + b
+def _scan_worker(args) -> dict:
+    """The table-driven scan: every requested claim's check on each instance."""
+    cls, n, parts, start, stop, want = args
+    order, _, _, _, part_ranges = _layout(cls, n, parts)
     full = (1 << order) - 1
-    want34 = "lem-3.4" in want
-    want35 = "lem-3.5" in want
-    want36 = "lem-3.6" in want
-    want37 = "cor-3.7" in want
-    want38 = "cor-3.8" in want
+    screen = _CLASSES[cls].screen
+    facts = InstanceFacts(order, part_ranges)
+    checks = []  # (claim id, check, evidence)
+    loose = []  # the checks that also run on instances that are not strong
+    for t in want:
+        claim = CLAIMS[t]
+        if order >= claim.min_n:
+            checks.append((t, claim.bind(order), claim.evidence))
+            if not claim.strong:
+                loose.append(checks[-1])
     fails = {t: 0 for t in want}
     certs: List[dict] = []
-    scanned = strong_count = 0
-    a_range = range(a)
-    b_range = range(a, order)
-    for rows in _iter_rows("bipartite_tournaments", None, (a, b), start, stop):
+    scanned = strong = checked = 0
+    for rows in _iter_rows(cls, n, parts, start, stop):
         scanned += 1
-        sigmas, eccs = _sigma_ecc_or_none(rows, order, full)
-        if sigmas is None:
+        if screen:
+            # Cheap strongness screen: no empty row, every vertex has an in-arc.
+            if 0 in rows:
+                continue
+            acc = 0
+            for r in rows:
+                acc |= r
+            if acc != full:
+                continue
+        sigmas, eccs = distance_sums(rows, order)
+        if sigmas is not None:
+            strong += 1
+            run = checks
+        else:
+            run = loose
+        if not run:
             continue
-        strong_count += 1
-        # bad = some out-neighborhood properly nested inside another (same part)
-        bad = False
-        for grp in (a_range, b_range):
-            for u in grp:
-                ru = rows[u]
-                for v in grp:
-                    rv = rows[v]
-                    if ru != rv and ru & rv == ru:
-                        bad = True
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        eq = min(sigmas) == max(sigmas)
-        if want34 and bad and eq:
-            fails["lem-3.4"] += 1
-            if len(certs) < MAX_CERTIFICATES:
-                certs.append(_cert(order, rows, "lem-3.4", {"sigmas": sigmas}))
-        if not bad:
-            if want35 and max(eccs) > 4:
-                fails["lem-3.5"] += 1
+        checked += 1
+        facts.load(rows, sigmas, eccs)
+        for t, check, evidence in run:
+            bound, observed, predicted = check(facts)
+            if not bound or observed != predicted:
+                fails[t] += 1
                 if len(certs) < MAX_CERTIFICATES:
-                    certs.append(_cert(order, rows, "lem-3.5", {"eccs": eccs}))
-            mu = {}
-            counts: Dict[int, int] = {}
-            for v in a_range:
-                counts[rows[v]] = counts.get(rows[v], 0) + 1
-            for v in a_range:
-                mu[v] = counts[rows[v]]
-            counts = {}
-            for v in b_range:
-                counts[rows[v]] = counts.get(rows[v], 0) + 1
-            for v in b_range:
-                mu[v] = counts[rows[v]]
-            if want36:
-                ok = True
-                for v in a_range:
-                    if sigmas[v] != 2 * (mu[v] - rows[v].bit_count()) + 2 * a + 3 * b - 4:
-                        ok = False
-                        break
-                if ok:
-                    for v in b_range:
-                        if sigmas[v] != 2 * (mu[v] - rows[v].bit_count()) + 2 * b + 3 * a - 4:
-                            ok = False
-                            break
-                if not ok:
-                    fails["lem-3.6"] += 1
-                    if len(certs) < MAX_CERTIFICATES:
-                        certs.append(_cert(order, rows, "lem-3.6", {"sigmas": sigmas}))
-            if want37 or want38:
-                cvals = {2 * (mu[v] - rows[v].bit_count()) + b for v in a_range}
-                cvals |= {2 * (mu[v] - rows[v].bit_count()) + a for v in b_range}
-                c_exists = len(cvals) == 1
-                if want37 and eq != c_exists:
-                    fails["cor-3.7"] += 1
-                    if len(certs) < MAX_CERTIFICATES:
-                        certs.append(
-                            _cert(order, rows, "cor-3.7", {"sigmas": sigmas, "c_values": sorted(cvals)})
-                        )
-                if want38:
-                    mu_vals = set(mu.values())
-                    if len(mu_vals) == 1:
-                        pred = all(2 * rows[v].bit_count() == b for v in a_range) and all(
-                            2 * rows[v].bit_count() == a for v in b_range
-                        )
-                        if eq != pred:
-                            fails["cor-3.8"] += 1
-                            if len(certs) < MAX_CERTIFICATES:
-                                certs.append(_cert(order, rows, "cor-3.8", {"sigmas": sigmas}))
-        elif want37:
-            # Corollary biconditional also applies to bad instances: predicted no.
-            if eq:
-                fails["cor-3.7"] += 1
-                if len(certs) < MAX_CERTIFICATES:
-                    certs.append(_cert(order, rows, "cor-3.7", {"sigmas": sigmas, "bad": True}))
-    return {
-        "scanned": scanned,
-        "strong": strong_count,
-        "checked": strong_count,
-        "fails": fails,
-        "certs": certs,
-    }
+                    certs.append(_cert(order, rows, t, evidence(facts)))
+    return {"scanned": scanned, "strong": strong, "checked": checked, "fails": fails, "certs": certs}
 
 
 def _generic_scan_worker(args) -> dict:
+    """The reference path: each claim's ``THEOREMS`` verifier on each strong instance."""
     cls, n, parts, start, stop, want = args
-    order, _, _, _ = _layout(cls, n, parts)
-    full = (1 << order) - 1
+    order, _, _, _, _ = _layout(cls, n, parts)
     fails = {t: 0 for t in want}
     certs: List[dict] = []
     scanned = strong_count = checked = 0
     for rows in _iter_rows(cls, n, parts, start, stop):
         scanned += 1
-        sigmas, _ = _sigma_ecc_or_none(rows, order, full)
-        if sigmas is None:
+        if distance_sums(rows, order)[0] is None:
             continue
         strong_count += 1
         D = Digraph(order, tuple(rows))
         for t in want:
-            if order < THEOREM_MIN_N.get(t, 2):
+            if order < CLAIMS[t].min_n:
                 continue
             checked += 1
             for rep in THEOREMS[t](D):
@@ -825,32 +462,23 @@ def exhaustive_verify(
 ) -> ExhaustiveResult:
     """Run claim verifiers over every strong member of an enumeration class.
 
-    Uses hand-tuned scanners for the heavy class/claim combinations; their
-    verdict logic is cross-checked against the reference verifiers by the
-    test suite on small orders.
+    When the class's scan serves every requested claim, the table-driven
+    scan runs the claim checks on raw rows; otherwise each claim's reference
+    verifier runs on a Digraph.  Both evaluate the same definitions in
+    ``verifiers.CLAIMS``.  Certificates are the first ``MAX_CERTIFICATES``
+    failures in enumeration order, sorted by (claim, digraph6), so they do
+    not depend on the shard count.
     """
     if isinstance(theorem_ids, str):
         theorem_ids = [theorem_ids]
     ids = resolve_theorems(theorem_ids)
-    _check_ceiling(cls, n, parts)
-    t0 = time.time()
+    _check_size(cls, n, parts)
+    t0 = time.perf_counter()
     total = total_count(cls, n, parts)
     shards = max(1, shards)
-    fast = cls in _FAST_SETS and set(ids) <= _FAST_SETS[cls]
-    if fast and cls == "all_digraphs":
-        worker, key = _scan_digraphs_worker, lambda lo, hi: (n, lo, hi, ids)
-    elif fast and cls == "tournaments":
-        worker, key = _scan_tournaments_worker, lambda lo, hi: (n, lo, hi, ids)
-    elif fast and cls == "bipartite_tournaments":
-        worker, key = _scan_bipartite_worker, lambda lo, hi: (parts, lo, hi, ids)
-    else:
-        worker, key = _generic_scan_worker, lambda lo, hi: (cls, n, parts, lo, hi, ids)
-    jobs = [key(*shard_range(total, i, shards)) for i in range(shards)]
-    if shards == 1:
-        outputs = [worker(jobs[0])]
-    else:
-        with get_context("fork").Pool(processes=min(shards, os.cpu_count() or 1)) as pool:
-            outputs = pool.map(worker, jobs)
+    worker = _scan_worker if set(ids) <= _CLASSES[cls].scan_claims else _generic_scan_worker
+    jobs = [(cls, n, parts, *shard_range(total, i, shards), ids) for i in range(shards)]
+    outputs = _map_shards(worker, jobs)
     fails: Dict[str, int] = {t: 0 for t in ids}
     certs: List[dict] = []
     scanned = strong_count = checked = 0
@@ -861,7 +489,6 @@ def exhaustive_verify(
         for t, c in o["fails"].items():
             fails[t] += c
         certs.extend(o["certs"])
-    certs.sort(key=lambda c: (c["theorem"], c["digraph6"]))
     return ExhaustiveResult(
         theorems=ids,
         cls=cls,
@@ -869,8 +496,8 @@ def exhaustive_verify(
         strong_count=strong_count,
         checked=checked,
         failure_counts=fails,
-        certificates=certs[:MAX_CERTIFICATES],
-        elapsed=time.time() - t0,
+        certificates=sorted(certs[:MAX_CERTIFICATES], key=lambda c: (c["theorem"], c["digraph6"])),
+        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -878,21 +505,16 @@ def exhaustive_verify(
 # Randomized generation
 # ---------------------------------------------------------------------------
 
-def random_digraph(n: int, rng: Random, arc_prob: float = 0.5) -> Digraph:
-    rows = [0] * n
-    for u in range(n):
-        for v in range(n):
-            if u != v and rng.random() < arc_prob:
-                rows[u] |= 1 << v
-    return Digraph(n, rows)
-
-
 def random_strong_digraph(n: int, rng: Random, arc_prob: float = 0.5, max_tries: int = 10000) -> Digraph:
-    full = (1 << n) - 1
+    """Each arc present with probability ``arc_prob``, redrawn until strong."""
     for _ in range(max_tries):
-        D = random_digraph(n, rng, arc_prob)
-        if _sigma_ecc_or_none(D.rows, n, full)[0] is not None:
-            return D
+        rows = [0] * n
+        for u in range(n):
+            for v in range(n):
+                if u != v and rng.random() < arc_prob:
+                    rows[u] |= 1 << v
+        if distance_sums(rows, n)[0] is not None:
+            return Digraph(n, rows)
     raise RuntimeError(f"no strong digraph found in {max_tries} tries")
 
 
@@ -961,13 +583,12 @@ def rediscover_sigma_equal_graph(
 
     rng = Random(seed)
     n = len(degrees)
-    full = (1 << n) - 1
     hits = 0
     for it in range(1, budget + 1):
         rows = random_graph_with_degrees(degrees, rng)
         if rows is None:
             continue
-        sigmas, _ = _sigma_ecc_or_none(rows, n, full)
+        sigmas, _ = distance_sums(rows, n)
         if sigmas is None or min(sigmas) != max(sigmas):
             continue
         hits += 1

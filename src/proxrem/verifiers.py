@@ -1,11 +1,14 @@
 """Per-instance verdicts for the bound-and-equality claims.
 
-Each verifier checks an exact bound on one instance and compares the
-*observed* equality (computed from the exact metrics) against the
+Each claim is defined once, in ``CLAIMS``, as a check over an
+``InstanceFacts`` record: it decides an exact bound and compares, case by
+case, the *observed* equality (computed from the exact metrics) against the
 *predicted* equality (computed from structure alone: degrees, arc counts,
-eccentricity certificates, isomorphism).  The two routes never share a
-computation, so a faulty characterization shows up as an inconsistent
-report rather than a silently agreeing one.
+eccentricity certificates, neighborhood classes).  The two routes never
+share a computation, so a faulty characterization shows up as an
+inconsistent verdict rather than a silently agreeing one.  The ``verify_*``
+functions build a ``VerificationReport`` from a check; the exhaustive scan
+in ``proxrem.search`` runs the same checks on raw adjacency rows.
 
 Claim identifiers (the CLI vocabulary):
 
@@ -42,20 +45,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bipartite as bp
-from .canonical import CANONICAL_CEILING, canonical_form
+
+# Bound for the benchmark's boundary tracer (perfbench/tracer.py), which
+# patches this name here; the claims decide extremal isomorphism by the
+# spanning-path pattern certificate instead.
+from .canonical import canonical_form  # noqa: F401
 from .constructions import dicycle as make_dicycle
-from .constructions import extremal_tournament, hub_digraph
-from .digraph import (
-    Digraph,
-    NotStrongError,
-    degree_summary,
-    find_unreachable_pair,
-    is_regular,
-    is_tournament,
-)
+from .constructions import hub_digraph
+from .digraph import Digraph, NotStrongError, find_unreachable_pair, is_tournament, reach_within
 from .metrics import distance_layers, is_p_king, sigma_ecc_vectors
 
 
@@ -65,8 +65,9 @@ class VerificationReport:
 
     ``consistent`` always equals (equality_observed == equality_predicted);
     for claims with two equality cases both cases must match individually,
-    recorded in ``details``.  A verifier failure is any report with
-    ``bound_holds`` false or ``consistent`` false.
+    recorded in ``details``.  A claim with no equality case reports both
+    sides true.  A verifier failure is any report with ``bound_holds``
+    false or ``consistent`` false.
     """
 
     theorem: str
@@ -93,18 +94,78 @@ class VerificationReport:
         }
 
 
+# ---------------------------------------------------------------------------
+# Per-instance facts
+# ---------------------------------------------------------------------------
+
+class InstanceFacts:
+    """Everything the claims read about one instance.
+
+    One record serves a whole scan: the order and the parts are bound once,
+    and ``load`` refills the per-instance fields.  ``sigmas`` and ``eccs``
+    are None on an instance that is not strong; only claims that do not
+    need strong connectivity run on one.
+
+    The record holds the out-degrees, their sorted ``scores`` and
+    extremes.  With parts it also holds ``witness``, the bad pair of
+    ``bipartite.bad_witness`` (None when good), and on a good instance the
+    class sizes ``mu`` and the class constants ``c``.
+    """
+
+    __slots__ = (
+        "n", "parts", "part_of", "rows", "sigmas", "eccs", "smin", "smax",
+        "degrees", "scores", "max_out", "min_out", "witness", "mu", "c",
+    )
+
+    def __init__(self, n: int, parts: Optional[Sequence[Sequence[int]]] = None):
+        self.n = n
+        self.parts = parts
+        self.part_of = None if parts is None else bp.part_lookup(parts, n)
+        self.witness = self.mu = self.c = None
+
+    def load(self, rows: Sequence[int], sigmas: Optional[List[int]], eccs: Optional[List[int]]):
+        self.rows = rows
+        self.sigmas = sigmas
+        self.eccs = eccs
+        # sorted() of a short list costs less than a min() and a max()
+        if sigmas is None:
+            self.smin = self.smax = None
+        else:
+            ordered = sorted(sigmas)
+            self.smin = ordered[0]
+            self.smax = ordered[-1]
+        self.degrees = [r.bit_count() for r in rows]
+        scores = self.scores = sorted(self.degrees)
+        self.min_out = scores[0]
+        self.max_out = scores[-1]
+        if self.part_of is not None:
+            self.witness = bp.bad_witness(rows, self.part_of)
+            self.mu = self.c = None
+            if self.witness is None:
+                self.mu = bp.class_sizes(rows, self.parts)
+                self.c = bp.class_constants(rows, self.parts, self.mu)
+        return self
+
+
 def _require_strong(D: Digraph) -> None:
     pair = find_unreachable_pair(D)
     if pair is not None:
         raise NotStrongError(pair)
 
 
+def _strong_facts(D: Digraph, parts=None) -> InstanceFacts:
+    sigmas, eccs = sigma_ecc_vectors(D)
+    return InstanceFacts(D.n, parts).load(D.rows, sigmas, eccs)
+
+
 # ---------------------------------------------------------------------------
 # Structural predicates (the "predicted" side)
 # ---------------------------------------------------------------------------
 
-def has_full_out_degree_vertex(D: Digraph) -> bool:
-    return any(r.bit_count() == D.n - 1 for r in D.rows)
+def _near_regular_window(n: int) -> Tuple[int, int]:
+    """Out-degree window of a regular (odd n) or almost regular (even n)
+    tournament."""
+    return (n - 1) // 2, n // 2
 
 
 def is_complete_digraph(D: Digraph) -> bool:
@@ -122,43 +183,60 @@ def is_dicycle(D: Digraph) -> bool:
     return find_unreachable_pair(D) is None
 
 
+def _in_window(D: Digraph) -> bool:
+    lo, hi = _near_regular_window(D.n)
+    return all(lo <= r.bit_count() <= hi for r in D.rows)
+
+
 def is_regular_tournament(D: Digraph) -> bool:
-    n = D.n
-    return n % 2 == 1 and all(r.bit_count() == (n - 1) // 2 for r in D.rows)
+    return D.n % 2 == 1 and _in_window(D)
 
 
 def is_almost_regular_tournament(D: Digraph) -> bool:
-    n = D.n
-    if n % 2:
-        return False
-    want = {n // 2, (n - 2) // 2}
-    return all(r.bit_count() in want for r in D.rows)
+    return D.n % 2 == 0 and _in_window(D)
+
+
+def _spanning_orders(rows: Sequence[int], n: int, starts) -> Iterator[List[int]]:
+    """The ordering v_0..v_{n-1} with d(v_0, v_i) = i from each start in
+    ``starts`` that has one: a start of eccentricity n-1, whose BFS layers
+    are then forced to be singletons."""
+    for u in starts:
+        layers = distance_layers(rows, n, u)
+        if len(layers) == n:
+            yield [l.bit_length() - 1 for l in layers]
+
+
+def _long_starts(f: InstanceFacts) -> List[int]:
+    return [u for u, e in enumerate(f.eccs) if e == f.n - 1]
 
 
 def spanning_path_ordering(D: Digraph) -> Optional[List[int]]:
     """Vertex ordering v_0..v_{n-1} with d(v_0, v_i) = i, if one exists.
 
-    Such an ordering exists exactly when some vertex has eccentricity n-1;
-    its BFS layers are then forced to be singletons.  The smallest starting
-    vertex is chosen.
+    Such an ordering exists exactly when some vertex has eccentricity n-1.
+    The smallest starting vertex is chosen.
     """
-    n = D.n
-    for u in range(n):
-        layers = distance_layers(D.rows, n, u)
-        if len(layers) == n and sum(l.bit_count() for l in layers) == n:
-            return [l.bit_length() - 1 for l in layers]
-    return None
+    return next(_spanning_orders(D.rows, D.n, range(D.n)), None)
 
 
-def _matches_extremal_pattern(D: Digraph, order: List[int]) -> bool:
-    n = D.n
+def _extremal_scores(n: int) -> List[int]:
+    """Sorted score sequence of the remoteness-extremal tournament."""
+    return sorted([1, 1] + list(range(2, n - 1)) + [n - 2])
+
+
+def _follows_extremal_pattern(rows: Sequence[int], order: Optional[List[int]]) -> bool:
+    """True when every v_i of the spanning-path ordering beats exactly
+    v_{i+1} and v_0..v_{i-2}: an explicit isomorphism onto the extremal
+    tournament.  Any ordering of an isomorphic copy shows it, since its
+    eccentricity-(n-1) starts are images of one another."""
+    if order is None:
+        return False
+    n = len(order)
     for i, v in enumerate(order):
-        want = 0
-        if i + 1 < n:
-            want |= 1 << order[i + 1]
+        want = 1 << order[i + 1] if i + 1 < n else 0
         for j in range(i - 1):
             want |= 1 << order[j]
-        if D.rows[v] != want:
+        if rows[v] != want:
             return False
     return True
 
@@ -166,316 +244,352 @@ def _matches_extremal_pattern(D: Digraph, order: List[int]) -> bool:
 def is_iso_to_extremal_tournament(D: Digraph) -> bool:
     """Isomorphism to the remoteness-extremal tournament of the same order.
 
-    Decided by canonical-form comparison up to the all-permutations ceiling;
-    beyond it, by reconstructing the forced spanning-path ordering and
-    matching the arc pattern exactly (an explicit isomorphism certificate).
+    Decided by the score sequence and then by reconstructing the forced
+    spanning-path ordering and matching the arc pattern exactly (an explicit
+    isomorphism certificate).
     """
-    if not is_tournament(D):
-        return False
     n = D.n
-    if n < 3:
+    if not is_tournament(D) or n < 3:
         return False
-    scores = sorted(r.bit_count() for r in D.rows)
-    want = sorted([1, 1] + list(range(2, n - 1)) + [n - 2])
-    if scores != want:
+    if sorted(r.bit_count() for r in D.rows) != _extremal_scores(n):
         return False
-    if n <= CANONICAL_CEILING:
-        return canonical_form(D) == canonical_form(extremal_tournament(n))
-    order = spanning_path_ordering(D)
-    return order is not None and _matches_extremal_pattern(D, order)
+    return _follows_extremal_pattern(D.rows, spanning_path_ordering(D))
 
 
-def thm22_degree_certificate(D: Digraph) -> Optional[Dict[str, object]]:
+def _thm22_certificate(f: InstanceFacts) -> Optional[Dict[str, object]]:
     """A spanning-path ordering whose last two vertices include one of
-    out-degree n-1, or None.  All eccentricity-(n-1) candidates are tried."""
-    n = D.n
-    for u in range(n):
-        layers = distance_layers(D.rows, n, u)
-        if len(layers) != n or sum(l.bit_count() for l in layers) != n:
-            continue
-        order = [l.bit_length() - 1 for l in layers]
-        for v in (order[-2], order[-1]):
-            if D.rows[v].bit_count() == n - 1:
+    out-degree n-1, or None.  All eccentricity-(n-1) starts are tried."""
+    n = f.n
+    if max(f.eccs) != n - 1:
+        return None
+    for order in _spanning_orders(f.rows, n, _long_starts(f)):
+        for v in order[-2:]:
+            if f.degrees[v] == n - 1:
                 return {"ordering": order, "dominant_vertex": v}
     return None
 
 
+def _four_king_violations(f: InstanceFacts) -> List[int]:
+    """Vertices of a good instance with eccentricity above 4."""
+    return [v for v, e in enumerate(f.eccs) if e > 4]
+
+
+def _formula_mismatches(f: InstanceFacts) -> List[int]:
+    """Vertices of a good instance whose distance sum misses the closed form."""
+    formula = bp.formula_sigmas(f.c)
+    return [v for v, s in enumerate(f.sigmas) if formula[v] != s]
+
+
+def _constant_class_size(f: InstanceFacts) -> bool:
+    return f.witness is None and bp.shared_value(f.mu) is not None
+
+
 # ---------------------------------------------------------------------------
-# Verifiers
+# The claims
 # ---------------------------------------------------------------------------
+#
+# A claim binds its per-order constants once, giving a check over one
+# InstanceFacts record; a claim without such constants is its own check.
+# A check returns (bound_holds, observed, predicted): observed and
+# predicted hold one bool per equality case (lower, upper for the two-sided
+# windows), and the instance fails the claim unless the bound holds and
+# both tuples agree.
+
+Verdict = Tuple[bool, Tuple[bool, ...], Tuple[bool, ...]]
+Check = Callable[[InstanceFacts], Verdict]
+
+
+def _thm_2_1_pi(f: InstanceFacts) -> Verdict:
+    n, smin = f.n, f.smin
+    den = n - 1
+    return (
+        den <= smin and 2 * smin <= n * den,
+        (smin == den, 2 * smin == n * den),
+        # a strong digraph with every out-degree 1 is a dicycle
+        (f.max_out == den, f.max_out == 1),
+    )
+
+
+def _thm_2_1_rho(f: InstanceFacts) -> Verdict:
+    n, smax = f.n, f.smax
+    den = n - 1
+    return (
+        den <= smax and 2 * smax <= n * den,
+        (smax == den, 2 * smax == n * den),
+        (f.min_out == den, max(f.eccs) == den),
+    )
+
+
+def _thm_2_2(n: int) -> Check:
+    # rho - pi <= n/2 - 1 at denominator n-1: 2*spread <= (n-1)(n-2)
+    cap = (n - 1) * (n - 2)
+
+    def check(f: InstanceFacts) -> Verdict:
+        spread2 = 2 * (f.smax - f.smin)
+        return spread2 <= cap, (spread2 == cap,), (_thm22_certificate(f) is not None,)
+
+    return check
+
+
+def _prop_3_1(n: int) -> Check:
+    full = (1 << n) - 1
+
+    def check(f: InstanceFacts) -> Verdict:
+        top = f.max_out
+        rows = f.rows
+        for v, d in enumerate(f.degrees):
+            if d == top and reach_within(rows, v, 2) != full:
+                return False, (), ()
+        return True, (), ()
+
+    return check
+
+
+def _thm_3_2_pi(n: int) -> Check:
+    # sigma_min between n and 3(n-1)/2 (odd) or (3n-4)/2 (even)
+    cap = 3 * (n - 1) if n % 2 else 3 * n - 4
+    lo, hi = _near_regular_window(n)
+
+    def check(f: InstanceFacts) -> Verdict:
+        smin = f.smin
+        return (
+            n <= smin and 2 * smin <= cap,
+            (smin == n, 2 * smin == cap),
+            (f.max_out == n - 2, lo <= f.min_out and f.max_out <= hi),
+        )
+
+    return check
+
+
+def _thm_3_2_rho(n: int) -> Check:
+    cap = 3 * (n - 1) if n % 2 else 3 * n - 2
+    top = n * (n - 1)
+    lo, hi = _near_regular_window(n)
+    scores = _extremal_scores(n)
+
+    def check(f: InstanceFacts) -> Verdict:
+        smax2 = 2 * f.smax
+        extremal = f.scores == scores and _follows_extremal_pattern(
+            f.rows, next(_spanning_orders(f.rows, n, _long_starts(f)), None)
+        )
+        return (
+            cap <= smax2 <= top,
+            (smax2 == cap, smax2 == top),
+            (lo <= f.min_out and f.max_out <= hi, extremal),
+        )
+
+    return check
+
+
+def _thm_3_3(f: InstanceFacts) -> Verdict:
+    # equal out-degrees force equal in-degrees in a tournament
+    return True, (f.smin == f.smax,), (f.max_out == f.min_out,)
+
+
+def _lem_3_4(f: InstanceFacts) -> Verdict:
+    equal = f.smin == f.smax
+    return True, (equal,), (equal and f.witness is None,)
+
+
+def _lem_3_5(f: InstanceFacts) -> Verdict:
+    return f.witness is not None or not _four_king_violations(f), (), ()
+
+
+def _lem_3_6(f: InstanceFacts) -> Verdict:
+    return f.witness is not None or not _formula_mismatches(f), (), ()
+
+
+def _cor_3_7(f: InstanceFacts) -> Verdict:
+    equal = f.smin == f.smax
+    if f.witness is not None:
+        return True, (equal,), (False,)
+    constant = bp.shared_value(f.c) is not None
+    # equality forces the per-part class/degree relations
+    return not equal or constant, (equal,), (constant,)
+
+
+def _cor_3_8(f: InstanceFacts) -> Verdict:
+    equal = f.smin == f.smax
+    if _constant_class_size(f):
+        return True, (equal,), (bp.beats_half(f.rows, f.parts),)
+    return True, (equal,), (equal,)
+
+
+def _with_sigmas(f: InstanceFacts) -> dict:
+    return {"sigmas": f.sigmas}
+
+
+def _with_degrees(f: InstanceFacts) -> dict:
+    return {"sigmas": f.sigmas, "degrees": f.degrees}
+
+
+def _cor_3_7_evidence(f: InstanceFacts) -> dict:
+    if f.witness is not None:
+        return {"sigmas": f.sigmas, "bad": True}
+    return {"sigmas": f.sigmas, "c_values": sorted(set(f.c))}
+
+
+class Claim(NamedTuple):
+    """One claim: ``bind(n)`` gives its check at order n; ``evidence`` is
+    the certificate payload of a failing instance; the claim runs only at
+    orders >= ``min_n``, and only on strong instances when ``strong``."""
+
+    bind: Callable[[int], Check]
+    evidence: Callable[[InstanceFacts], dict]
+    min_n: int = 2
+    strong: bool = True
+
+
+CLAIMS: Dict[str, Claim] = {
+    "thm-2.1-pi": Claim(lambda n: _thm_2_1_pi, _with_sigmas, 3),
+    "thm-2.1-rho": Claim(lambda n: _thm_2_1_rho, _with_sigmas, 3),
+    "thm-2.2": Claim(_thm_2_2, _with_sigmas),
+    "prop-3.1": Claim(_prop_3_1, lambda f: {}, strong=False),
+    "thm-3.2-pi": Claim(_thm_3_2_pi, _with_degrees, 3),
+    "thm-3.2-rho": Claim(_thm_3_2_rho, _with_degrees, 3),
+    "thm-3.3": Claim(lambda n: _thm_3_3, _with_degrees, 3),
+    "lem-3.4": Claim(lambda n: _lem_3_4, _with_sigmas),
+    "lem-3.5": Claim(lambda n: _lem_3_5, lambda f: {"eccs": f.eccs}),
+    "lem-3.6": Claim(lambda n: _lem_3_6, _with_sigmas),
+    "cor-3.7": Claim(lambda n: _cor_3_7, _cor_3_7_evidence),
+    "cor-3.8": Claim(lambda n: _cor_3_8, _with_sigmas),
+}
+
+
+# ---------------------------------------------------------------------------
+# Verifiers: reports over the claim checks
+# ---------------------------------------------------------------------------
+
+def _report(theorem: str, f: InstanceFacts, witnesses: dict, details: dict) -> VerificationReport:
+    bound, observed, predicted = CLAIMS[theorem].bind(f.n)(f)
+    if len(observed) == 2:
+        details = {
+            **details,
+            "lower": {"observed": observed[0], "predicted": predicted[0]},
+            "upper": {"observed": observed[1], "predicted": predicted[1]},
+        }
+    return VerificationReport(
+        theorem=theorem,
+        bound_holds=bound,
+        equality_observed=True in observed or not observed,
+        equality_predicted=True in predicted or not predicted,
+        consistent=observed == predicted,
+        witnesses=witnesses,
+        details=details,
+    )
+
+
+def _require_tournament(D: Digraph) -> None:
+    if not is_tournament(D):
+        raise ValueError("claim applies to tournaments")
+
+
+def _require_order(D: Digraph) -> None:
+    if D.n < 3:
+        raise ValueError(f"claim needs n >= 3, got {D.n}")
+
+
+def _window_reports(pi_claim: str, rho_claim: str, f: InstanceFacts):
+    """The proximity and remoteness window reports of one instance."""
+    return (
+        _report(pi_claim, f, {"prox_witness": f.sigmas.index(f.smin)}, {"proximity": [f.smin, f.n - 1]}),
+        _report(rho_claim, f, {"rem_witness": f.sigmas.index(f.smax)}, {"remoteness": [f.smax, f.n - 1]}),
+    )
+
 
 def verify_thm_2_1(D: Digraph) -> Tuple[VerificationReport, VerificationReport]:
     _require_strong(D)
-    n = D.n
-    if n < 3:
-        raise ValueError(f"claim needs n >= 3, got {n}")
-    sigmas, eccs = sigma_ecc_vectors(D)
-    smin, smax = min(sigmas), max(sigmas)
-    den = n - 1
-
-    pi_lower_obs = smin == den
-    pi_lower_pred = has_full_out_degree_vertex(D)
-    pi_upper_obs = 2 * smin == n * den
-    pi_upper_pred = is_dicycle(D)
-    rep_pi = VerificationReport(
-        theorem="thm-2.1-pi",
-        bound_holds=smin >= den and 2 * smin <= n * den,
-        equality_observed=pi_lower_obs or pi_upper_obs,
-        equality_predicted=pi_lower_pred or pi_upper_pred,
-        consistent=(pi_lower_obs == pi_lower_pred) and (pi_upper_obs == pi_upper_pred),
-        witnesses={"prox_witness": sigmas.index(smin)},
-        details={
-            "proximity": [smin, den],
-            "lower": {"observed": pi_lower_obs, "predicted": pi_lower_pred},
-            "upper": {"observed": pi_upper_obs, "predicted": pi_upper_pred},
-        },
-    )
-
-    rho_lower_obs = smax == den
-    rho_lower_pred = is_complete_digraph(D)
-    rho_upper_obs = 2 * smax == n * den
-    rho_upper_pred = max(eccs) == n - 1
-    witnesses: Dict[str, object] = {"rem_witness": sigmas.index(smax)}
-    if rho_upper_pred:
-        witnesses["ordering"] = spanning_path_ordering(D)
-    rep_rho = VerificationReport(
-        theorem="thm-2.1-rho",
-        bound_holds=smax >= den and 2 * smax <= n * den,
-        equality_observed=rho_lower_obs or rho_upper_obs,
-        equality_predicted=rho_lower_pred or rho_upper_pred,
-        consistent=(rho_lower_obs == rho_lower_pred)
-        and (rho_upper_obs == rho_upper_pred),
-        witnesses=witnesses,
-        details={
-            "remoteness": [smax, den],
-            "lower": {"observed": rho_lower_obs, "predicted": rho_lower_pred},
-            "upper": {"observed": rho_upper_obs, "predicted": rho_upper_pred},
-        },
-    )
+    _require_order(D)
+    rep_pi, rep_rho = _window_reports("thm-2.1-pi", "thm-2.1-rho", _strong_facts(D))
+    if rep_rho.details["upper"]["predicted"]:
+        rep_rho.witnesses["ordering"] = spanning_path_ordering(D)
     return rep_pi, rep_rho
 
 
 def verify_thm_2_2(D: Digraph) -> VerificationReport:
     _require_strong(D)
-    n = D.n
-    if n < 2:
+    if D.n < 2:
         raise ValueError("claim needs n >= 2")
-    sigmas, _ = sigma_ecc_vectors(D)
-    spread = max(sigmas) - min(sigmas)
-    # rho - pi <= n/2 - 1 at denominator n-1: 2*spread <= (n-1)(n-2)
-    observed = 2 * spread == (n - 1) * (n - 2)
-    cert = thm22_degree_certificate(D)
-    predicted = cert is not None
-    return VerificationReport(
-        theorem="thm-2.2",
-        bound_holds=2 * spread <= (n - 1) * (n - 2),
-        equality_observed=observed,
-        equality_predicted=predicted,
-        consistent=observed == predicted,
-        witnesses=cert or {},
-        details={"spread": [spread, n - 1]},
-    )
+    f = _strong_facts(D)
+    return _report("thm-2.2", f, _thm22_certificate(f) or {}, {"spread": [f.smax - f.smin, D.n - 1]})
 
 
 def verify_prop_3_1(D: Digraph) -> VerificationReport:
-    if not is_tournament(D):
-        raise ValueError("claim applies to tournaments")
-    max_out = max(r.bit_count() for r in D.rows)
-    leaders = [v for v in range(D.n) if D.rows[v].bit_count() == max_out]
-    failing = [v for v in leaders if not is_p_king(D, v, 2)]
-    two_king_exists = not failing and bool(leaders)
-    return VerificationReport(
-        theorem="prop-3.1",
-        bound_holds=not failing and two_king_exists,
-        equality_observed=True,
-        equality_predicted=True,
-        consistent=True,
-        witnesses={"max_out_degree_vertices": leaders, "violations": failing},
-        details={"max_out_degree": max_out},
+    _require_tournament(D)
+    f = InstanceFacts(D.n).load(D.rows, None, None)
+    leaders = [v for v, d in enumerate(f.degrees) if d == f.max_out]
+    return _report(
+        "prop-3.1",
+        f,
+        {"max_out_degree_vertices": leaders, "violations": [v for v in leaders if not is_p_king(D, v, 2)]},
+        {"max_out_degree": f.max_out},
     )
 
 
 def verify_thm_3_2(D: Digraph) -> Tuple[VerificationReport, VerificationReport]:
-    if not is_tournament(D):
-        raise ValueError("claim applies to tournaments")
+    _require_tournament(D)
     _require_strong(D)
-    n = D.n
-    if n < 3:
-        raise ValueError(f"claim needs n >= 3, got {n}")
-    sigmas, _ = sigma_ecc_vectors(D)
-    smin, smax = min(sigmas), max(sigmas)
-    odd = n % 2 == 1
-    reg_or_almost = is_regular_tournament(D) or is_almost_regular_tournament(D)
-
-    # Proximity window: sigma_min between n and 3(n-1)/2 (odd) or (3n-4)/2.
-    pi_upper_cap = 3 * (n - 1) if odd else 3 * n - 4
-    pi_lower_obs = smin == n
-    pi_lower_pred = degree_summary(D).max_out == n - 2
-    pi_upper_obs = 2 * smin == pi_upper_cap
-    rep_pi = VerificationReport(
-        theorem="thm-3.2-pi",
-        bound_holds=smin >= n and 2 * smin <= pi_upper_cap,
-        equality_observed=pi_lower_obs or pi_upper_obs,
-        equality_predicted=pi_lower_pred or reg_or_almost,
-        consistent=(pi_lower_obs == pi_lower_pred)
-        and (pi_upper_obs == reg_or_almost),
-        witnesses={"prox_witness": sigmas.index(smin)},
-        details={
-            "proximity": [smin, n - 1],
-            "lower": {"observed": pi_lower_obs, "predicted": pi_lower_pred},
-            "upper": {"observed": pi_upper_obs, "predicted": reg_or_almost},
-        },
-    )
-
-    rho_lower_cap = 3 * (n - 1) if odd else 3 * n - 2
-    rho_lower_obs = 2 * smax == rho_lower_cap
-    rho_upper_obs = 2 * smax == n * (n - 1)
-    rho_upper_pred = is_iso_to_extremal_tournament(D)
-    rep_rho = VerificationReport(
-        theorem="thm-3.2-rho",
-        bound_holds=2 * smax >= rho_lower_cap and 2 * smax <= n * (n - 1),
-        equality_observed=rho_lower_obs or rho_upper_obs,
-        equality_predicted=reg_or_almost or rho_upper_pred,
-        consistent=(rho_lower_obs == reg_or_almost)
-        and (rho_upper_obs == rho_upper_pred),
-        witnesses={"rem_witness": sigmas.index(smax)},
-        details={
-            "remoteness": [smax, n - 1],
-            "lower": {"observed": rho_lower_obs, "predicted": reg_or_almost},
-            "upper": {"observed": rho_upper_obs, "predicted": rho_upper_pred},
-        },
-    )
-    return rep_pi, rep_rho
+    _require_order(D)
+    return _window_reports("thm-3.2-pi", "thm-3.2-rho", _strong_facts(D))
 
 
 def verify_thm_3_3(D: Digraph) -> VerificationReport:
-    if not is_tournament(D):
-        raise ValueError("claim applies to tournaments")
+    _require_tournament(D)
     _require_strong(D)
-    sigmas, _ = sigma_ecc_vectors(D)
-    observed = min(sigmas) == max(sigmas)
-    predicted = is_regular(D)
-    return VerificationReport(
-        theorem="thm-3.3",
-        bound_holds=True,
-        equality_observed=observed,
-        equality_predicted=predicted,
-        consistent=observed == predicted,
-        witnesses={},
-        details={"sigma_min": min(sigmas), "sigma_max": max(sigmas)},
-    )
+    f = _strong_facts(D)
+    return _report("thm-3.3", f, {}, {"sigma_min": f.smin, "sigma_max": f.smax})
 
 
 # ---------------------------------------------------------------------------
 # Bipartite claims
 # ---------------------------------------------------------------------------
 
-def _bipartite_context(D: Digraph):
+def _bipartite_facts(D: Digraph) -> InstanceFacts:
     structure = bp.require_bipartite_tournament(D)
     _require_strong(D)
-    good, witness = bp.classify_good_bad(D, structure)
-    sigmas, eccs = sigma_ecc_vectors(D)
-    return structure, good, witness, sigmas, eccs
+    return _strong_facts(D, structure.parts)
+
+
+def _bad_witness(f: InstanceFacts) -> dict:
+    return {"bad_witness": f.witness} if f.witness else {}
 
 
 def verify_lem_3_4(D: Digraph) -> VerificationReport:
-    structure, good, witness, sigmas, _ = _bipartite_context(D)
-    observed = min(sigmas) == max(sigmas)
-    predicted = observed if good else False
-    return VerificationReport(
-        theorem="lem-3.4",
-        bound_holds=True,
-        equality_observed=observed,
-        equality_predicted=predicted,
-        consistent=observed == predicted,
-        witnesses={"bad_witness": witness} if witness else {},
-        details={"applicable": not good},
-    )
+    f = _bipartite_facts(D)
+    return _report("lem-3.4", f, _bad_witness(f), {"applicable": f.witness is not None})
 
 
 def verify_lem_3_5(D: Digraph) -> VerificationReport:
-    structure, good, witness, _, eccs = _bipartite_context(D)
-    violations = [v for v, e in enumerate(eccs) if e > 4] if good else []
-    return VerificationReport(
-        theorem="lem-3.5",
-        bound_holds=not violations,
-        equality_observed=True,
-        equality_predicted=True,
-        consistent=True,
-        witnesses={"violations": violations},
-        details={"applicable": good, "max_ecc": max(eccs)},
+    f = _bipartite_facts(D)
+    good = f.witness is None
+    return _report(
+        "lem-3.5",
+        f,
+        {"violations": _four_king_violations(f) if good else []},
+        {"applicable": good, "max_ecc": max(f.eccs)},
     )
 
 
 def verify_lem_3_6(D: Digraph) -> VerificationReport:
-    structure, good, witness, sigmas, _ = _bipartite_context(D)
+    f = _bipartite_facts(D)
+    good = f.witness is None
     mismatches = []
-    if good:
-        for v in range(D.n):
-            formula = bp.sigma_by_formula(D, v, structure)
-            if formula != sigmas[v]:
-                mismatches.append({"vertex": v, "formula": formula, "bfs": sigmas[v]})
-    return VerificationReport(
-        theorem="lem-3.6",
-        bound_holds=not mismatches,
-        equality_observed=True,
-        equality_predicted=True,
-        consistent=True,
-        witnesses={"mismatches": mismatches},
-        details={"applicable": good},
-    )
+    for v in _formula_mismatches(f) if good else ():
+        formula = bp.formula_sigmas(f.c)[v]
+        mismatches.append({"vertex": v, "formula": formula, "bfs": f.sigmas[v]})
+    return _report("lem-3.6", f, {"mismatches": mismatches}, {"applicable": good})
 
 
 def verify_cor_3_7(D: Digraph) -> VerificationReport:
-    structure, good, witness, sigmas, _ = _bipartite_context(D)
-    observed = min(sigmas) == max(sigmas)
-    constant = bp.equality_constant(D, structure) if good else None
-    predicted = good and constant is not None
-    # When equality holds, the per-part class/degree differences must agree
-    # pairwise (same part) and match across parts after the size shift.
-    relations_ok = True
-    if observed and good:
-        mus = bp.mu_values(D, structure)
-        diffs = []
-        for part in structure.parts:
-            vals = {mus[v] - D.rows[v].bit_count() for v in part}
-            diffs.append(vals)
-            if len(vals) != 1:
-                relations_ok = False
-        if relations_ok:
-            a, b = structure.parts
-            lhs = 2 * next(iter(diffs[0])) + len(b)
-            rhs = 2 * next(iter(diffs[1])) + len(a)
-            relations_ok = lhs == rhs
-    return VerificationReport(
-        theorem="cor-3.7",
-        bound_holds=relations_ok,
-        equality_observed=observed,
-        equality_predicted=predicted,
-        consistent=observed == predicted,
-        witnesses={"bad_witness": witness} if witness else {},
-        details={"good": good, "constant_c": constant},
-    )
+    f = _bipartite_facts(D)
+    good = f.witness is None
+    constant = bp.shared_value(f.c) if good else None
+    return _report("cor-3.7", f, _bad_witness(f), {"good": good, "constant_c": constant})
 
 
 def verify_cor_3_8(D: Digraph) -> VerificationReport:
-    structure, good, witness, sigmas, _ = _bipartite_context(D)
-    mus = bp.mu_values(D, structure)
-    applicable = good and len(set(mus.values())) == 1
-    observed = min(sigmas) == max(sigmas)
-    if applicable:
-        predicted = bp.check_cor_reg(D)
-    else:
-        predicted = observed
-    return VerificationReport(
-        theorem="cor-3.8",
-        bound_holds=True,
-        equality_observed=observed,
-        equality_predicted=predicted,
-        consistent=observed == predicted,
-        witnesses={},
-        details={"applicable": applicable},
-    )
+    f = _bipartite_facts(D)
+    return _report("cor-3.8", f, {}, {"applicable": _constant_class_size(f)})
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +654,7 @@ def verify_sec5_facts(kind: str, n: int, c: Optional[int] = None) -> Verificatio
 
 Verifier = Callable[[Digraph], List[VerificationReport]]
 
+#: The reference verifiers: one report list per claim on one Digraph.
 THEOREMS: Dict[str, Verifier] = {
     "thm-2.1-pi": lambda D: [verify_thm_2_1(D)[0]],
     "thm-2.1-rho": lambda D: [verify_thm_2_1(D)[1]],
@@ -553,15 +668,4 @@ THEOREMS: Dict[str, Verifier] = {
     "lem-3.6": lambda D: [verify_lem_3_6(D)],
     "cor-3.7": lambda D: [verify_cor_3_7(D)],
     "cor-3.8": lambda D: [verify_cor_3_8(D)],
-}
-
-#: Minimum order each claim needs (per-instance precondition).
-THEOREM_MIN_N: Dict[str, int] = {
-    "thm-2.1-pi": 3,
-    "thm-2.1-rho": 3,
-    "thm-2.2": 2,
-    "prop-3.1": 2,
-    "thm-3.2-pi": 3,
-    "thm-3.2-rho": 3,
-    "thm-3.3": 3,
 }

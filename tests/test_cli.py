@@ -209,3 +209,28 @@ class TestExhaustiveVerifyCli:
         obj = json.loads(out)
         assert obj["failure_counts"]["thm-3.2-rho"] == 24
         assert obj["certificates"]
+
+
+MALFORMED = [
+    ["verify", "thm-3.3", "--enumerate", "tournaments"],
+    ["verify", "thm-3.3", "--enumerate", "tournaments,x"],
+    ["verify", "lem-3.4", "--enumerate", "bipartite_tournaments,2"],
+    ["exhaustive-verify", "thm-3.3", "tournaments", "abc"],
+    ["exhaustive-verify", "thm-3.3", "tournaments", "4,5"],
+    ["exhaustive-verify", "lem-3.4", "bipartite_tournaments", "3"],
+    ["exhaustive-verify", "thm-3.3", "nope", "4"],
+    ["exhaustive-verify", "thm-3.3", "tournaments", "0"],
+    ["exhaustive-verify", "lem-3.4", "bipartite_tournaments", "0,3"],
+    ["search", "--class", "bipartite_tournaments", "--parts", "a,b"],
+    ["search", "--class", "bipartite_tournaments", "--parts", "3"],
+    ["search", "--class", "tournaments", "--n", "4", "--limit", "-1"],
+    ["search", "--class", "tournaments", "--n", "4", "--pred", "good"],
+    ["search", "--class", "tournaments", "--n", "0", "--pred", "tournament"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_2_with_json_error(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "error" in json.loads(err.strip().splitlines()[-1])

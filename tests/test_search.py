@@ -274,6 +274,63 @@ class TestExhaustiveVerify:
         assert a.scanned == b.scanned and a.strong_count == b.strong_count
 
 
+    def test_checked_counts_instances_a_claim_ran_on(self):
+        # Without prop-3.1 no tournament claim runs on a non-strong instance.
+        r = exhaustive_verify(["thm-3.2", "thm-3.3"], "tournaments", n=5)
+        assert r.checked == r.strong_count < r.scanned
+        r = exhaustive_verify(["thm-3.3", "prop-3.1"], "tournaments", n=5)
+        assert r.checked == r.scanned
+        # The reference path counts one per (claim, instance) pair.
+        r = exhaustive_verify(["thm-2.1", "thm-2.2"], "symmetric_digraphs", n=4)
+        assert r.checked == 3 * r.strong_count
+
+
+def _exhaustive_json(shards):
+    obj = exhaustive_verify(
+        ["thm-3.2", "thm-3.3", "prop-3.1"], "tournaments", n=6, shards=shards
+    ).as_json_dict()
+    del obj["elapsed_seconds"]
+    return obj
+
+
+def _search_json(shards, dedup):
+    q = SearchQuery(cls="all_digraphs", n=4, predicates=("strong",), dedup=dedup, limit=5, shards=shards)
+    r = search(q)
+    return {
+        "matches": [[d6, rep.as_json_dict()] for d6, rep in r.matches],
+        "scanned": r.scanned,
+        "dedup_stats": r.dedup_stats,
+    }
+
+
+class TestShardCountInvariance:
+    """More than MAX_CERTIFICATES failures, --limit and --dedup give the
+    same output for every shard count."""
+
+    @pytest.fixture(scope="class")
+    def one_shard(self):
+        return _exhaustive_json(1)
+
+    @pytest.mark.parametrize("shards", [2, 3, 8])
+    def test_certificates(self, one_shard, shards):
+        assert one_shard["failure_counts"]["thm-3.2-pi"] == 2400
+        assert len(one_shard["certificates"]) == 200
+        assert _exhaustive_json(shards) == one_shard
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 8])
+    def test_limit_with_canonical_dedup(self, shards):
+        got = _search_json(shards, "canonical")
+        assert got["dedup_stats"] == {"labeled_matches": 1606, "classes": 83}
+        assert len(got["matches"]) == 5
+        assert got == _search_json(1, "canonical")
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 8])
+    def test_limit_without_dedup(self, shards):
+        got = _search_json(shards, "none")
+        assert got["dedup_stats"] == {"labeled_matches": 1606}
+        assert got == _search_json(1, "none")
+
+
 def _slow_failing_d6():
     from proxrem.formats import write_digraph6
 
