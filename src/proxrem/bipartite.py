@@ -229,12 +229,9 @@ def check_equality_criterion(D: Digraph) -> BipartiteReport:
     """Full verdict: good/bad, per-vertex table, the constant, and whether
     the exact metrics agree that proximity equals remoteness."""
     structure = require_bipartite_tournament(D)
-    pair = find_unreachable_pair(D)
-    if pair is not None:
-        raise NotStrongError(pair)
+    sigmas, _ = sigma_ecc_vectors(D)
     good, witness = classify_good_bad(D, structure)
     mus = mu_values(D, structure)
-    sigmas, _ = sigma_ecc_vectors(D)
     per_vertex = tuple(
         (v, D.rows[v].bit_count(), mus[v], sigmas[v]) for v in range(D.n)
     )

@@ -1,23 +1,27 @@
-"""Isomorphism via permutation-minimal adjacency matrices.
+"""Isomorphism via colour-refined minimal adjacency matrices.
 
-The canonical form of a digraph is the lexicographically smallest row-major
-adjacency bit matrix over vertex relabelings, packed into bytes; two
-digraphs are isomorphic exactly when their canonical forms agree.  The
-search is brute force over permutations (cost n! * n^2 bit tests), which is
-why it is capped at a small order; part-respecting variants permute within
-given parts only, swapping equal-size parts.
+Colour refinement (the first stage of McKay & Piperno's partition
+refinement) splits the vertices into cells by out- and in-degree, then by
+the colours of out- and in-neighbours, until no cell splits.  The canonical
+form is the smallest row-major adjacency bit matrix, packed into bytes, over
+the labelings that list the cells in colour order, each cell permuted.
+Refinement commutes with relabeling, so isomorphic digraphs reach the same
+minimum, and equal forms are relabelings of one matrix: two digraphs are
+isomorphic exactly when their forms agree.  Part-respecting forms seed the
+colours with the part index, both orders when the parts have equal size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from itertools import chain, permutations, product
+from math import factorial, prod
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .digraph import Digraph
 
-#: Largest order accepted by the all-permutations path.
-CANONICAL_CEILING = 10
+#: Largest number of labelings searched (10!, the full search at order 10).
+CANONICAL_CEILING = factorial(10)
 
 
 @dataclass(frozen=True)
@@ -26,52 +30,84 @@ class CanonicalForm:
     bytes: bytes
 
 
-def _position_perms(
-    n: int, parts: Optional[Sequence[Sequence[int]]]
-) -> Iterator[Tuple[int, ...]]:
+def _rank(keys: Sequence) -> List[int]:
+    index = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [index[k] for k in keys]
+
+
+def _cells(D: Digraph, seed: Sequence[int]) -> List[List[int]]:
+    """Vertices grouped by refined colour, in colour order.  A round keys each
+    vertex by its colour and its out- and in-neighbour count in every cell."""
+    n = D.n
+    rows, rev = D.rows, D.reverse_rows
+    colour = _rank(seed)
+    count = max(colour) + 1
+    while count < n:
+        masks = [0] * count
+        for v, c in enumerate(colour):
+            masks[c] |= 1 << v
+        refined = _rank([
+            (colour[v], *[(rows[v] & m).bit_count() for m in masks],
+             *[(rev[v] & m).bit_count() for m in masks])
+            for v in range(n)
+        ])
+        refined_count = max(refined) + 1
+        if refined_count == count:
+            break
+        colour, count = refined, refined_count
+    cells: List[List[int]] = [[] for _ in range(count)]
+    for v, c in enumerate(colour):
+        cells[c].append(v)
+    return cells
+
+
+def _labelings(cells: List[List[int]]) -> Iterable[Tuple[int, ...]]:
+    if len(cells) == 1:
+        # Vertex-transitive inputs never split: skip flattening per labeling.
+        return permutations(cells[0])
+    return (tuple(chain.from_iterable(c)) for c in product(*map(permutations, cells)))
+
+
+def _seeds(n: int, parts: Optional[Sequence[Sequence[int]]]) -> List[List[int]]:
     if parts is None:
-        yield from permutations(range(n))
-        return
-    if sum(len(p) for p in parts) != n:
+        return [[0] * n]
+    if sorted(v for p in parts for v in p) != list(range(n)):
         raise ValueError("parts must cover every vertex exactly once")
     if len(parts) != 2:
         raise ValueError("part-respecting canonical form supports two parts")
-    a, b = tuple(parts[0]), tuple(parts[1])
-    assignments = [(a, b)]
-    if len(a) == len(b) and a != b:
-        assignments.append((b, a))
-    for first, second in assignments:
-        for p1 in permutations(first):
-            for p2 in permutations(second):
-                yield p1 + p2
+    a, b = parts
+    seconds = (b, a) if len(a) == len(b) else (b,)
+    return [[int(v in second) for v in range(n)] for second in seconds]
 
 
 def canonical_form(
     D: Digraph, parts: Optional[Sequence[Sequence[int]]] = None
 ) -> CanonicalForm:
-    """Minimal adjacency matrix over all (part-respecting) relabelings."""
+    """Minimal adjacency matrix over the colour-refined (part-respecting)
+    labelings."""
     n = D.n
-    if n > CANONICAL_CEILING:
+    all_cells = [_cells(D, seed) for seed in _seeds(n, parts)]
+    size = sum(prod(factorial(len(c)) for c in cells) for cells in all_cells)
+    if size > CANONICAL_CEILING:
         raise ValueError(
-            f"canonical form is capped at order {CANONICAL_CEILING} "
-            f"(all-permutations search); got {n}"
+            f"canonical form is capped at {CANONICAL_CEILING} labelings "
+            f"(exhaustive search within refined cells); got {size} at order {n}"
         )
     rows = D.rows
-    rng = range(n)
     best: Optional[Tuple[int, ...]] = None
-    for p in _position_perms(n, parts):
+    for p in chain.from_iterable(map(_labelings, all_cells)):
         r = rows[p[0]]
         r0 = 0
-        for j in rng:
-            r0 = (r0 << 1) | ((r >> p[j]) & 1)
+        for q in p:
+            r0 = (r0 << 1) | ((r >> q) & 1)
         if best is not None and r0 > best[0]:
             continue
         key = [r0]
         for i in range(1, n):
             r = rows[p[i]]
             ri = 0
-            for j in rng:
-                ri = (ri << 1) | ((r >> p[j]) & 1)
+            for q in p:
+                ri = (ri << 1) | ((r >> q) & 1)
             key.append(ri)
         tkey = tuple(key)
         if best is None or tkey < best:
@@ -87,49 +123,5 @@ def canonical_form(
 
 
 def are_isomorphic(A: Digraph, B: Digraph) -> bool:
-    """Backtracking isomorphism test with degree-class pruning.
-
-    Unlike canonical_form this has no hard order ceiling; the degree-class
-    screen keeps the search shallow on the sizes this project handles.
-    """
-    if A.n != B.n:
-        return False
-    n = A.n
-    inv_a = [(A.rows[v].bit_count(), A.reverse_rows[v].bit_count()) for v in range(n)]
-    inv_b = [(B.rows[v].bit_count(), B.reverse_rows[v].bit_count()) for v in range(n)]
-    if sorted(inv_a) != sorted(inv_b):
-        return False
-    class_size = {inv: inv_a.count(inv) for inv in set(inv_a)}
-    order = sorted(range(n), key=lambda v: (class_size[inv_a[v]], inv_a[v], v))
-    candidates = {v: [w for w in range(n) if inv_b[w] == inv_a[v]] for v in range(n)}
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        av = A.rows[v]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            bw = B.rows[w]
-            ok = True
-            for j in range(k):
-                u = order[j]
-                x = mapping[u]
-                if ((av >> u) & 1) != ((bw >> x) & 1):
-                    ok = False
-                    break
-                if ((A.rows[u] >> v) & 1) != ((B.rows[x] >> w) & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(k + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return extend(0)
+    """True when A and B have the same canonical form."""
+    return A.n == B.n and canonical_form(A) == canonical_form(B)

@@ -17,7 +17,6 @@ from .digraph import (
     Digraph,
     NotStrongError,
     degree_summary,
-    find_unreachable_pair,
     is_regular,
     is_symmetric,
     is_tournament,
@@ -248,12 +247,9 @@ def rational_json(q: Fraction) -> dict:
 
 def metrics_report(D: Digraph) -> MetricsReport:
     """Compute the full invariant report; raises NotStrongError when needed."""
-    pair = find_unreachable_pair(D)
-    if pair is not None:
-        raise NotStrongError(pair)
+    sigmas, eccs = sigma_ecc_vectors(D)
     if D.n < 2:
         raise ValueError("metrics report needs at least 2 vertices")
-    sigmas, eccs = sigma_ecc_vectors(D)
     smin, smax = min(sigmas), max(sigmas)
     den = D.n - 1
     return MetricsReport(

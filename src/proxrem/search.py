@@ -579,10 +579,9 @@ def rediscover_sigma_equal_graph(
     is given, until the find is isomorphic to the target).  Deterministic
     for a fixed seed.
     """
-    from .canonical import are_isomorphic
-
     rng = Random(seed)
     n = len(degrees)
+    target_form = None if target is None else canonical_form(target)
     hits = 0
     for it in range(1, budget + 1):
         rows = random_graph_with_degrees(degrees, rng)
@@ -593,7 +592,7 @@ def rediscover_sigma_equal_graph(
             continue
         hits += 1
         D = Digraph(n, tuple(rows))
-        if target is not None and not are_isomorphic(D, target):
+        if target_form is not None and canonical_form(D) != target_form:
             continue
         return RediscoveryResult(
             success=True,

@@ -13,6 +13,7 @@ from proxrem.constructions import bipartite_T1, bipartite_blowup, bipartite_equa
 from proxrem.digraph import (
     Digraph,
     NotStrongError,
+    find_unreachable_pair,
     from_edge_list,
     is_strong,
 )
@@ -141,6 +142,18 @@ class TestEqualityCriterion:
                 r = check_equality_criterion(D)
                 predicted = r.good and r.constant_c is not None
                 assert r.pi_equals_rho == predicted
+
+    def test_not_strong_pair_matches_reachability_pair(self):
+        seen = 0
+        for D in enumerate_class("bipartite_tournaments", parts=(3, 3)):
+            pair = find_unreachable_pair(D)
+            if pair is None:
+                continue
+            seen += 1
+            with pytest.raises(NotStrongError) as exc:
+                check_equality_criterion(D)
+            assert exc.value.pair == pair
+        assert seen > 0
 
     def test_json_shape(self):
         obj = check_equality_criterion(bipartite_T1()).as_json_dict()

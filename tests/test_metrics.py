@@ -15,7 +15,13 @@ from proxrem.constructions import (
     fig1_graph,
     hub_digraph,
 )
-from proxrem.digraph import Digraph, NotStrongError, from_edge_list, is_strong
+from proxrem.digraph import (
+    Digraph,
+    NotStrongError,
+    find_unreachable_pair,
+    from_edge_list,
+    is_strong,
+)
 from proxrem.metrics import (
     CSV_HEADER,
     bfs_profile,
@@ -26,7 +32,7 @@ from proxrem.metrics import (
     radius_diameter,
     sigma_ecc_vectors,
 )
-from proxrem.search import random_strong_digraph
+from proxrem.search import enumerate_class, random_strong_digraph
 
 from oracles import fw_metrics, rotational_tournament, transitive_tournament
 from test_digraph import random_digraphs
@@ -123,6 +129,21 @@ class TestProximityRemoteness:
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):
             proximity_remoteness(Digraph(1, (0,)))
+
+    def test_report_pair_matches_reachability_pair_exhaustive(self):
+        # The report leaves strongness to the kernel; the pair it names must
+        # still be the one the reachability pass from vertex 0 finds.
+        non_strong = 0
+        for n in range(2, 5):
+            for D in enumerate_class("all_digraphs", n):
+                pair = find_unreachable_pair(D)
+                if pair is None:
+                    continue
+                non_strong += 1
+                with pytest.raises(NotStrongError) as exc:
+                    metrics_report(D)
+                assert exc.value.pair == pair
+        assert non_strong == (4 - 1) + (64 - 18) + (4096 - 1606)
 
 
 class TestRadiusDiameter:

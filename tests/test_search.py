@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from proxrem.canonical import are_isomorphic, canonical_form
-from proxrem.constructions import dicycle, extremal_tournament, fig1_graph
+from proxrem.constructions import bipartite_T1, dicycle, extremal_tournament, fig1_graph
 from proxrem.digraph import Digraph, is_regular, is_strong, permute
 from proxrem.formats import read_digraph6
 from proxrem.metrics import sigma_ecc_vectors
@@ -113,9 +113,66 @@ class TestCanonicalForm:
         perm = [1, 0, 3, 2]
         assert canonical_form(permute(D, perm), parts) == canonical_form(D, parts)
 
+    def test_parts_must_partition_the_vertices(self):
+        D = next(iter(enumerate_class("bipartite_tournaments", parts=(2, 2))))
+        for parts in (((0, 1), (2,)), ((0, 1), (1, 2)), ((0, 1), (2, 3), ())):
+            with pytest.raises(ValueError, match="parts"):
+                canonical_form(D, parts)
+
     def test_ceiling(self):
         with pytest.raises(ValueError, match="capped"):
             canonical_form(dicycle(11))
+
+    @pytest.mark.parametrize(
+        "cls, n, parts, classes",
+        [
+            ("all_digraphs", 4, None, 218),  # OEIS A000273
+            ("tournaments", 6, None, 56),  # OEIS A000568
+            ("symmetric_digraphs", 6, None, 156),  # OEIS A000088
+            # Part-respecting counts, recorded with an all-permutations search.
+            ("bipartite_tournaments", None, (2, 3), 13),
+            ("bipartite_tournaments", None, (3, 3), 18),
+            ("bipartite_tournaments", None, (2, 4), 22),
+        ],
+    )
+    def test_exact_class_counts(self, cls, n, parts, classes):
+        # Form classes always refine the isomorphism classes, so matching the
+        # true class count proves the partition exact on the whole class.
+        layout = None
+        if parts is not None:
+            a, b = parts
+            layout = (range(a), range(a, a + b))
+        forms = {canonical_form(D, layout).bytes for D in enumerate_class(cls, n, parts)}
+        assert len(forms) == classes
+
+    def test_equal_size_parts_trade_places(self):
+        parts = ((0, 1, 2), (3, 4, 5))
+        D = next(
+            D
+            for D in enumerate_class("bipartite_tournaments", parts=(3, 3))
+            if sorted(D.out_degree(v) for v in parts[0])
+            != sorted(D.out_degree(v) for v in parts[1])
+        )
+        swapped = permute(D, [4, 3, 5, 1, 2, 0])
+        assert swapped != D
+        assert canonical_form(swapped, parts) == canonical_form(D, parts)
+
+    def test_order_twelve_tournament(self):
+        T = extremal_tournament(12)
+        perm = list(range(12))
+        Random(12).shuffle(perm)
+        assert canonical_form(permute(T, perm)) == canonical_form(T)
+
+    def test_permutation_invariance_up_to_order_ten(self):
+        rng = Random(10)
+        instances = [random_strong_digraph(n, rng) for n in range(2, 11) for _ in range(3)]
+        instances += [bipartite_T1(), fig1_graph()]
+        for D in instances:
+            base = canonical_form(D)
+            for _ in range(3):
+                perm = list(range(D.n))
+                rng.shuffle(perm)
+                assert canonical_form(permute(D, perm)) == base
 
 
 class TestAreIsomorphic:
