@@ -30,10 +30,9 @@ from .search import (
     enumerate_class,
     exhaustive_verify,
     rediscover_sigma_equal_graph,
-    resolve_theorems,
     search,
 )
-from .verifiers import THEOREMS, verify_sec5_facts
+from .verifiers import THEOREMS, resolve_theorems, verify_sec5_facts
 
 
 def _fail(code: int, message: str, **extra) -> int:
@@ -92,28 +91,20 @@ def _load_digraph(path: str, fmt: str, undirected: bool) -> Digraph:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    try:
-        D = _load_digraph(args.input, args.format, args.undirected)
-    except ValueError as exc:
-        return _fail(2, str(exc))
-    try:
-        if args.bipartite:
-            report = check_equality_criterion(D)
-            for v, dplus, mu, sigma in report.per_vertex:
-                print(f"# vertex {v}: out_degree={dplus} mu={mu} sigma={sigma}")
-            print(f"# constant_c={report.constant_c} good={report.good}")
-            print(json.dumps(report.as_json_dict()))
+    D = _load_digraph(args.input, args.format, args.undirected)
+    if args.bipartite:
+        report = check_equality_criterion(D)
+        for v, dplus, mu, sigma in report.per_vertex:
+            print(f"# vertex {v}: out_degree={dplus} mu={mu} sigma={sigma}")
+        print(f"# constant_c={report.constant_c} good={report.good}")
+        print(json.dumps(report.as_json_dict()))
+    else:
+        rep = metrics_report(D)
+        if args.out_format == "csv":
+            print(CSV_HEADER)
+            print(rep.csv_row())
         else:
-            rep = metrics_report(D)
-            if args.out_format == "csv":
-                print(CSV_HEADER)
-                print(rep.csv_row())
-            else:
-                print(json.dumps(rep.as_json_dict()))
-    except NotStrongError as exc:
-        return _fail(2, str(exc), unreachable_pair=list(exc.pair))
-    except ValueError as exc:
-        return _fail(2, str(exc))
+            print(json.dumps(rep.as_json_dict()))
     return 0
 
 
@@ -155,11 +146,8 @@ def _construct_params(args) -> Tuple[int, ...]:
 
 
 def cmd_construct(args) -> int:
-    try:
-        spec = constructions.ConstructionSpec(args.family, _construct_params(args))
-        D = constructions.build(spec)
-    except (ValueError, NotStrongError) as exc:
-        return _fail(2, str(exc))
+    spec = constructions.ConstructionSpec(args.family, _construct_params(args))
+    D = constructions.build(spec)
     if args.format == "edgelist":
         sys.stdout.write(write_edge_list(D, directed=not is_symmetric(D)))
     else:
@@ -203,26 +191,17 @@ def cmd_verify(args) -> int:
         rep = verify_sec5_facts(kind, params[0], params[1] if len(params) > 1 else None)
         print(json.dumps(rep.as_json_dict()))
         return 0 if rep.ok else 1
-    try:
-        ids = resolve_theorems([theorem])
-    except ValueError as exc:
-        return _fail(2, str(exc))
+    ids = resolve_theorems([theorem])
     all_ok = True
-    try:
-        for label, D in _verify_instances(args):
-            for tid in ids:
-                for rep in THEOREMS[tid](D):
-                    obj = rep.as_json_dict()
-                    obj["instance"] = label
-                    print(json.dumps(obj))
-                    if not rep.ok:
-                        all_ok = False
-                        print(
-                            json.dumps({"counterexample": label, "theorem": tid}),
-                            file=sys.stderr,
-                        )
-    except (ValueError, NotStrongError) as exc:
-        return _fail(2, str(exc))
+    for label, D in _verify_instances(args):
+        for tid in ids:
+            for rep in THEOREMS[tid](D):
+                obj = rep.as_json_dict()
+                obj["instance"] = label
+                print(json.dumps(obj))
+                if not rep.ok:
+                    all_ok = False
+                    print(json.dumps({"counterexample": label, "theorem": tid}), file=sys.stderr)
     return 0 if all_ok else 1
 
 
@@ -237,33 +216,25 @@ def cmd_search(args) -> int:
     if args.randomized:
         if not args.degrees:
             return _fail(2, "--randomized needs --degrees")
-        try:
-            degrees = _parse_int_list(args.degrees)
-            target = constructions.fig1_graph() if args.target_fig1 else None
-            result = rediscover_sigma_equal_graph(
-                degrees, seed=args.seed, budget=args.budget, target=target
-            )
-        except ValueError as exc:
-            return _fail(2, str(exc))
+        degrees = _parse_int_list(args.degrees)
+        target = constructions.fig1_graph() if args.target_fig1 else None
+        result = rediscover_sigma_equal_graph(degrees, seed=args.seed, budget=args.budget, target=target)
         print(json.dumps(result.as_json_dict()))
         return 0 if result.success else 1
     predicates = tuple(t for t in (args.pred or "").split(",") if t)
-    try:
-        parts = _parse_int_list(args.parts) if args.parts else None
-        if parts is not None and len(parts) != 2:
-            return _fail(2, "--parts takes two sizes, e.g. 3,4")
-        query = SearchQuery(
-            cls=args.cls,
-            n=args.n,
-            parts=parts,
-            predicates=predicates,
-            dedup=args.dedup,
-            limit=args.limit,
-            shards=_default_shards(args.shards),
-        )
-        result = search(query)
-    except ValueError as exc:
-        return _fail(2, str(exc))
+    parts = _parse_int_list(args.parts) if args.parts else None
+    if parts is not None and len(parts) != 2:
+        return _fail(2, "--parts takes two sizes, e.g. 3,4")
+    query = SearchQuery(
+        cls=args.cls,
+        n=args.n,
+        parts=parts,
+        predicates=predicates,
+        dedup=args.dedup,
+        limit=args.limit,
+        shards=_default_shards(args.shards),
+    )
+    result = search(query)
     lines = [d6 if d6.endswith("\n") else d6 + "\n" for d6, _ in result.matches]
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -276,13 +247,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_exhaustive_verify(args) -> int:
-    try:
-        n, parts = _class_size(args.cls, args.size)
-        result = exhaustive_verify(
-            args.theorem, args.cls, n=n, parts=parts, shards=_default_shards(args.shards)
-        )
-    except ValueError as exc:
-        return _fail(2, str(exc))
+    n, parts = _class_size(args.cls, args.size)
+    result = exhaustive_verify(args.theorem, args.cls, n=n, parts=parts, shards=_default_shards(args.shards))
     print(json.dumps(result.as_json_dict()))
     return 0 if result.passed else 1
 
@@ -355,8 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand.  The input errors of every subcommand exit 2 here:
+    a non-strong input names an unreachable pair, and malformed values and
+    unreadable or unwritable files give a JSON error."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except NotStrongError as exc:
+        return _fail(2, str(exc), unreachable_pair=list(exc.pair))
+    except (ValueError, OSError) as exc:
+        return _fail(2, str(exc))
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .formats import read_digraph6, write_digraph6
 # distance_layers is bound here for the benchmark's boundary tracer
 # (perfbench/tracer.py), which patches it by name in this module.
 from .metrics import MetricsReport, distance_layers, distance_sums, metrics_report  # noqa: F401
-from .verifiers import CLAIMS, THEOREMS, InstanceFacts
+from .verifiers import CLAIMS, THEOREMS, InstanceFacts, resolve_theorems
 
 
 class _Class(NamedTuple):
@@ -311,12 +311,6 @@ def search(query: SearchQuery) -> SearchResult:
 # Exhaustive claim verification
 # ---------------------------------------------------------------------------
 
-THEOREM_ALIASES = {
-    "thm-2.1": ("thm-2.1-pi", "thm-2.1-rho"),
-    "thm-3.2": ("thm-3.2-pi", "thm-3.2-rho"),
-}
-
-
 @dataclass
 class ExhaustiveResult:
     """Counts of one exhaustive run.
@@ -354,20 +348,6 @@ class ExhaustiveResult:
         }
 
 
-def resolve_theorems(ids: Sequence[str]) -> Tuple[str, ...]:
-    out: List[str] = []
-    for t in ids:
-        if t in THEOREM_ALIASES:
-            out.extend(THEOREM_ALIASES[t])
-        elif t in THEOREMS:
-            out.append(t)
-        else:
-            raise ValueError(
-                f"unknown claim id {t!r}; known: {sorted(THEOREMS) + sorted(THEOREM_ALIASES)}"
-            )
-    return tuple(dict.fromkeys(out))
-
-
 #: Cap on stored counterexample certificates (counts stay exact).
 MAX_CERTIFICATES = 200
 
@@ -385,7 +365,8 @@ def _scan_worker(args) -> dict:
     cls, n, parts, start, stop, want = args
     order, _, _, _, part_ranges = _layout(cls, n, parts)
     full = (1 << order) - 1
-    screen = _CLASSES[cls].screen
+    # A single vertex has no arcs yet counts as strong.
+    screen = _CLASSES[cls].screen and order > 1
     facts = InstanceFacts(order, part_ranges)
     checks = []  # (claim id, check, evidence)
     loose = []  # the checks that also run on instances that are not strong

@@ -6,9 +6,13 @@ case, the *observed* equality (computed from the exact metrics) against the
 *predicted* equality (computed from structure alone: degrees, arc counts,
 eccentricity certificates, neighborhood classes).  The two routes never
 share a computation, so a faulty characterization shows up as an
-inconsistent verdict rather than a silently agreeing one.  The ``verify_*``
-functions build a ``VerificationReport`` from a check; the exhaustive scan
-in ``proxrem.search`` runs the same checks on raw adjacency rows.
+inconsistent verdict rather than a silently agreeing one.  A claim's row
+also names its input class (any digraph, tournament or bipartite
+tournament), its minimum order, whether it needs strong connectivity, and
+the witnesses and details its report carries; ``verify`` builds every
+``VerificationReport`` from the row, and ``THEOREMS`` is ``verify`` per
+claim id.  The exhaustive scan in ``proxrem.search`` runs the same checks on
+raw adjacency rows.
 
 Claim identifiers (the CLI vocabulary):
 
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bipartite as bp
@@ -56,7 +61,7 @@ from .canonical import canonical_form  # noqa: F401
 from .constructions import dicycle as make_dicycle
 from .constructions import hub_digraph
 from .digraph import Digraph, NotStrongError, find_unreachable_pair, is_tournament, reach_within
-from .metrics import distance_layers, is_p_king, sigma_ecc_vectors
+from .metrics import distance_layers, sigma_ecc_vectors
 
 
 @dataclass
@@ -147,17 +152,6 @@ class InstanceFacts:
         return self
 
 
-def _require_strong(D: Digraph) -> None:
-    pair = find_unreachable_pair(D)
-    if pair is not None:
-        raise NotStrongError(pair)
-
-
-def _strong_facts(D: Digraph, parts=None) -> InstanceFacts:
-    sigmas, eccs = sigma_ecc_vectors(D)
-    return InstanceFacts(D.n, parts).load(D.rows, sigmas, eccs)
-
-
 # ---------------------------------------------------------------------------
 # Structural predicates (the "predicted" side)
 # ---------------------------------------------------------------------------
@@ -206,8 +200,8 @@ def _spanning_orders(rows: Sequence[int], n: int, starts) -> Iterator[List[int]]
             yield [l.bit_length() - 1 for l in layers]
 
 
-def _long_starts(f: InstanceFacts) -> List[int]:
-    return [u for u, e in enumerate(f.eccs) if e == f.n - 1]
+def _long_starts(eccs: Sequence[int], n: int) -> List[int]:
+    return [u for u, e in enumerate(eccs) if e == n - 1]
 
 
 def spanning_path_ordering(D: Digraph) -> Optional[List[int]]:
@@ -224,14 +218,21 @@ def _extremal_scores(n: int) -> List[int]:
     return sorted([1, 1] + list(range(2, n - 1)) + [n - 2])
 
 
-def _follows_extremal_pattern(rows: Sequence[int], order: Optional[List[int]]) -> bool:
-    """True when every v_i of the spanning-path ordering beats exactly
-    v_{i+1} and v_0..v_{i-2}: an explicit isomorphism onto the extremal
-    tournament.  Any ordering of an isomorphic copy shows it, since its
-    eccentricity-(n-1) starts are images of one another."""
+def _is_extremal(rows: Sequence[int], n: int, scores: List[int], target: List[int], eccs) -> bool:
+    """Isomorphism onto the remoteness-extremal tournament: the sorted
+    ``scores`` equal the ``target`` from ``_extremal_scores(n)``, and along
+    the first spanning-path ordering every v_i beats exactly v_{i+1} and
+    v_0..v_{i-2} (an explicit isomorphism).  The ordering starts at the
+    first vertex of eccentricity n-1 in ``eccs``, or at the first vertex
+    that has one when ``eccs`` is None.  Any ordering of an isomorphic copy
+    shows it, since its eccentricity-(n-1) starts are images of one
+    another."""
+    if scores != target:
+        return False
+    starts = range(n) if eccs is None else _long_starts(eccs, n)
+    order = next(_spanning_orders(rows, n, starts), None)
     if order is None:
         return False
-    n = len(order)
     for i, v in enumerate(order):
         want = 1 << order[i + 1] if i + 1 < n else 0
         for j in range(i - 1):
@@ -242,18 +243,12 @@ def _follows_extremal_pattern(rows: Sequence[int], order: Optional[List[int]]) -
 
 
 def is_iso_to_extremal_tournament(D: Digraph) -> bool:
-    """Isomorphism to the remoteness-extremal tournament of the same order.
-
-    Decided by the score sequence and then by reconstructing the forced
-    spanning-path ordering and matching the arc pattern exactly (an explicit
-    isomorphism certificate).
-    """
+    """Isomorphism to the remoteness-extremal tournament of the same order."""
     n = D.n
     if not is_tournament(D) or n < 3:
         return False
-    if sorted(r.bit_count() for r in D.rows) != _extremal_scores(n):
-        return False
-    return _follows_extremal_pattern(D.rows, spanning_path_ordering(D))
+    scores = sorted(r.bit_count() for r in D.rows)
+    return _is_extremal(D.rows, n, scores, _extremal_scores(n), None)
 
 
 def _thm22_certificate(f: InstanceFacts) -> Optional[Dict[str, object]]:
@@ -262,7 +257,7 @@ def _thm22_certificate(f: InstanceFacts) -> Optional[Dict[str, object]]:
     n = f.n
     if max(f.eccs) != n - 1:
         return None
-    for order in _spanning_orders(f.rows, n, _long_starts(f)):
+    for order in _spanning_orders(f.rows, n, _long_starts(f.eccs, n)):
         for v in order[-2:]:
             if f.degrees[v] == n - 1:
                 return {"ordering": order, "dominant_vertex": v}
@@ -274,10 +269,21 @@ def _four_king_violations(f: InstanceFacts) -> List[int]:
     return [v for v, e in enumerate(f.eccs) if e > 4]
 
 
-def _formula_mismatches(f: InstanceFacts) -> List[int]:
+def _formula_mismatches(f: InstanceFacts) -> List[dict]:
     """Vertices of a good instance whose distance sum misses the closed form."""
     formula = bp.formula_sigmas(f.c)
-    return [v for v, s in enumerate(f.sigmas) if formula[v] != s]
+    return [{"vertex": v, "formula": formula[v], "bfs": s} for v, s in enumerate(f.sigmas) if formula[v] != s]
+
+
+def _two_step_violations(f: InstanceFacts, full: int) -> List[int]:
+    """Maximum-out-degree vertices that miss some vertex of ``full`` (the
+    mask of all n vertices) within two steps."""
+    top, rows = f.max_out, f.rows
+    missed = []  # a loop, not a comprehension: it runs on every scanned tournament
+    for v, d in enumerate(f.degrees):
+        if d == top and reach_within(rows, v, 2) != full:
+            missed.append(v)
+    return missed
 
 
 def _constant_class_size(f: InstanceFacts) -> bool:
@@ -333,16 +339,7 @@ def _thm_2_2(n: int) -> Check:
 
 def _prop_3_1(n: int) -> Check:
     full = (1 << n) - 1
-
-    def check(f: InstanceFacts) -> Verdict:
-        top = f.max_out
-        rows = f.rows
-        for v, d in enumerate(f.degrees):
-            if d == top and reach_within(rows, v, 2) != full:
-                return False, (), ()
-        return True, (), ()
-
-    return check
+    return lambda f: (not _two_step_violations(f, full), (), ())
 
 
 def _thm_3_2_pi(n: int) -> Check:
@@ -365,17 +362,17 @@ def _thm_3_2_rho(n: int) -> Check:
     cap = 3 * (n - 1) if n % 2 else 3 * n - 2
     top = n * (n - 1)
     lo, hi = _near_regular_window(n)
-    scores = _extremal_scores(n)
+    target = _extremal_scores(n)
 
     def check(f: InstanceFacts) -> Verdict:
         smax2 = 2 * f.smax
-        extremal = f.scores == scores and _follows_extremal_pattern(
-            f.rows, next(_spanning_orders(f.rows, n, _long_starts(f)), None)
-        )
         return (
             cap <= smax2 <= top,
             (smax2 == cap, smax2 == top),
-            (lo <= f.min_out and f.max_out <= hi, extremal),
+            (
+                lo <= f.min_out and f.max_out <= hi,
+                _is_extremal(f.rows, n, f.scores, target, f.eccs),
+            ),
         )
 
     return check
@@ -429,47 +426,156 @@ def _cor_3_7_evidence(f: InstanceFacts) -> dict:
     return {"sigmas": f.sigmas, "c_values": sorted(set(f.c))}
 
 
+def _proximity_window(f: InstanceFacts) -> Tuple[dict, dict]:
+    return {"prox_witness": f.sigmas.index(f.smin)}, {"proximity": [f.smin, f.n - 1]}
+
+
+def _remoteness_window(f: InstanceFacts) -> Tuple[dict, dict]:
+    return {"rem_witness": f.sigmas.index(f.smax)}, {"remoteness": [f.smax, f.n - 1]}
+
+
+def _thm_2_1_rho_report(f: InstanceFacts) -> Tuple[dict, dict]:
+    witnesses, details = _remoteness_window(f)
+    if max(f.eccs) == f.n - 1:
+        witnesses["ordering"] = next(_spanning_orders(f.rows, f.n, _long_starts(f.eccs, f.n)))
+    return witnesses, details
+
+
+def _thm_2_2_report(f: InstanceFacts) -> Tuple[dict, dict]:
+    return _thm22_certificate(f) or {}, {"spread": [f.smax - f.smin, f.n - 1]}
+
+
+def _prop_3_1_report(f: InstanceFacts) -> Tuple[dict, dict]:
+    leaders = [v for v, d in enumerate(f.degrees) if d == f.max_out]
+    witnesses = {"max_out_degree_vertices": leaders, "violations": _two_step_violations(f, (1 << f.n) - 1)}
+    return witnesses, {"max_out_degree": f.max_out}
+
+
+def _thm_3_3_report(f: InstanceFacts) -> Tuple[dict, dict]:
+    return {}, {"sigma_min": f.smin, "sigma_max": f.smax}
+
+
+def _bad_witness(f: InstanceFacts) -> dict:
+    return {"bad_witness": f.witness} if f.witness else {}
+
+
+def _lem_3_4_report(f: InstanceFacts) -> Tuple[dict, dict]:
+    return _bad_witness(f), {"applicable": f.witness is not None}
+
+
+def _lem_3_5_report(f: InstanceFacts) -> Tuple[dict, dict]:
+    good = f.witness is None
+    violations = _four_king_violations(f) if good else []
+    return {"violations": violations}, {"applicable": good, "max_ecc": max(f.eccs)}
+
+
+def _lem_3_6_report(f: InstanceFacts) -> Tuple[dict, dict]:
+    good = f.witness is None
+    return {"mismatches": _formula_mismatches(f) if good else []}, {"applicable": good}
+
+
+def _cor_3_7_report(f: InstanceFacts) -> Tuple[dict, dict]:
+    good = f.witness is None
+    constant = bp.shared_value(f.c) if good else None
+    return _bad_witness(f), {"good": good, "constant_c": constant}
+
+
+def _cor_3_8_report(f: InstanceFacts) -> Tuple[dict, dict]:
+    return {}, {"applicable": _constant_class_size(f)}
+
+
+def _tournament(D: Digraph) -> None:
+    if not is_tournament(D):
+        raise ValueError("claim applies to tournaments")
+
+
+def _bipartite_tournament(D: Digraph) -> Sequence[Sequence[int]]:
+    return bp.require_bipartite_tournament(D).parts
+
+
 class Claim(NamedTuple):
     """One claim: ``bind(n)`` gives its check at order n; ``evidence`` is
-    the certificate payload of a failing instance; the claim runs only at
+    the certificate payload of a failing instance; ``report`` gives the
+    (witnesses, details) of its ``VerificationReport``.  ``requires`` checks
+    the input class and returns the parts of a bipartite tournament (None
+    otherwise), raising ValueError on other input.  The claim runs only at
     orders >= ``min_n``, and only on strong instances when ``strong``."""
 
     bind: Callable[[int], Check]
     evidence: Callable[[InstanceFacts], dict]
+    report: Callable[[InstanceFacts], Tuple[dict, dict]]
+    requires: Callable[[Digraph], Optional[Sequence[Sequence[int]]]] = lambda D: None
     min_n: int = 2
     strong: bool = True
 
 
 CLAIMS: Dict[str, Claim] = {
-    "thm-2.1-pi": Claim(lambda n: _thm_2_1_pi, _with_sigmas, 3),
-    "thm-2.1-rho": Claim(lambda n: _thm_2_1_rho, _with_sigmas, 3),
-    "thm-2.2": Claim(_thm_2_2, _with_sigmas),
-    "prop-3.1": Claim(_prop_3_1, lambda f: {}, strong=False),
-    "thm-3.2-pi": Claim(_thm_3_2_pi, _with_degrees, 3),
-    "thm-3.2-rho": Claim(_thm_3_2_rho, _with_degrees, 3),
-    "thm-3.3": Claim(lambda n: _thm_3_3, _with_degrees, 3),
-    "lem-3.4": Claim(lambda n: _lem_3_4, _with_sigmas),
-    "lem-3.5": Claim(lambda n: _lem_3_5, lambda f: {"eccs": f.eccs}),
-    "lem-3.6": Claim(lambda n: _lem_3_6, _with_sigmas),
-    "cor-3.7": Claim(lambda n: _cor_3_7, _cor_3_7_evidence),
-    "cor-3.8": Claim(lambda n: _cor_3_8, _with_sigmas),
+    "thm-2.1-pi": Claim(lambda n: _thm_2_1_pi, _with_sigmas, _proximity_window, min_n=3),
+    "thm-2.1-rho": Claim(lambda n: _thm_2_1_rho, _with_sigmas, _thm_2_1_rho_report, min_n=3),
+    "thm-2.2": Claim(_thm_2_2, _with_sigmas, _thm_2_2_report),
+    "prop-3.1": Claim(_prop_3_1, lambda f: {}, _prop_3_1_report, _tournament, strong=False),
+    "thm-3.2-pi": Claim(_thm_3_2_pi, _with_degrees, _proximity_window, _tournament, min_n=3),
+    "thm-3.2-rho": Claim(_thm_3_2_rho, _with_degrees, _remoteness_window, _tournament, min_n=3),
+    "thm-3.3": Claim(lambda n: _thm_3_3, _with_degrees, _thm_3_3_report, _tournament, min_n=3),
+    "lem-3.4": Claim(lambda n: _lem_3_4, _with_sigmas, _lem_3_4_report, _bipartite_tournament),
+    "lem-3.5": Claim(lambda n: _lem_3_5, lambda f: {"eccs": f.eccs}, _lem_3_5_report, _bipartite_tournament),
+    "lem-3.6": Claim(lambda n: _lem_3_6, _with_sigmas, _lem_3_6_report, _bipartite_tournament),
+    "cor-3.7": Claim(lambda n: _cor_3_7, _cor_3_7_evidence, _cor_3_7_report, _bipartite_tournament),
+    "cor-3.8": Claim(lambda n: _cor_3_8, _with_sigmas, _cor_3_8_report, _bipartite_tournament),
+}
+
+#: Claim ids that name two claims at once.
+THEOREM_ALIASES = {
+    "thm-2.1": ("thm-2.1-pi", "thm-2.1-rho"),
+    "thm-3.2": ("thm-3.2-pi", "thm-3.2-rho"),
 }
 
 
+def resolve_theorems(ids: Sequence[str]) -> Tuple[str, ...]:
+    """The claim ids named by ``ids``, aliases expanded, first occurrence kept."""
+    out: List[str] = []
+    for t in ids:
+        if t in THEOREM_ALIASES:
+            out.extend(THEOREM_ALIASES[t])
+        elif t in CLAIMS:
+            out.append(t)
+        else:
+            raise ValueError(f"unknown claim id {t!r}; known: {sorted(CLAIMS) + sorted(THEOREM_ALIASES)}")
+    return tuple(dict.fromkeys(out))
+
+
 # ---------------------------------------------------------------------------
-# Verifiers: reports over the claim checks
+# The reference verifier
 # ---------------------------------------------------------------------------
 
-def _report(theorem: str, f: InstanceFacts, witnesses: dict, details: dict) -> VerificationReport:
-    bound, observed, predicted = CLAIMS[theorem].bind(f.n)(f)
+def _require_strong(D: Digraph) -> None:
+    pair = find_unreachable_pair(D)
+    if pair is not None:
+        raise NotStrongError(pair)
+
+
+def verify(claim_id: str, D: Digraph) -> VerificationReport:
+    """One claim's report on one instance, from its row in ``CLAIMS``.
+
+    The preconditions run in this order: the input class (ValueError),
+    strong connectivity when the claim needs it (NotStrongError), then the
+    minimum order (ValueError).
+    """
+    claim = CLAIMS[claim_id]
+    parts = claim.requires(D)
+    if claim.strong:
+        _require_strong(D)
+    if D.n < claim.min_n:
+        raise ValueError(f"claim needs n >= {claim.min_n}, got {D.n}")
+    sigmas, eccs = sigma_ecc_vectors(D) if claim.strong else (None, None)
+    f = InstanceFacts(D.n, parts).load(D.rows, sigmas, eccs)
+    bound, observed, predicted = claim.bind(D.n)(f)
+    witnesses, details = claim.report(f)
     if len(observed) == 2:
-        details = {
-            **details,
-            "lower": {"observed": observed[0], "predicted": predicted[0]},
-            "upper": {"observed": observed[1], "predicted": predicted[1]},
-        }
+        details["lower"] = {"observed": observed[0], "predicted": predicted[0]}
+        details["upper"] = {"observed": observed[1], "predicted": predicted[1]}
     return VerificationReport(
-        theorem=theorem,
+        theorem=claim_id,
         bound_holds=bound,
         equality_observed=True in observed or not observed,
         equality_predicted=True in predicted or not predicted,
@@ -479,117 +585,23 @@ def _report(theorem: str, f: InstanceFacts, witnesses: dict, details: dict) -> V
     )
 
 
-def _require_tournament(D: Digraph) -> None:
-    if not is_tournament(D):
-        raise ValueError("claim applies to tournaments")
+verify_thm_2_2 = partial(verify, "thm-2.2")
+verify_prop_3_1 = partial(verify, "prop-3.1")
+verify_thm_3_3 = partial(verify, "thm-3.3")
 
 
-def _require_order(D: Digraph) -> None:
-    if D.n < 3:
-        raise ValueError(f"claim needs n >= 3, got {D.n}")
+def verify_thm_2_1(D: Digraph) -> Tuple[VerificationReport, ...]:
+    return tuple(verify(t, D) for t in THEOREM_ALIASES["thm-2.1"])
 
 
-def _window_reports(pi_claim: str, rho_claim: str, f: InstanceFacts):
-    """The proximity and remoteness window reports of one instance."""
-    return (
-        _report(pi_claim, f, {"prox_witness": f.sigmas.index(f.smin)}, {"proximity": [f.smin, f.n - 1]}),
-        _report(rho_claim, f, {"rem_witness": f.sigmas.index(f.smax)}, {"remoteness": [f.smax, f.n - 1]}),
-    )
+def verify_thm_3_2(D: Digraph) -> Tuple[VerificationReport, ...]:
+    return tuple(verify(t, D) for t in THEOREM_ALIASES["thm-3.2"])
 
 
-def verify_thm_2_1(D: Digraph) -> Tuple[VerificationReport, VerificationReport]:
-    _require_strong(D)
-    _require_order(D)
-    rep_pi, rep_rho = _window_reports("thm-2.1-pi", "thm-2.1-rho", _strong_facts(D))
-    if rep_rho.details["upper"]["predicted"]:
-        rep_rho.witnesses["ordering"] = spanning_path_ordering(D)
-    return rep_pi, rep_rho
-
-
-def verify_thm_2_2(D: Digraph) -> VerificationReport:
-    _require_strong(D)
-    if D.n < 2:
-        raise ValueError("claim needs n >= 2")
-    f = _strong_facts(D)
-    return _report("thm-2.2", f, _thm22_certificate(f) or {}, {"spread": [f.smax - f.smin, D.n - 1]})
-
-
-def verify_prop_3_1(D: Digraph) -> VerificationReport:
-    _require_tournament(D)
-    f = InstanceFacts(D.n).load(D.rows, None, None)
-    leaders = [v for v, d in enumerate(f.degrees) if d == f.max_out]
-    return _report(
-        "prop-3.1",
-        f,
-        {"max_out_degree_vertices": leaders, "violations": [v for v in leaders if not is_p_king(D, v, 2)]},
-        {"max_out_degree": f.max_out},
-    )
-
-
-def verify_thm_3_2(D: Digraph) -> Tuple[VerificationReport, VerificationReport]:
-    _require_tournament(D)
-    _require_strong(D)
-    _require_order(D)
-    return _window_reports("thm-3.2-pi", "thm-3.2-rho", _strong_facts(D))
-
-
-def verify_thm_3_3(D: Digraph) -> VerificationReport:
-    _require_tournament(D)
-    _require_strong(D)
-    f = _strong_facts(D)
-    return _report("thm-3.3", f, {}, {"sigma_min": f.smin, "sigma_max": f.smax})
-
-
-# ---------------------------------------------------------------------------
-# Bipartite claims
-# ---------------------------------------------------------------------------
-
-def _bipartite_facts(D: Digraph) -> InstanceFacts:
-    structure = bp.require_bipartite_tournament(D)
-    _require_strong(D)
-    return _strong_facts(D, structure.parts)
-
-
-def _bad_witness(f: InstanceFacts) -> dict:
-    return {"bad_witness": f.witness} if f.witness else {}
-
-
-def verify_lem_3_4(D: Digraph) -> VerificationReport:
-    f = _bipartite_facts(D)
-    return _report("lem-3.4", f, _bad_witness(f), {"applicable": f.witness is not None})
-
-
-def verify_lem_3_5(D: Digraph) -> VerificationReport:
-    f = _bipartite_facts(D)
-    good = f.witness is None
-    return _report(
-        "lem-3.5",
-        f,
-        {"violations": _four_king_violations(f) if good else []},
-        {"applicable": good, "max_ecc": max(f.eccs)},
-    )
-
-
-def verify_lem_3_6(D: Digraph) -> VerificationReport:
-    f = _bipartite_facts(D)
-    good = f.witness is None
-    mismatches = []
-    for v in _formula_mismatches(f) if good else ():
-        formula = bp.formula_sigmas(f.c)[v]
-        mismatches.append({"vertex": v, "formula": formula, "bfs": f.sigmas[v]})
-    return _report("lem-3.6", f, {"mismatches": mismatches}, {"applicable": good})
-
-
-def verify_cor_3_7(D: Digraph) -> VerificationReport:
-    f = _bipartite_facts(D)
-    good = f.witness is None
-    constant = bp.shared_value(f.c) if good else None
-    return _report("cor-3.7", f, _bad_witness(f), {"good": good, "constant_c": constant})
-
-
-def verify_cor_3_8(D: Digraph) -> VerificationReport:
-    f = _bipartite_facts(D)
-    return _report("cor-3.8", f, {}, {"applicable": _constant_class_size(f)})
+#: The reference verifiers: one report list per claim on one Digraph.
+THEOREMS: Dict[str, Callable[[Digraph], List[VerificationReport]]] = {
+    t: (lambda D, t=t: [verify(t, D)]) for t in CLAIMS
+}
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +616,19 @@ def verify_sec5_facts(kind: str, n: int, c: Optional[int] = None) -> Verificatio
     exceeds the remoteness, every distance layer from every vertex is a
     single vertex, and the radius exceeds floor(n/2).
     """
-    checks: Dict[str, bool] = {}
     if kind == "hub":
         if c is None:
             c = n - 1
         D = hub_digraph(n, c)
-        sigmas, eccs = sigma_ecc_vectors(D)
-        rad, diam = min(eccs), max(eccs)
-        rho = Fraction(max(sigmas), n - 1)
+    elif kind == "dicycle":
+        D = make_dicycle(n)
+    else:
+        raise ValueError(f"kind must be 'hub' or 'dicycle', got {kind!r}")
+    sigmas, eccs = sigma_ecc_vectors(D)
+    rad, diam = min(eccs), max(eccs)
+    rho = Fraction(max(sigmas), n - 1)
+    checks: Dict[str, bool] = {}
+    if kind == "hub":
         checks["rad_is_1"] = rad == 1
         checks["diam_is_n_minus_1"] = diam == n - 1
         checks["rho_is_half_n"] = rho == Fraction(n, 2)
@@ -619,23 +636,14 @@ def verify_sec5_facts(kind: str, n: int, c: Optional[int] = None) -> Verificatio
             checks["diam_gt_2_rad"] = diam > 2 * rad
         if n >= 3:
             checks["rad_lt_rho"] = Fraction(rad) < rho
-    elif kind == "dicycle":
-        D = make_dicycle(n)
-        sigmas, eccs = sigma_ecc_vectors(D)
-        rad = min(eccs)
-        rho = Fraction(max(sigmas), n - 1)
+    else:
         checks["rad_is_n_minus_1"] = rad == n - 1
         if n >= 3:
             checks["rad_gt_rho"] = Fraction(rad) > rho
             checks["rad_gt_half_n"] = rad > n // 2
-        singleton = True
-        for v in range(n):
-            layers = distance_layers(D.rows, n, v)
-            if any(l.bit_count() != 1 for l in layers[1 : n - 1]):
-                singleton = False
-        checks["one_vertex_per_layer"] = singleton
-    else:
-        raise ValueError(f"kind must be 'hub' or 'dicycle', got {kind!r}")
+        checks["one_vertex_per_layer"] = all(
+            l.bit_count() == 1 for v in range(n) for l in distance_layers(D.rows, n, v)[1 : n - 1]
+        )
     ok = all(checks.values())
     return VerificationReport(
         theorem="sec5-facts",
@@ -646,26 +654,3 @@ def verify_sec5_facts(kind: str, n: int, c: Optional[int] = None) -> Verificatio
         witnesses={},
         details={"kind": kind, "n": n, "c": c, "checks": checks},
     )
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-Verifier = Callable[[Digraph], List[VerificationReport]]
-
-#: The reference verifiers: one report list per claim on one Digraph.
-THEOREMS: Dict[str, Verifier] = {
-    "thm-2.1-pi": lambda D: [verify_thm_2_1(D)[0]],
-    "thm-2.1-rho": lambda D: [verify_thm_2_1(D)[1]],
-    "thm-2.2": lambda D: [verify_thm_2_2(D)],
-    "prop-3.1": lambda D: [verify_prop_3_1(D)],
-    "thm-3.2-pi": lambda D: [verify_thm_3_2(D)[0]],
-    "thm-3.2-rho": lambda D: [verify_thm_3_2(D)[1]],
-    "thm-3.3": lambda D: [verify_thm_3_3(D)],
-    "lem-3.4": lambda D: [verify_lem_3_4(D)],
-    "lem-3.5": lambda D: [verify_lem_3_5(D)],
-    "lem-3.6": lambda D: [verify_lem_3_6(D)],
-    "cor-3.7": lambda D: [verify_cor_3_7(D)],
-    "cor-3.8": lambda D: [verify_cor_3_8(D)],
-}

@@ -125,6 +125,14 @@ class TestVerify:
         code, _, _ = run(capsys, ["verify", "thm-0.0", "--enumerate", "tournaments,4"])
         assert code == 2
 
+    def test_non_strong_input_names_pair(self, tmp_path, capsys):
+        path = tmp_path / "p.el"
+        path.write_text("n 3 directed\n0 1\n1 2\n")
+        code, out, err = run(capsys, ["verify", "thm-2.2", "--input", str(path)])
+        assert code == 2 and not out
+        # 0 reaches everything, and nothing reaches 0
+        assert json.loads(err.strip().splitlines()[-1])["unreachable_pair"] == [1, 0]
+
     def test_enumerate_bipartite_parts(self, capsys):
         code, out, _ = run(
             capsys, ["verify", "lem-3.5", "--enumerate", "bipartite_tournaments,2,3"]
@@ -226,6 +234,13 @@ MALFORMED = [
     ["search", "--class", "tournaments", "--n", "4", "--limit", "-1"],
     ["search", "--class", "tournaments", "--n", "4", "--pred", "good"],
     ["search", "--class", "tournaments", "--n", "0", "--pred", "tournament"],
+    ["search", "--class", "tournaments", "--n", "3", "--pred", "strong", "--out", "/nonexistent/x.d6"],
+    ["analyze", "--input", "/nonexistent"],
+    ["analyze", "--input", "."],  # a directory
+    ["verify", "thm-3.3", "--input", "/nonexistent"],
+    ["verify", "sec5-facts", "--family", "hub_digraph:2"],
+    ["verify", "sec5-facts", "--family", "dicycle:1"],
+    ["verify", "sec5-facts", "--family", "dicycle:x"],
 ]
 
 

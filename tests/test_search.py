@@ -19,7 +19,7 @@ from proxrem.search import (
     shard_range,
     total_count,
 )
-from proxrem.verifiers import THEOREMS
+from proxrem.verifiers import CLAIMS, THEOREMS
 
 from oracles import brute_isomorphic
 
@@ -330,6 +330,32 @@ class TestExhaustiveVerify:
         assert a.failure_counts == b.failure_counts
         assert a.scanned == b.scanned and a.strong_count == b.strong_count
 
+
+    @pytest.mark.parametrize("cls", ["all_digraphs", "tournaments", "symmetric_digraphs"])
+    @pytest.mark.parametrize("claims", [["thm-2.1", "thm-2.2"], ["thm-3.2", "thm-3.3", "prop-3.1"]])
+    def test_order_one_is_one_strong_instance(self, cls, claims):
+        # A single vertex counts as strong on the table-driven scan and on the
+        # reference path, and every claim needs at least two vertices.
+        r = exhaustive_verify(claims, cls, n=1)
+        assert (r.scanned, r.strong_count, r.checked) == (1, 1, 0)
+
+    @pytest.mark.parametrize("claim", sorted(CLAIMS))
+    def test_reference_and_scan_agree_on_minimum_order(self, claim):
+        min_n = CLAIMS[claim].min_n
+        if claim in resolve_theorems(["lem-3.4", "lem-3.5", "lem-3.6", "cor-3.7", "cor-3.8"]):
+            # every bipartite tournament has at least two vertices
+            assert min_n <= 2
+            return
+        cls = "all_digraphs" if claim in resolve_theorems(["thm-2.1", "thm-2.2"]) else "tournaments"
+        refused = 0
+        for n in range(1, min_n):
+            for D in enumerate_class(cls, n):
+                if is_strong(D):
+                    with pytest.raises(ValueError, match=f"claim needs n >= {min_n}, got {n}"):
+                        THEOREMS[claim](D)
+                    refused += 1
+            assert exhaustive_verify(claim, cls, n=n).checked == 0
+        assert refused >= 1  # the 1-vertex digraph at least
 
     def test_checked_counts_instances_a_claim_ran_on(self):
         # Without prop-3.1 no tournament claim runs on a non-strong instance.

@@ -16,6 +16,7 @@ from proxrem.digraph import (
     is_strong,
     permute,
 )
+from proxrem.metrics import is_p_king
 from proxrem.search import enumerate_class
 from proxrem.verifiers import (
     THEOREMS,
@@ -157,6 +158,18 @@ class TestProp31:
     def test_rejects_non_tournament(self):
         with pytest.raises(ValueError):
             verify_prop_3_1(dicycle(4))
+
+    def test_violations_match_an_independent_two_king_test(self):
+        # Strong or not, every tournament's maximum out-degree vertices are
+        # 2-kings (Prop. 3.1), so the report lists no violation.
+        for n in range(2, 6):
+            for D in enumerate_class("tournaments", n):
+                rep = verify_prop_3_1(D)
+                top = max(r.bit_count() for r in D.rows)
+                leaders = [v for v in range(n) if D.rows[v].bit_count() == top]
+                assert rep.witnesses["max_out_degree_vertices"] == leaders
+                assert rep.witnesses["violations"] == [v for v in leaders if not is_p_king(D, v, 2)] == []
+                assert rep.ok
 
 
 class TestThm32:
