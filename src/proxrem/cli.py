@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import List, Optional, Tuple
 
 from . import constructions
@@ -234,15 +235,11 @@ def cmd_search(args) -> int:
         limit=args.limit,
         shards=_default_shards(args.shards),
     )
-    result = search(query)
-    lines = [d6 if d6.endswith("\n") else d6 + "\n" for d6, _ in result.matches]
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.writelines(lines)
-        print(json.dumps(result.as_json_dict()))
-    else:
-        sys.stdout.writelines(lines)
-        print(json.dumps(result.as_json_dict()), file=sys.stderr)
+    # --out is opened before the scan, so an unwritable path fails at once.
+    with open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout) as fh:
+        result = search(query)
+        fh.writelines(d6 if d6.endswith("\n") else d6 + "\n" for d6, _ in result.matches)
+    print(json.dumps(result.as_json_dict()), file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

@@ -10,7 +10,8 @@ construction and safe to share between threads and worker processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from functools import cache
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class NotStrongError(ValueError):
@@ -164,16 +165,48 @@ def from_undirected_edge_list(n: int, pairs: Iterable[Tuple[int, int]]) -> Digra
     return Digraph(n, rows)
 
 
+#: Largest order whose frontier masks are all tabulated (2**12 entries).
+FRONTIER_TABLE_CAP = 12
+
+
+class _DecodedBits:
+    """``frontier_bits`` above the table cap: decodes each mask on lookup."""
+
+    __slots__ = ()
+
+    def __getitem__(self, mask: int) -> List[int]:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+
+
+@cache
+def frontier_bits(n: int):
+    """The frontier primitive: ``frontier_bits(n)[mask]`` lists the vertices
+    of an n-bit ``mask`` in increasing order, so a BFS step is
+    ``for v in bits[frontier]: nxt |= rows[v]``.  Up to FRONTIER_TABLE_CAP
+    it is a tuple indexed by every mask, built on first use; above it, a
+    mapping that decodes the mask on demand."""
+    if n > FRONTIER_TABLE_CAP:
+        return _DecodedBits()
+    table = [()]
+    for v in range(n):
+        table += [t + (v,) for t in table]
+    return tuple(table)
+
+
 def reach_within(rows: Sequence[int], source: int, steps: int) -> int:
     """Bitmask of the vertices within ``steps`` arcs of ``source`` (itself
     included); with steps >= n - 1, every vertex reachable from it."""
+    bits = frontier_bits(len(rows))
     seen = frontier = 1 << source
     for _ in range(steps):
         nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= rows[low.bit_length() - 1]
-            frontier ^= low
+        for v in bits[frontier]:
+            nxt |= rows[v]
         frontier = nxt & ~seen
         if not frontier:
             break

@@ -17,6 +17,7 @@ from .digraph import (
     Digraph,
     NotStrongError,
     degree_summary,
+    frontier_bits,
     is_regular,
     is_symmetric,
     is_tournament,
@@ -26,16 +27,13 @@ from .digraph import (
 
 def distance_layers(rows: Sequence[int], n: int, source: int) -> List[int]:
     """BFS layer bitmasks from ``source``; layers[i] holds distance-i vertices."""
-    seen = 1 << source
-    frontier = 1 << source
+    bits = frontier_bits(n)
+    seen = frontier = 1 << source
     layers = [frontier]
     while True:
         nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= rows[low.bit_length() - 1]
-            f ^= low
+        for v in bits[frontier]:
+            nxt |= rows[v]
         frontier = nxt & ~seen
         if not frontier:
             return layers
@@ -66,14 +64,13 @@ def bfs_profile(D: Digraph, source: int) -> DistanceProfile:
     if not 0 <= source < D.n:
         raise ValueError(f"source {source} outside 0..{D.n - 1}")
     layers = distance_layers(D.rows, D.n, source)
+    bits = frontier_bits(D.n)
     dist: List[Optional[int]] = [None] * D.n
     sigma = 0
     for d, layer in enumerate(layers):
         sigma += d * layer.bit_count()
-        while layer:
-            low = layer & -layer
-            dist[low.bit_length() - 1] = d
-            layer ^= low
+        for v in bits[layer]:
+            dist[v] = d
     degree_seq = tuple(layer.bit_count() for layer in layers)
     complete = sum(degree_seq) == D.n
     return DistanceProfile(
@@ -97,27 +94,32 @@ def distance_sums(rows: Sequence[int], n: int):
     Returns (sigmas, eccs), or (None, (u, v)) naming an unreachable ordered
     pair when the digraph is not strong.  This is the one distance kernel:
     the exhaustive scans call it once per instance, so the BFS stays an
-    inline loop.
+    inline loop over ``frontier_bits``, starting each source from its row
+    (the distance-1 layer).  The pair is the smallest source that misses a
+    vertex, with the smallest vertex it misses.
     """
+    bits = frontier_bits(n)
     full = (1 << n) - 1
     sigmas = []
     eccs = []
     for u in range(n):
-        seen = frontier = 1 << u
+        seen = 1 << u
+        frontier = rows[u] & ~seen
         sig = d = 0
-        while seen != full:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~seen
-            if not frontier:
-                missing = ~seen & full
-                return None, (u, (missing & -missing).bit_length() - 1)
+        while frontier:
             d += 1
             sig += d * frontier.bit_count()
             seen |= frontier
+            if seen == full:
+                break
+            nxt = 0
+            for v in bits[frontier]:
+                nxt |= rows[v]
+            frontier = nxt & ~seen
+        else:
+            missing = ~seen & full
+            if missing:
+                return None, (u, (missing & -missing).bit_length() - 1)
         sigmas.append(sig)
         eccs.append(d)
     return sigmas, eccs

@@ -44,18 +44,15 @@ class _Class(NamedTuple):
     sized_by_parts: bool
     flip: str  # "arc": toggle u->v; "edge": toggle both arcs; "orient": reverse u->v
     scan_claims: frozenset
-    screen: bool  # skip instances with an empty row or a vertex without in-arcs
 
 
 _CLASSES: Dict[str, _Class] = {
-    "all_digraphs": _Class(5, False, "arc", frozenset({"thm-2.1-pi", "thm-2.1-rho", "thm-2.2"}), True),
-    "tournaments": _Class(
-        8, False, "orient", frozenset({"thm-3.2-pi", "thm-3.2-rho", "thm-3.3", "prop-3.1"}), False
-    ),
+    "all_digraphs": _Class(5, False, "arc", frozenset({"thm-2.1-pi", "thm-2.1-rho", "thm-2.2"})),
+    "tournaments": _Class(8, False, "orient", frozenset({"thm-3.2-pi", "thm-3.2-rho", "thm-3.3", "prop-3.1"})),
     "bipartite_tournaments": _Class(
-        26, True, "orient", frozenset({"lem-3.4", "lem-3.5", "lem-3.6", "cor-3.7", "cor-3.8"}), False
+        26, True, "orient", frozenset({"lem-3.4", "lem-3.5", "lem-3.6", "cor-3.7", "cor-3.8"})
     ),
-    "symmetric_digraphs": _Class(8, False, "edge", frozenset(), False),
+    "symmetric_digraphs": _Class(8, False, "edge", frozenset()),
 }
 
 CLASS_NAMES = tuple(_CLASSES)
@@ -364,9 +361,11 @@ def _scan_worker(args) -> dict:
     """The table-driven scan: every requested claim's check on each instance."""
     cls, n, parts, start, stop, want = args
     order, _, _, _, part_ranges = _layout(cls, n, parts)
-    full = (1 << order) - 1
-    # A single vertex has no arcs yet counts as strong.
-    screen = _CLASSES[cls].screen and order > 1
+    # The strongness screen: an empty row, or no in-arc at some vertex, rules
+    # an instance out without the kernel.  A single vertex has no arcs yet
+    # counts as strong, so at order 1 no row counts as empty and no in-arc
+    # is needed.
+    empty, covered = (0, (1 << order) - 1) if order > 1 else (None, 0)
     facts = InstanceFacts(order, part_ranges)
     checks = []  # (claim id, check, evidence)
     loose = []  # the checks that also run on instances that are not strong
@@ -381,16 +380,13 @@ def _scan_worker(args) -> dict:
     scanned = strong = checked = 0
     for rows in _iter_rows(cls, n, parts, start, stop):
         scanned += 1
-        if screen:
-            # Cheap strongness screen: no empty row, every vertex has an in-arc.
-            if 0 in rows:
-                continue
+        sigmas = eccs = None
+        if empty not in rows:
             acc = 0
             for r in rows:
                 acc |= r
-            if acc != full:
-                continue
-        sigmas, eccs = distance_sums(rows, order)
+            if acc == covered:
+                sigmas, eccs = distance_sums(rows, order)
         if sigmas is not None:
             strong += 1
             run = checks

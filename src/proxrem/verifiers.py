@@ -103,6 +103,9 @@ class VerificationReport:
 # Per-instance facts
 # ---------------------------------------------------------------------------
 
+_UNSEARCHED = object()  # InstanceFacts.thm22 before the certificate search
+
+
 class InstanceFacts:
     """Everything the claims read about one instance.
 
@@ -114,12 +117,13 @@ class InstanceFacts:
     The record holds the out-degrees, their sorted ``scores`` and
     extremes.  With parts it also holds ``witness``, the bad pair of
     ``bipartite.bad_witness`` (None when good), and on a good instance the
-    class sizes ``mu`` and the class constants ``c``.
+    class sizes ``mu`` and the class constants ``c``.  ``thm22`` keeps the
+    thm-2.2 certificate once a check or report has looked for it.
     """
 
     __slots__ = (
         "n", "parts", "part_of", "rows", "sigmas", "eccs", "smin", "smax",
-        "degrees", "scores", "max_out", "min_out", "witness", "mu", "c",
+        "degrees", "scores", "max_out", "min_out", "witness", "mu", "c", "thm22",
     )
 
     def __init__(self, n: int, parts: Optional[Sequence[Sequence[int]]] = None):
@@ -132,6 +136,7 @@ class InstanceFacts:
         self.rows = rows
         self.sigmas = sigmas
         self.eccs = eccs
+        self.thm22 = _UNSEARCHED
         # sorted() of a short list costs less than a min() and a max()
         if sigmas is None:
             self.smin = self.smax = None
@@ -253,7 +258,14 @@ def is_iso_to_extremal_tournament(D: Digraph) -> bool:
 
 def _thm22_certificate(f: InstanceFacts) -> Optional[Dict[str, object]]:
     """A spanning-path ordering whose last two vertices include one of
-    out-degree n-1, or None.  All eccentricity-(n-1) starts are tried."""
+    out-degree n-1, or None.  All eccentricity-(n-1) starts are tried, once
+    per loaded instance: the result is kept in ``f.thm22``."""
+    if f.thm22 is _UNSEARCHED:
+        f.thm22 = _search_thm22_certificate(f)
+    return f.thm22
+
+
+def _search_thm22_certificate(f: InstanceFacts) -> Optional[Dict[str, object]]:
     n = f.n
     if max(f.eccs) != n - 1:
         return None

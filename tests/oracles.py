@@ -40,6 +40,19 @@ def floyd_warshall(D: Digraph) -> List[List[Optional[int]]]:
     return dist
 
 
+def bfs_distances(D: Digraph, source: int) -> List[Optional[int]]:
+    """Distances from ``source`` by a queue-based BFS over ``has_arc``."""
+    dist: List[Optional[int]] = [INF] * D.n
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        for v in range(D.n):
+            if dist[v] is INF and D.has_arc(u, v):
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def fw_metrics(D: Digraph):
     """(pi, rho, rad, diam) via the matrix oracle; None when not strong."""
     n = D.n

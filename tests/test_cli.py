@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from proxrem import cli
 from proxrem.cli import main
 from proxrem.constructions import fig1_graph
 from proxrem.formats import write_digraph6, write_edge_list
@@ -162,6 +163,18 @@ class TestSearchCli:
         summary = json.loads(out)
         assert summary["matches"] == 24
         assert len(out_path.read_text().splitlines()) == 24
+
+    def test_unwritable_out_fails_before_the_scan(self, capsys, monkeypatch):
+        def scan(query):
+            raise AssertionError("the scan ran before --out was opened")
+
+        monkeypatch.setattr(cli, "search", scan)
+        code, _, err = run(
+            capsys,
+            ["search", "--class", "tournaments", "--n", "5", "--pred", "strong", "--out", "/nonexistent/x.d6"],
+        )
+        assert code == 2
+        assert "error" in json.loads(err)
 
     def test_stdout_matches_summary_on_stderr(self, capsys):
         code, out, err = run(

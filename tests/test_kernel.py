@@ -1,0 +1,78 @@
+"""The distance kernel and the frontier primitive against the oracles.
+
+``distance_sums``, ``distance_layers`` and ``reach_within`` all expand BFS
+frontiers through ``frontier_bits``, a table up to FRONTIER_TABLE_CAP and a
+decoding mapping above it, so every order from 1 to 27 is checked on both
+sides of the cap against Floyd-Warshall and a plain queue BFS.
+"""
+
+from random import Random
+
+import pytest
+
+from proxrem.digraph import FRONTIER_TABLE_CAP, Digraph, frontier_bits, reach_within
+from proxrem.metrics import distance_layers, distance_sums
+from proxrem.search import enumerate_class
+
+from oracles import bfs_distances, floyd_warshall
+
+
+def expected(D):
+    """(sigmas, eccs) or (None, pair) from the matrix oracle, the pair being
+    the smallest source with incomplete reach and its smallest missing vertex."""
+    dist = floyd_warshall(D)
+    for u, row in enumerate(dist):
+        if None in row:
+            return None, (u, row.index(None))
+    return [sum(row) for row in dist], [max(row) for row in dist]
+
+
+def check_instance(D):
+    n = D.n
+    assert distance_sums(D.rows, n) == expected(D)
+    for u in range(n):
+        dist = bfs_distances(D, u)
+        depth = max(d for d in dist if d is not None)
+        layers = [sum(1 << v for v, d in enumerate(dist) if d == k) for k in range(depth + 1)]
+        assert distance_layers(D.rows, n, u) == layers
+        for steps in range(n + 1):
+            within = sum(1 << v for v, d in enumerate(dist) if d is not None and d <= steps)
+            assert reach_within(D.rows, u, steps) == within
+
+
+def random_digraph(n, arc_prob, rng):
+    rows = [0] * n
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < arc_prob:
+                rows[u] |= 1 << v
+    return Digraph(n, rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_small_digraph_matches_the_oracles(n):
+    for D in enumerate_class("all_digraphs", n):
+        check_instance(D)
+
+
+@pytest.mark.parametrize("n", range(1, 28))
+def test_random_digraphs_match_the_oracles_across_the_cap(n):
+    rng = Random(1000 + n)
+    strong = set()
+    # sparse draws are mostly not strong, dense ones mostly strong
+    for arc_prob in (0.1, 2.5 / n, 0.5):
+        for _ in range(4):
+            D = random_digraph(n, arc_prob, rng)
+            check_instance(D)
+            strong.add(distance_sums(D.rows, n)[0] is not None)
+    assert strong == ({True} if n == 1 else {True, False})
+
+
+def test_frontier_bits_lists_the_set_vertices():
+    for n in (1, 5, FRONTIER_TABLE_CAP, FRONTIER_TABLE_CAP + 1, 27):
+        bits = frontier_bits(n)
+        rng = Random(n)
+        for mask in [0, 1, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(50)]:
+            assert list(bits[mask]) == [v for v in range(n) if mask >> v & 1]
+    assert len(frontier_bits(FRONTIER_TABLE_CAP)) == 2 ** FRONTIER_TABLE_CAP
+    assert frontier_bits(FRONTIER_TABLE_CAP) is frontier_bits(FRONTIER_TABLE_CAP)

@@ -1,5 +1,6 @@
 import pytest
 
+from proxrem import verifiers
 from proxrem.canonical import canonical_form
 from proxrem.constructions import (
     bipartite_T1,
@@ -133,6 +134,18 @@ class TestThm22:
             rep = verify_thm_2_2(hub_digraph(n, n - 1))
             assert rep.ok and rep.equality_observed and rep.equality_predicted
             assert rep.witnesses["dominant_vertex"] == 0
+
+    def test_certificate_walked_once_per_report(self, monkeypatch):
+        # Each walk runs one BFS here: hub_digraph(6, 5) has one
+        # eccentricity-5 start, so the check and the report share one walk.
+        walks = []
+        layers = verifiers.distance_layers
+        monkeypatch.setattr(verifiers, "distance_layers", lambda *a: walks.append(a) or layers(*a))
+        D = hub_digraph(6, 5)
+        for reports in (1, 2):
+            rep = verify_thm_2_2(D)
+            assert rep.ok and rep.witnesses["dominant_vertex"] == 0
+            assert len(walks) == reports
 
     def test_dicycle_no_equality(self):
         rep = verify_thm_2_2(dicycle(6))
