@@ -28,9 +28,16 @@ class NotStrongError(ValueError):
 
 
 class Digraph:
-    """Immutable simple digraph on vertices 0..n-1."""
+    """Immutable simple digraph on vertices 0..n-1.
 
-    __slots__ = ("n", "rows", "_rev")
+    The reverse rows (``_rev``) and the distance kernel's result (``_dist``,
+    see ``metrics.cached_distance_sums``) are cached on first use.  Each is
+    a pure function of the rows and its write is idempotent, so the instance
+    stays immutable and safe to share; equality, hashing and pickling
+    ignore both.
+    """
+
+    __slots__ = ("n", "rows", "_rev", "_dist")
 
     def __init__(self, n: int, rows: Sequence[int]):
         if n < 1:
@@ -47,6 +54,7 @@ class Digraph:
         self.n = n
         self.rows = rows
         self._rev: Optional[Tuple[int, ...]] = None
+        self._dist = None
 
     @property
     def m(self) -> int:
@@ -97,6 +105,9 @@ class Digraph:
 
     def __hash__(self) -> int:
         return hash((self.n, self.rows))
+
+    def __reduce__(self):
+        return Digraph, (self.n, self.rows)
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
@@ -226,8 +237,11 @@ def find_unreachable_pair(D: Digraph) -> Optional[Tuple[int, int]]:
     """Some ordered pair (u, v) with no (u, v)-dipath, or None if strong.
 
     Decided by forward and backward reachability from vertex 0, which is
-    equivalent to a full strong-components pass for this yes/no question.
+    equivalent to a full strong-components pass for this yes/no question;
+    a digraph whose cached kernel result says strong returns None at once.
     """
+    if D._dist is not None and D._dist[0] is not None:
+        return None
     n = D.n
     full = (1 << n) - 1
     fwd = reach_within(D.rows, 0, n - 1)

@@ -125,12 +125,23 @@ def distance_sums(rows: Sequence[int], n: int):
     return sigmas, eccs
 
 
+def cached_distance_sums(D: Digraph):
+    """``distance_sums`` of D, run at most once per Digraph and kept in its
+    ``_dist`` slot: (sigmas, eccs) as tuples, or (None, (u, v))."""
+    dist = D._dist
+    if dist is None:
+        sigmas, eccs = distance_sums(D.rows, D.n)
+        dist = D._dist = (None, eccs) if sigmas is None else (tuple(sigmas), tuple(eccs))
+    return dist
+
+
 def sigma_ecc_vectors(D: Digraph) -> Tuple[List[int], List[int]]:
-    """Per-vertex distance sums and eccentricities; requires a strong digraph."""
-    sigmas, eccs = distance_sums(D.rows, D.n)
+    """Per-vertex distance sums and eccentricities as fresh lists, from the
+    kernel result cached on D; requires a strong digraph."""
+    sigmas, eccs = cached_distance_sums(D)
     if sigmas is None:
         raise NotStrongError(eccs)
-    return sigmas, eccs
+    return list(sigmas), list(eccs)
 
 
 def proximity_remoteness(D: Digraph) -> Tuple[Fraction, Fraction, Tuple[int, int]]:

@@ -32,7 +32,7 @@ from .formats import read_digraph6, write_digraph6
 
 # distance_layers is bound here for the benchmark's boundary tracer
 # (perfbench/tracer.py), which patches it by name in this module.
-from .metrics import MetricsReport, distance_layers, distance_sums, metrics_report  # noqa: F401
+from .metrics import MetricsReport, cached_distance_sums, distance_layers, distance_sums, metrics_report  # noqa: F401
 from .verifiers import CLAIMS, THEOREMS, InstanceFacts, resolve_theorems
 
 
@@ -154,6 +154,24 @@ def enumerate_class(
         yield Digraph(order, tuple(rows))
 
 
+def _screen(order: int):
+    """The O(n) strongness screen at one order, as a predicate over rows:
+    an empty row, or a vertex with no in-arc, rules an instance out without
+    the kernel.  A single vertex has no arcs yet counts as strong, so at
+    order 1 no row counts as empty and no in-arc is needed."""
+    empty, covered = (0, (1 << order) - 1) if order > 1 else (None, 0)
+
+    def passes(rows) -> bool:
+        if empty in rows:
+            return False
+        acc = 0
+        for r in rows:  # a loop: it beats functools.reduce on these short rows
+            acc |= r
+        return acc == covered
+
+    return passes
+
+
 def _map_shards(worker, jobs):
     if len(jobs) == 1:
         return [worker(jobs[0])]
@@ -224,6 +242,7 @@ def _search_worker(args) -> Tuple[int, int, List[str]]:
     """(scanned, matches, the smallest ``cap`` match strings or all of them)."""
     cls, n, parts, start, stop, predicates, cap = args
     order, _, _, _, part_ranges = _layout(cls, n, parts)
+    passes = _screen(order)
     facts = InstanceFacts(order, part_ranges)
     cheap = [PREDICATES[p][1] for p in predicates if not PREDICATES[p][0]]
     costly = [PREDICATES[p][1] for p in predicates if PREDICATES[p][0]]
@@ -236,7 +255,7 @@ def _search_worker(args) -> Tuple[int, int, List[str]]:
             if not all(fn(facts) for fn in cheap):
                 continue
         if costly:
-            sigmas, eccs = distance_sums(rows, order)
+            sigmas, eccs = distance_sums(rows, order) if passes(rows) else (None, None)
             if sigmas is None:
                 continue
             facts.load(rows, sigmas, eccs)
@@ -361,11 +380,7 @@ def _scan_worker(args) -> dict:
     """The table-driven scan: every requested claim's check on each instance."""
     cls, n, parts, start, stop, want = args
     order, _, _, _, part_ranges = _layout(cls, n, parts)
-    # The strongness screen: an empty row, or no in-arc at some vertex, rules
-    # an instance out without the kernel.  A single vertex has no arcs yet
-    # counts as strong, so at order 1 no row counts as empty and no in-arc
-    # is needed.
-    empty, covered = (0, (1 << order) - 1) if order > 1 else (None, 0)
+    passes = _screen(order)
     facts = InstanceFacts(order, part_ranges)
     checks = []  # (claim id, check, evidence)
     loose = []  # the checks that also run on instances that are not strong
@@ -380,17 +395,12 @@ def _scan_worker(args) -> dict:
     scanned = strong = checked = 0
     for rows in _iter_rows(cls, n, parts, start, stop):
         scanned += 1
-        sigmas = eccs = None
-        if empty not in rows:
-            acc = 0
-            for r in rows:
-                acc |= r
-            if acc == covered:
-                sigmas, eccs = distance_sums(rows, order)
+        sigmas, eccs = distance_sums(rows, order) if passes(rows) else (None, None)
         if sigmas is not None:
             strong += 1
             run = checks
         else:
+            eccs = None  # the kernel's unreachable pair, not eccentricities
             run = loose
         if not run:
             continue
@@ -409,15 +419,19 @@ def _generic_scan_worker(args) -> dict:
     """The reference path: each claim's ``THEOREMS`` verifier on each strong instance."""
     cls, n, parts, start, stop, want = args
     order, _, _, _, _ = _layout(cls, n, parts)
+    passes = _screen(order)
     fails = {t: 0 for t in want}
     certs: List[dict] = []
     scanned = strong_count = checked = 0
     for rows in _iter_rows(cls, n, parts, start, stop):
         scanned += 1
-        if distance_sums(rows, order)[0] is None:
+        if not passes(rows):
+            continue
+        # One kernel run, cached on D, serves this test and every claim.
+        D = Digraph(order, tuple(rows))
+        if cached_distance_sums(D)[0] is None:
             continue
         strong_count += 1
-        D = Digraph(order, tuple(rows))
         for t in want:
             if order < CLAIMS[t].min_n:
                 continue

@@ -289,11 +289,12 @@ def _formula_mismatches(f: InstanceFacts) -> List[dict]:
 
 def _two_step_violations(f: InstanceFacts, full: int) -> List[int]:
     """Maximum-out-degree vertices that miss some vertex of ``full`` (the
-    mask of all n vertices) within two steps."""
-    top, rows = f.max_out, f.rows
+    mask of all n vertices) within two steps: eccentricity above 2 when the
+    kernel has run, a 2-step reach short of ``full`` otherwise."""
+    top, rows, eccs = f.max_out, f.rows, f.eccs
     missed = []  # a loop, not a comprehension: it runs on every scanned tournament
     for v, d in enumerate(f.degrees):
-        if d == top and reach_within(rows, v, 2) != full:
+        if d == top and (reach_within(rows, v, 2) != full if eccs is None else eccs[v] > 2):
             missed.append(v)
     return missed
 

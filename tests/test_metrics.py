@@ -1,4 +1,6 @@
+import importlib
 import json
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -34,8 +36,13 @@ from proxrem.metrics import (
 )
 from proxrem.search import enumerate_class, random_strong_digraph
 
-from oracles import fw_metrics, rotational_tournament, transitive_tournament
+from oracles import floyd_warshall, fw_metrics, rotational_tournament, transitive_tournament
 from test_digraph import random_digraphs
+
+# the modules, not the functions the package re-exports under the same names
+metrics_mod = importlib.import_module("proxrem.metrics")
+digraph_mod = importlib.import_module("proxrem.digraph")
+search_mod = importlib.import_module("proxrem.search")
 
 
 class TestProfiles:
@@ -265,3 +272,96 @@ class TestSerialization:
     def test_csv_row_matches_header(self):
         rep = metrics_report(extremal_tournament(5))
         assert len(rep.csv_row().split(",")) == len(CSV_HEADER.split(","))
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Records the rows of every distance-kernel run, whichever module calls it."""
+    runs = []
+    kernel = metrics_mod.distance_sums
+
+    def counted(rows, n):
+        runs.append(tuple(rows))
+        return kernel(rows, n)
+
+    monkeypatch.setattr(metrics_mod, "distance_sums", counted)
+    monkeypatch.setattr(search_mod, "distance_sums", counted)
+    return runs
+
+
+def _non_strong_digraphs():
+    return [D for n in (2, 3) for D in enumerate_class("all_digraphs", n) if fw_metrics(D) is None]
+
+
+class TestKernelMemo:
+    """A Digraph runs the distance kernel once and keeps its result."""
+
+    def test_one_kernel_run_per_digraph(self, kernel_runs):
+        D = extremal_tournament(6)
+        sigma_ecc_vectors(D)
+        proximity_remoteness(D)
+        radius_diameter(D)
+        metrics_report(D)
+        assert kernel_runs == [D.rows]
+        sigma_ecc_vectors(Digraph(D.n, D.rows))  # an equal digraph has its own memo
+        assert len(kernel_runs) == 2
+
+    def test_returned_lists_are_fresh(self):
+        D = hub_digraph(6, 4)
+        dist = floyd_warshall(D)
+        expected = ([sum(r) for r in dist], [max(r) for r in dist])
+        sigmas, eccs = sigma_ecc_vectors(D)
+        assert (sigmas, eccs) == expected
+        sigmas[0] = -1
+        eccs.append(99)
+        sigmas.sort()
+        again = sigma_ecc_vectors(D)
+        assert again == expected
+        assert again[0] is not sigmas and again[1] is not eccs
+
+    def test_non_strong_memo_reraises_the_same_pair(self, kernel_runs):
+        cases = _non_strong_digraphs()
+        assert len(cases) > 30
+        for D in cases:
+            fresh = Digraph(D.n, D.rows)
+            with pytest.raises(NotStrongError) as first:
+                sigma_ecc_vectors(D)
+            runs = len(kernel_runs)
+            with pytest.raises(NotStrongError) as second:
+                sigma_ecc_vectors(D)
+            assert len(kernel_runs) == runs  # served from the memo
+            assert second.value.pair == first.value.pair
+            u, v = first.value.pair
+            assert floyd_warshall(D)[u][v] is None
+            # find_unreachable_pair still computes its own pair
+            assert find_unreachable_pair(D) == find_unreachable_pair(fresh) is not None
+            assert not is_strong(D)
+
+    def test_strong_memo_answers_find_unreachable_pair(self, monkeypatch):
+        D = rotational_tournament(7)
+        sigma_ecc_vectors(D)
+
+        def no_reach(*args):
+            raise AssertionError("reach_within ran on a digraph known to be strong")
+
+        monkeypatch.setattr(digraph_mod, "reach_within", no_reach)
+        assert find_unreachable_pair(D) is None
+        assert is_strong(D)
+        with pytest.raises(AssertionError):
+            find_unreachable_pair(Digraph(D.n, D.rows))
+
+    @pytest.mark.parametrize("D", [extremal_tournament(5), from_edge_list(3, [(0, 1), (1, 2)])])
+    def test_pickle_equality_and_hash_ignore_the_memo(self, D):
+        fresh = Digraph(D.n, D.rows)
+        blank = pickle.dumps(fresh)
+        assert D.reverse_rows == fresh.reverse_rows
+        try:
+            sigma_ecc_vectors(D)
+        except NotStrongError:
+            pass
+        assert pickle.dumps(D) == blank
+        copy = pickle.loads(pickle.dumps(D))
+        assert copy == D == fresh
+        assert hash(copy) == hash(D) == hash(fresh)
+        assert {D: 1}[fresh] == 1
+        assert find_unreachable_pair(copy) == find_unreachable_pair(D)

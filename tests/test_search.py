@@ -1,3 +1,4 @@
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -19,9 +20,10 @@ from proxrem.search import (
     shard_range,
     total_count,
 )
-from proxrem.verifiers import CLAIMS, THEOREMS
+from proxrem.verifiers import CLAIMS, THEOREMS, InstanceFacts
 
-from oracles import brute_isomorphic
+from oracles import brute_isomorphic, fw_metrics
+from test_metrics import kernel_runs  # noqa: F401  (a fixture)
 
 
 class TestEnumeration:
@@ -366,6 +368,77 @@ class TestExhaustiveVerify:
         # The reference path counts one per (claim, instance) pair.
         r = exhaustive_verify(["thm-2.1", "thm-2.2"], "symmetric_digraphs", n=4)
         assert r.checked == 3 * r.strong_count
+
+
+def _passes_screen(rows):
+    """No vertex without an out-arc or an in-arc, written as quantifiers."""
+    n = len(rows)
+    return all(
+        any((rows[u] >> v) & 1 for v in range(n)) and any((rows[v] >> u) & 1 for v in range(n))
+        for u in range(n)
+    )
+
+
+def _symmetric_rows(n):
+    """Every labeled symmetric digraph on n vertices, as row tuples."""
+    pairs = list(combinations(range(n), 2))
+    out = []
+    for k in range(len(pairs) + 1):
+        for edges in combinations(pairs, k):
+            rows = [0] * n
+            for u, v in edges:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            out.append(tuple(rows))
+    return out
+
+
+class TestStrongnessScreen:
+    """All three scan workers skip the kernel on instances the O(n) screen
+    rules out, and the reference path runs it once per instance."""
+
+    def test_reference_path_runs_the_kernel_once_per_screened_instance(self, kernel_runs):
+        instances = _symmetric_rows(5)
+        assert len(instances) == 1024
+        screened = [rows for rows in instances if _passes_screen(rows)]
+        r = exhaustive_verify(["thm-2.1", "thm-2.2"], "symmetric_digraphs", n=5)
+        assert sorted(kernel_runs) == sorted(screened)
+        assert r.strong_count == sum(fw_metrics(Digraph(5, rows)) is not None for rows in screened)
+        assert r.checked == 3 * r.strong_count
+
+    @pytest.mark.parametrize(
+        "cls, n, run",
+        [
+            ("tournaments", 5, lambda: exhaustive_verify(["thm-3.2", "thm-3.3", "prop-3.1"], "tournaments", n=5)),
+            ("tournaments", 5, lambda: search(SearchQuery(cls="tournaments", n=5, predicates=("strong",), limit=0))),
+            ("all_digraphs", 3, lambda: search(SearchQuery(cls="all_digraphs", n=3, predicates=("pi_eq_rho",), limit=0))),
+        ],
+        ids=["scan", "search-tournaments", "search-digraphs"],
+    )
+    def test_kernel_runs_once_per_screened_instance(self, kernel_runs, cls, n, run):
+        run()
+        screened = [D.rows for D in enumerate_class(cls, n) if _passes_screen(D.rows)]
+        assert len(screened) < total_count(cls, n)
+        assert sorted(kernel_runs) == sorted(screened)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_scan_loads_no_eccentricities_on_non_strong_instances(self, monkeypatch, n):
+        loads = []
+        load = InstanceFacts.load
+
+        def recorded(self, rows, sigmas, eccs):
+            loads.append((tuple(rows), sigmas, eccs))
+            return load(self, rows, sigmas, eccs)
+
+        monkeypatch.setattr(InstanceFacts, "load", recorded)
+        r = exhaustive_verify(["thm-3.2", "thm-3.3", "prop-3.1"], "tournaments", n=n)
+        assert len(loads) == r.checked == r.scanned
+        not_strong = [rows for rows, sigmas, eccs in loads if sigmas is None]
+        assert len(not_strong) == r.scanned - r.strong_count > 0
+        assert all(eccs is None for _, sigmas, eccs in loads if sigmas is None)
+        # Below order 6 the screen catches every non-strong tournament; at 6
+        # a 3-cycle beating another 3-cycle passes it and reaches the kernel.
+        assert any(_passes_screen(rows) for rows in not_strong) == (n == 6)
 
 
 def _exhaustive_json(shards):
