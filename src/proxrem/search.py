@@ -3,9 +3,9 @@
 Enumeration walks labeled arc-subset codes in Gray-code order, so advancing
 from one instance to the next toggles a single arc (or reorients a single
 pair).  Shards are contiguous code ranges; any worker count produces the
-same normalized result set.  The per-instance hot loops work on raw
-adjacency rows and only materialize Digraph objects for matches and
-counterexamples.
+same normalized result set.  One per-instance loop on raw adjacency rows,
+``_scan``, serves search, the claim scan and the reference path; each
+supplies a consumer, and Digraphs are built only where a consumer needs one.
 
 Feasibility ceilings (labeled instances):
 
@@ -19,12 +19,14 @@ Beyond the ceilings use the randomized, degree-constrained sampler.
 
 from __future__ import annotations
 
+import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from random import Random
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .canonical import canonical_form
 from .digraph import Digraph, is_regular, is_tournament
@@ -32,7 +34,7 @@ from .formats import read_digraph6, write_digraph6
 
 # distance_layers is bound here for the benchmark's boundary tracer
 # (perfbench/tracer.py), which patches it by name in this module.
-from .metrics import MetricsReport, cached_distance_sums, distance_layers, distance_sums, metrics_report  # noqa: F401
+from .metrics import MetricsReport, distance_layers, distance_sums, metrics_report  # noqa: F401
 from .verifiers import CLAIMS, THEOREMS, InstanceFacts, resolve_theorems
 
 
@@ -154,29 +156,86 @@ def enumerate_class(
         yield Digraph(order, tuple(rows))
 
 
-def _screen(order: int):
-    """The O(n) strongness screen at one order, as a predicate over rows:
-    an empty row, or a vertex with no in-arc, rules an instance out without
-    the kernel.  A single vertex has no arcs yet counts as strong, so at
-    order 1 no row counts as empty and no in-arc is needed."""
+#: Cap on stored counterexample certificates (counts stay exact).
+MAX_CERTIFICATES = 200
+
+
+def _cert(order: int, rows: Sequence[int], theorem: str, info: dict) -> dict:
+    return {
+        "digraph6": write_digraph6(Digraph(order, tuple(rows))),
+        "theorem": theorem,
+        **info,
+    }
+
+
+class _Consumer(NamedTuple):
+    """One path's part in the scan loop.  ``gate(rows)``, if set, rules an
+    instance out before the kernel, which runs only with ``kernel``.
+    ``consume(rows, sigmas, eccs)`` gets the rest (sigmas and eccs None if
+    not strong or not computed) and returns None, or the (key, info)
+    findings of an instance that adds ``weight`` to ``checked``.  The loop
+    keeps ``keep(order, rows, key, info)`` for the first ``cap`` findings,
+    cut to the ``trim`` smallest."""
+
+    consume: Callable
+    keep: Callable = _cert
+    gate: Optional[Callable] = None
+    kernel: bool = True
+    weight: int = 1
+    cap: float = MAX_CERTIFICATES
+    trim: Optional[int] = None
+
+
+def _scan(job) -> Tuple[int, int, Counter, list]:
+    """The one per-instance loop over codes start..stop-1: the Gray step, the
+    gate, the O(n) strongness screen and at most one kernel run, then the
+    consumer ``make(order, part_ranges, arg)`` builds.  Returns (strong,
+    checked, findings per key, kept findings)."""
+    cls, n, parts, start, stop, make, arg = job
+    order, _, _, _, part_ranges = _layout(cls, n, parts)
+    consume, keep, gate, kernel, weight, cap, trim = make(order, part_ranges, arg)
+    # The screen: an empty row, or a vertex with no in-arc, rules out strongness;
+    # a single vertex has no arcs yet counts as strong, so order 1 needs neither.
     empty, covered = (0, (1 << order) - 1) if order > 1 else (None, 0)
+    counts: Counter = Counter()
+    kept = []
+    strong = checked = 0
+    sigmas = eccs = None
+    for rows in _iter_rows(cls, n, parts, start, stop):
+        if gate is not None and not gate(rows):
+            continue
+        if kernel:
+            acc = 0
+            if empty not in rows:
+                for r in rows:  # a loop: it beats functools.reduce on these short rows
+                    acc |= r
+            sigmas, eccs = distance_sums(rows, order) if acc == covered else (None, None)
+            if sigmas is None:
+                eccs = None  # the kernel's unreachable pair, not eccentricities
+            else:
+                strong += 1
+        found = consume(rows, sigmas, eccs)
+        if found is not None:
+            checked += weight
+            for key, info in found:
+                counts[key] += 1
+                if len(kept) < cap:
+                    kept.append(keep(order, rows, key, info))
+    return strong, checked, counts, kept if trim is None else sorted(kept)[:trim]
 
-    def passes(rows) -> bool:
-        if empty in rows:
-            return False
-        acc = 0
-        for r in rows:  # a loop: it beats functools.reduce on these short rows
-            acc |= r
-        return acc == covered
 
-    return passes
-
-
-def _map_shards(worker, jobs):
-    if len(jobs) == 1:
-        return [worker(jobs[0])]
-    with get_context("fork").Pool(processes=min(len(jobs), os.cpu_count() or 1)) as pool:
-        return pool.map(worker, jobs)
+def _run_shards(cls: str, n: Optional[int], parts, shards: int, make, arg):
+    """The one shard driver: ``_scan`` on contiguous code ranges, in a pool
+    when there are several; kept findings stay in enumeration order."""
+    total = total_count(cls, n, parts)
+    jobs = [(cls, n, parts, *shard_range(total, i, shards), make, arg) for i in range(shards)]
+    if shards == 1:
+        outputs = [_scan(jobs[0])]
+    else:
+        with get_context("fork").Pool(processes=min(shards, os.cpu_count() or 1)) as pool:
+            outputs = pool.map(_scan, jobs)
+    strong, checked, counts, kept = zip(*outputs)
+    return total, sum(strong), sum(checked), sum(counts, Counter()), [f for k in kept for f in k]
 
 
 # ---------------------------------------------------------------------------
@@ -238,34 +297,34 @@ PREDICATES = {
 }
 
 
-def _search_worker(args) -> Tuple[int, int, List[str]]:
-    """(scanned, matches, the smallest ``cap`` match strings or all of them)."""
-    cls, n, parts, start, stop, predicates, cap = args
-    order, _, _, _, part_ranges = _layout(cls, n, parts)
-    passes = _screen(order)
+_MATCH = (("matches", None),)  # the one finding of a matching instance
+
+
+def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
+    """Search: the predicates that need no kernel gate each instance before it."""
+    predicates, trim = arg
     facts = InstanceFacts(order, part_ranges)
     cheap = [PREDICATES[p][1] for p in predicates if not PREDICATES[p][0]]
     costly = [PREDICATES[p][1] for p in predicates if PREDICATES[p][0]]
-    matches: List[str] = []
-    scanned = found = 0
-    for rows in _iter_rows(cls, n, parts, start, stop):
-        scanned += 1
-        if cheap:
-            facts.load(rows, None, None)
-            if not all(fn(facts) for fn in cheap):
-                continue
-        if costly:
-            sigmas, eccs = distance_sums(rows, order) if passes(rows) else (None, None)
-            if sigmas is None:
-                continue
+
+    def gate(rows) -> bool:
+        facts.load(rows, None, None)
+        return all(fn(facts) for fn in cheap)
+
+    def consume(rows, sigmas, eccs):
+        if sigmas is not None:
             facts.load(rows, sigmas, eccs)
-            if not all(fn(facts) for fn in costly):
-                continue
-        found += 1
-        matches.append(write_digraph6(Digraph(order, tuple(rows))))
-    if cap is not None and len(matches) > cap:
-        matches = sorted(matches)[:cap]
-    return scanned, found, matches
+            if all(fn(facts) for fn in costly):
+                return _MATCH
+
+    return _Consumer(
+        consume if costly else lambda rows, sigmas, eccs: _MATCH,
+        lambda order, rows, key, info: write_digraph6(Digraph(order, tuple(rows))),
+        gate=gate if cheap else None,
+        kernel=bool(costly),
+        cap=math.inf,
+        trim=trim,
+    )
 
 
 def search(query: SearchQuery) -> SearchResult:
@@ -278,24 +337,22 @@ def search(query: SearchQuery) -> SearchResult:
     for p in query.predicates:
         if p not in PREDICATES:
             raise ValueError(f"unknown predicate {p!r}; known: {sorted(PREDICATES)}")
+    if query.dedup not in ("none", "canonical"):
+        raise ValueError(f"unknown dedup {query.dedup!r}; expected 'none' or 'canonical'")
     if query.limit is not None and query.limit < 0:
         raise ValueError(f"limit must be nonnegative, got {query.limit}")
     if query.cls != "bipartite_tournaments" and {"good", "bad"} & set(query.predicates):
         raise ValueError("good/bad predicates need the bipartite_tournaments class")
     _check_size(query.cls, query.n, query.parts)
     t0 = time.perf_counter()
-    total = total_count(query.cls, query.n, query.parts)
     shards = max(1, query.shards)
     # Without dedup each shard may keep just its smallest `limit` matches.
-    cap = query.limit if query.dedup == "none" else None
-    jobs = [
-        (query.cls, query.n, query.parts, *shard_range(total, i, shards), query.predicates, cap)
-        for i in range(shards)
-    ]
-    outputs = _map_shards(_search_worker, jobs)
-    scanned = sum(o[0] for o in outputs)
-    all_matches = sorted(m for o in outputs for m in o[2])
-    dedup_stats = {"labeled_matches": sum(o[1] for o in outputs)}
+    trim = query.limit if query.dedup == "none" else None
+    scanned, _, _, counts, all_matches = _run_shards(
+        query.cls, query.n, query.parts, shards, _predicate_matches, (query.predicates, trim)
+    )
+    all_matches.sort()
+    dedup_stats = {"labeled_matches": counts["matches"]}
     if query.dedup == "canonical":
         groups: Dict[bytes, str] = {}
         parts_arg = _layout(query.cls, query.n, query.parts)[4]
@@ -329,12 +386,12 @@ def search(query: SearchQuery) -> SearchResult:
 
 @dataclass
 class ExhaustiveResult:
-    """Counts of one exhaustive run.
+    """Counts of one exhaustive run of the scan loop.
 
     ``checked`` depends on the path: the table-driven scan (a class whose
     requested claims it serves) counts instances on which at least one
-    requested claim ran; the reference path counts (claim, instance) pairs,
-    one per ``THEOREMS`` call.
+    requested claim ran; the reference path counts (claim, strong instance)
+    pairs, one per ``THEOREMS`` call.
     """
 
     theorems: Tuple[str, ...]
@@ -364,84 +421,38 @@ class ExhaustiveResult:
         }
 
 
-#: Cap on stored counterexample certificates (counts stay exact).
-MAX_CERTIFICATES = 200
-
-
-def _cert(order: int, rows: Sequence[int], theorem: str, info: dict) -> dict:
-    return {
-        "digraph6": write_digraph6(Digraph(order, tuple(rows))),
-        "theorem": theorem,
-        **info,
-    }
-
-
-def _scan_worker(args) -> dict:
-    """The table-driven scan: every requested claim's check on each instance."""
-    cls, n, parts, start, stop, want = args
-    order, _, _, _, part_ranges = _layout(cls, n, parts)
-    passes = _screen(order)
+def _claim_checks(order: int, part_ranges, want) -> _Consumer:
+    """The claim scan: the requested ``CLAIMS`` checks on ``InstanceFacts``."""
     facts = InstanceFacts(order, part_ranges)
-    checks = []  # (claim id, check, evidence)
-    loose = []  # the checks that also run on instances that are not strong
-    for t in want:
-        claim = CLAIMS[t]
-        if order >= claim.min_n:
-            checks.append((t, claim.bind(order), claim.evidence))
-            if not claim.strong:
-                loose.append(checks[-1])
-    fails = {t: 0 for t in want}
-    certs: List[dict] = []
-    scanned = strong = checked = 0
-    for rows in _iter_rows(cls, n, parts, start, stop):
-        scanned += 1
-        sigmas, eccs = distance_sums(rows, order) if passes(rows) else (None, None)
+    checks = [(t, CLAIMS[t].bind(order), CLAIMS[t].evidence) for t in want if order >= CLAIMS[t].min_n]
+    loose = [check for check in checks if not CLAIMS[check[0]].strong]
+
+    def consume(rows, sigmas, eccs):
+        run = checks if sigmas is not None else loose
+        if run:
+            facts.load(rows, sigmas, eccs)
+            failed = []
+            for t, check, evidence in run:
+                bound, observed, predicted = check(facts)
+                if not bound or observed != predicted:
+                    failed.append((t, evidence(facts)))
+            return failed
+
+    return _Consumer(consume)
+
+
+def _reference_reports(order: int, part_ranges, want) -> _Consumer:
+    """The reference path: every requested claim's ``THEOREMS`` verifier on
+    a strong ``Digraph`` whose kernel memo holds the loop's run."""
+    verifiers = [(t, THEOREMS[t]) for t in want if order >= CLAIMS[t].min_n]
+
+    def consume(rows, sigmas, eccs):
         if sigmas is not None:
-            strong += 1
-            run = checks
-        else:
-            eccs = None  # the kernel's unreachable pair, not eccentricities
-            run = loose
-        if not run:
-            continue
-        checked += 1
-        facts.load(rows, sigmas, eccs)
-        for t, check, evidence in run:
-            bound, observed, predicted = check(facts)
-            if not bound or observed != predicted:
-                fails[t] += 1
-                if len(certs) < MAX_CERTIFICATES:
-                    certs.append(_cert(order, rows, t, evidence(facts)))
-    return {"scanned": scanned, "strong": strong, "checked": checked, "fails": fails, "certs": certs}
+            D = Digraph(order, tuple(rows))
+            D._dist = (tuple(sigmas), tuple(eccs))  # as metrics.cached_distance_sums fills it
+            return [(t, {"report": r.as_json_dict()}) for t, verifier in verifiers for r in verifier(D) if not r.ok]
 
-
-def _generic_scan_worker(args) -> dict:
-    """The reference path: each claim's ``THEOREMS`` verifier on each strong instance."""
-    cls, n, parts, start, stop, want = args
-    order, _, _, _, _ = _layout(cls, n, parts)
-    passes = _screen(order)
-    fails = {t: 0 for t in want}
-    certs: List[dict] = []
-    scanned = strong_count = checked = 0
-    for rows in _iter_rows(cls, n, parts, start, stop):
-        scanned += 1
-        if not passes(rows):
-            continue
-        # One kernel run, cached on D, serves this test and every claim.
-        D = Digraph(order, tuple(rows))
-        if cached_distance_sums(D)[0] is None:
-            continue
-        strong_count += 1
-        for t in want:
-            if order < CLAIMS[t].min_n:
-                continue
-            checked += 1
-            for rep in THEOREMS[t](D):
-                if not rep.ok:
-                    fails[t] += 1
-                    if len(certs) < MAX_CERTIFICATES:
-                        certs.append(_cert(order, rows, t, {"report": rep.as_json_dict()}))
-    return {"scanned": scanned, "strong": strong_count, "checked": checked, "fails": fails, "certs": certs}
+    return _Consumer(consume, weight=len(verifiers))
 
 
 def exhaustive_verify(
@@ -465,28 +476,15 @@ def exhaustive_verify(
     ids = resolve_theorems(theorem_ids)
     _check_size(cls, n, parts)
     t0 = time.perf_counter()
-    total = total_count(cls, n, parts)
-    shards = max(1, shards)
-    worker = _scan_worker if set(ids) <= _CLASSES[cls].scan_claims else _generic_scan_worker
-    jobs = [(cls, n, parts, *shard_range(total, i, shards), ids) for i in range(shards)]
-    outputs = _map_shards(worker, jobs)
-    fails: Dict[str, int] = {t: 0 for t in ids}
-    certs: List[dict] = []
-    scanned = strong_count = checked = 0
-    for o in outputs:
-        scanned += o["scanned"]
-        strong_count += o["strong"]
-        checked += o["checked"]
-        for t, c in o["fails"].items():
-            fails[t] += c
-        certs.extend(o["certs"])
+    make = _claim_checks if set(ids) <= _CLASSES[cls].scan_claims else _reference_reports
+    scanned, strong_count, checked, fails, certs = _run_shards(cls, n, parts, max(1, shards), make, ids)
     return ExhaustiveResult(
         theorems=ids,
         cls=cls,
         scanned=scanned,
         strong_count=strong_count,
         checked=checked,
-        failure_counts=fails,
+        failure_counts={t: fails[t] for t in ids},
         certificates=sorted(certs[:MAX_CERTIFICATES], key=lambda c: (c["theorem"], c["digraph6"])),
         elapsed=time.perf_counter() - t0,
     )

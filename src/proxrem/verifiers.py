@@ -61,7 +61,7 @@ from .canonical import canonical_form  # noqa: F401
 from .constructions import dicycle as make_dicycle
 from .constructions import hub_digraph
 from .digraph import Digraph, NotStrongError, find_unreachable_pair, is_tournament, reach_within
-from .metrics import distance_layers, sigma_ecc_vectors
+from .metrics import cached_distance_sums, distance_layers, sigma_ecc_vectors
 
 
 @dataclass
@@ -562,6 +562,7 @@ def resolve_theorems(ids: Sequence[str]) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def _require_strong(D: Digraph) -> None:
+    cached_distance_sums(D)  # fills D's kernel memo, which answers a strong D at once
     pair = find_unreachable_pair(D)
     if pair is not None:
         raise NotStrongError(pair)

@@ -1,3 +1,4 @@
+import importlib
 from itertools import combinations
 from random import Random
 
@@ -24,6 +25,8 @@ from proxrem.verifiers import CLAIMS, THEOREMS, InstanceFacts
 
 from oracles import brute_isomorphic, fw_metrics
 from test_metrics import kernel_runs  # noqa: F401  (a fixture)
+
+search_mod = importlib.import_module("proxrem.search")
 
 
 class TestEnumeration:
@@ -237,6 +240,11 @@ class TestSearch:
         q = SearchQuery(cls="tournaments", n=5, predicates=("strong", "pi_eq_rho"), limit=5)
         assert len(search(q).matches) == 5
 
+    def test_unknown_dedup_rejected(self):
+        q = SearchQuery(cls="tournaments", n=4, predicates=("strong",), dedup="canonicl")
+        with pytest.raises(ValueError, match="unknown dedup 'canonicl'"):
+            search(q)
+
     def test_shard_invariance(self):
         queries = [
             SearchQuery(cls="tournaments", n=5, predicates=("strong", "pi_eq_rho"), shards=k)
@@ -394,8 +402,9 @@ def _symmetric_rows(n):
 
 
 class TestStrongnessScreen:
-    """All three scan workers skip the kernel on instances the O(n) screen
-    rules out, and the reference path runs it once per instance."""
+    """The one scan loop skips the kernel on instances the O(n) screen rules
+    out, for search, the claim scan and the reference path alike, and runs
+    it at most once per instance."""
 
     def test_reference_path_runs_the_kernel_once_per_screened_instance(self, kernel_runs):
         instances = _symmetric_rows(5)
@@ -420,6 +429,16 @@ class TestStrongnessScreen:
         screened = [D.rows for D in enumerate_class(cls, n) if _passes_screen(D.rows)]
         assert len(screened) < total_count(cls, n)
         assert sorted(kernel_runs) == sorted(screened)
+
+    def test_search_predicates_without_the_kernel_gate_it(self, kernel_runs):
+        # limit=0: no match reports, which run the kernel of their own
+        r = search(SearchQuery(cls="all_digraphs", n=3, predicates=("tournament",), limit=0))
+        assert r.dedup_stats["labeled_matches"] == 8
+        assert kernel_runs == []
+        r = search(SearchQuery(cls="all_digraphs", n=3, predicates=("tournament", "strong"), limit=0))
+        assert r.dedup_stats["labeled_matches"] == 2
+        # Of the 8 tournaments only the two 3-cycles pass the screen.
+        assert sorted(kernel_runs) == sorted(D.rows for D in enumerate_class("tournaments", 3) if is_strong(D))
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_scan_loads_no_eccentricities_on_non_strong_instances(self, monkeypatch, n):
@@ -449,6 +468,13 @@ def _exhaustive_json(shards):
     return obj
 
 
+def _reference_json(shards):
+    # The tournament scan does not serve thm-2.2, so this takes the reference path.
+    obj = exhaustive_verify(["thm-3.2", "thm-2.2"], "tournaments", n=6, shards=shards).as_json_dict()
+    del obj["elapsed_seconds"]
+    return obj
+
+
 def _search_json(shards, dedup):
     q = SearchQuery(cls="all_digraphs", n=4, predicates=("strong",), dedup=dedup, limit=5, shards=shards)
     r = search(q)
@@ -472,6 +498,23 @@ class TestShardCountInvariance:
         assert one_shard["failure_counts"]["thm-3.2-pi"] == 2400
         assert len(one_shard["certificates"]) == 200
         assert _exhaustive_json(shards) == one_shard
+
+    def test_no_certificate_is_built_past_the_cap(self, monkeypatch):
+        written = []
+        write = search_mod.write_digraph6
+        monkeypatch.setattr(search_mod, "write_digraph6", lambda D: written.append(D) or write(D))
+        assert len(_exhaustive_json(1)["certificates"]) == len(written) == 200
+
+    def test_reference_path_certificates(self):
+        one, *more = [_reference_json(shards) for shards in (1, 2, 3)]
+        assert more == [one, one]
+        assert one["failure_counts"] == {"thm-3.2-pi": 2400, "thm-3.2-rho": 1200, "thm-2.2": 0}
+        assert one["checked"] == 3 * one["strong"] == 66960
+        assert len(one["certificates"]) == 200
+        table = exhaustive_verify(["thm-3.2"], "tournaments", n=6)
+        assert [(c["theorem"], c["digraph6"]) for c in one["certificates"]] == [
+            (c["theorem"], c["digraph6"]) for c in table.certificates
+        ]
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 8])
     def test_limit_with_canonical_dedup(self, shards):

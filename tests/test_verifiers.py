@@ -1,5 +1,6 @@
 import pytest
 
+from proxrem import digraph as digraph_mod
 from proxrem import verifiers
 from proxrem.canonical import canonical_form
 from proxrem.constructions import (
@@ -13,6 +14,7 @@ from proxrem.constructions import (
 from proxrem.digraph import (
     Digraph,
     NotStrongError,
+    find_unreachable_pair,
     from_edge_list,
     is_strong,
     permute,
@@ -36,6 +38,7 @@ from proxrem.verifiers import (
 )
 
 from oracles import brute_isomorphic, rotational_tournament, transitive_tournament
+from test_metrics import kernel_runs  # noqa: F401  (a fixture)
 
 
 def complete_digraph(n):
@@ -154,6 +157,29 @@ class TestThm22:
     def test_complete_no_equality(self):
         rep = verify_thm_2_2(complete_digraph(4))
         assert rep.ok and not rep.equality_observed
+
+
+class TestRequireStrong:
+    """``verify`` runs the kernel before its strongness test, so the kernel
+    memo answers a strong digraph without a reachability sweep."""
+
+    def test_strong_input_runs_the_kernel_once_and_no_sweep(self, kernel_runs, monkeypatch):
+        sweeps = []
+        reach = digraph_mod.reach_within
+        monkeypatch.setattr(digraph_mod, "reach_within", lambda *a: sweeps.append(a) or reach(*a))
+        T = extremal_tournament(7)
+        D = Digraph(T.n, T.rows)
+        assert verifiers.verify("thm-3.3", D).ok
+        assert sweeps == []
+        assert kernel_runs == [D.rows]
+
+    def test_not_strong_error_names_the_unreachable_pair(self):
+        cases = [D for n in (2, 3) for D in enumerate_class("all_digraphs", n) if not is_strong(D)]
+        assert len(cases) > 30
+        for D in cases:
+            with pytest.raises(NotStrongError) as err:
+                verifiers.verify("thm-2.2", D)
+            assert err.value.pair == find_unreachable_pair(Digraph(D.n, D.rows))
 
 
 class TestProp31:
