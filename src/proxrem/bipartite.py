@@ -146,25 +146,17 @@ def beats_half(rows: Sequence[int], parts: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def classify_good_bad(
-    D: Digraph, structure: Optional[PartiteStructure] = None
-) -> Tuple[bool, Optional[Tuple[int, int]]]:
+def classify_good_bad(D: Digraph) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """(good, witness): witness is the smallest pair (u, v) with
     the out-neighborhood of u properly contained in that of v."""
-    if structure is None:
-        structure = require_bipartite_tournament(D)
-    witness = bad_witness(D.rows, part_lookup(structure.parts, D.n))
+    witness = bad_witness(D.rows, part_lookup(require_bipartite_tournament(D).parts, D.n))
     return witness is None, witness
 
 
-def neighborhood_classes(
-    D: Digraph, structure: Optional[PartiteStructure] = None
-) -> List[NeighborhoodClass]:
+def neighborhood_classes(D: Digraph) -> List[NeighborhoodClass]:
     """Equivalence classes of equal out-neighborhoods within each part."""
-    if structure is None:
-        structure = require_bipartite_tournament(D)
     classes: List[NeighborhoodClass] = []
-    for part in structure.parts:
+    for part in require_bipartite_tournament(D).parts:
         groups: Dict[int, List[int]] = {}
         for v in part:
             groups.setdefault(D.rows[v], []).append(v)
@@ -177,27 +169,25 @@ def neighborhood_classes(
     return classes
 
 
-def mu_values(
-    D: Digraph, structure: Optional[PartiteStructure] = None
-) -> Dict[int, int]:
+def mu_values(D: Digraph) -> Dict[int, int]:
     """Class size (mu) per vertex."""
-    if structure is None:
-        structure = require_bipartite_tournament(D)
-    return dict(enumerate(class_sizes(D.rows, structure.parts)))
+    return dict(enumerate(class_sizes(D.rows, require_bipartite_tournament(D).parts)))
 
 
-def _require_good_strong(D: Digraph, structure: PartiteStructure, what: str) -> None:
+def _good_strong_classes(D: Digraph, what: str) -> Tuple[Sequence[Sequence[int]], List[int]]:
+    """(parts, mu) of a good strong bipartite tournament; raises ValueError
+    on other input (NotStrongError when it is not strong)."""
+    parts = require_bipartite_tournament(D).parts
     pair = find_unreachable_pair(D)
     if pair is not None:
         raise NotStrongError(pair)
-    good, witness = classify_good_bad(D, structure)
-    if not good:
+    witness = bad_witness(D.rows, part_lookup(parts, D.n))
+    if witness is not None:
         raise ValueError(f"{what} needs a good instance; bad witness {witness}")
+    return parts, class_sizes(D.rows, parts)
 
 
-def sigma_by_formula(
-    D: Digraph, v: int, structure: Optional[PartiteStructure] = None
-) -> int:
+def sigma_by_formula(D: Digraph, v: int) -> int:
     """Closed-form distance sum for a vertex of a good strong bipartite
     tournament: 2*(mu(v) - d+(v)) + 2*|own part| + 3*|other part| - 4.
 
@@ -205,24 +195,17 @@ def sigma_by_formula(
     holds exactly for good strong instances; both preconditions are
     enforced.
     """
-    if structure is None:
-        structure = require_bipartite_tournament(D)
-    _require_good_strong(D, structure, "formula")
+    parts, mu = _good_strong_classes(D, "formula")
     if not 0 <= v < D.n:
         raise ValueError(f"vertex {v} outside 0..{D.n - 1}")
-    mu = class_sizes(D.rows, structure.parts)
-    return formula_sigmas(class_constants(D.rows, structure.parts, mu))[v]
+    return formula_sigmas(class_constants(D.rows, parts, mu))[v]
 
 
-def equality_constant(
-    D: Digraph, structure: Optional[PartiteStructure] = None
-) -> Optional[int]:
+def equality_constant(D: Digraph) -> Optional[int]:
     """The shared constant c with 2*(mu - d+) + |other part| == c for every
     vertex, or None when no such constant exists."""
-    if structure is None:
-        structure = require_bipartite_tournament(D)
-    mu = class_sizes(D.rows, structure.parts)
-    return shared_value(class_constants(D.rows, structure.parts, mu))
+    parts = require_bipartite_tournament(D).parts
+    return shared_value(class_constants(D.rows, parts, class_sizes(D.rows, parts)))
 
 
 def check_equality_criterion(D: Digraph) -> BipartiteReport:
@@ -230,18 +213,16 @@ def check_equality_criterion(D: Digraph) -> BipartiteReport:
     the exact metrics agree that proximity equals remoteness."""
     structure = require_bipartite_tournament(D)
     sigmas, _ = sigma_ecc_vectors(D)
-    good, witness = classify_good_bad(D, structure)
-    mus = mu_values(D, structure)
-    per_vertex = tuple(
-        (v, D.rows[v].bit_count(), mus[v], sigmas[v]) for v in range(D.n)
-    )
-    constant = equality_constant(D, structure) if good else None
+    rows, parts = D.rows, structure.parts
+    witness = bad_witness(rows, part_lookup(parts, D.n))
+    mu = class_sizes(rows, parts)
+    per_vertex = tuple((v, rows[v].bit_count(), mu[v], sigmas[v]) for v in range(D.n))
     return BipartiteReport(
         structure=structure,
-        good=good,
+        good=witness is None,
         bad_witness=witness,
         per_vertex=per_vertex,
-        constant_c=constant,
+        constant_c=shared_value(class_constants(rows, parts, mu)) if witness is None else None,
         pi_equals_rho=min(sigmas) == max(sigmas),
     )
 
@@ -253,8 +234,7 @@ def check_cor_reg(D: Digraph) -> bool:
     Preconditions: good, strong, and one shared class size over all
     vertices of both parts; raises ValueError otherwise.
     """
-    structure = require_bipartite_tournament(D)
-    _require_good_strong(D, structure, "degree test")
-    if len(set(class_sizes(D.rows, structure.parts))) != 1:
+    parts, mu = _good_strong_classes(D, "degree test")
+    if shared_value(mu) is None:
         raise ValueError("degree test needs one class size shared by every vertex")
-    return beats_half(D.rows, structure.parts)
+    return beats_half(D.rows, parts)

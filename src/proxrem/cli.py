@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from . import constructions
 from .bipartite import check_equality_criterion
-from .digraph import Digraph, NotStrongError, is_strong, is_symmetric
+from .digraph import Digraph, NotStrongError, is_symmetric
 from .formats import (
     parse_edge_list,
     read_digraph6,
@@ -25,7 +25,7 @@ from .formats import (
     write_digraph6,
     write_edge_list,
 )
-from .metrics import CSV_HEADER, metrics_report
+from .metrics import CSV_HEADER, cached_distance_sums, metrics_report
 from .search import (
     SearchQuery,
     enumerate_class,
@@ -33,7 +33,7 @@ from .search import (
     rediscover_sigma_equal_graph,
     search,
 )
-from .verifiers import THEOREMS, resolve_theorems, verify_sec5_facts
+from .verifiers import CLAIMS, THEOREMS, resolve_theorems, verify_sec5_facts
 
 
 def _fail(code: int, message: str, **extra) -> int:
@@ -160,8 +160,10 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _verify_instances(args):
-    """Yields (label, digraph) pairs from the chosen input source."""
+def _verify_instances(args, ids):
+    """Yields (label, digraph) pairs from the chosen input source; an
+    enumerated class keeps only its strong members when a claim in ``ids``
+    needs a strong digraph."""
     if args.input:
         D = _load_digraph(args.input, args.format, False)
         yield args.input, D
@@ -172,8 +174,10 @@ def _verify_instances(args):
     elif args.enumerate:
         cls, _, size_text = args.enumerate.partition(",")
         n, parts = _class_size(cls, size_text)
+        strong = any(CLAIMS[t].strong for t in ids)
         for D in enumerate_class(cls, n=n, parts=parts):
-            if is_strong(D):
+            # the one kernel run, memoised on D for the verifier to read back
+            if not strong or cached_distance_sums(D)[0] is not None:
                 yield write_digraph6(D).strip(), D
     else:
         raise ValueError("one input source required: --input, --family or --enumerate")
@@ -194,7 +198,7 @@ def cmd_verify(args) -> int:
         return 0 if rep.ok else 1
     ids = resolve_theorems([theorem])
     all_ok = True
-    for label, D in _verify_instances(args):
+    for label, D in _verify_instances(args, ids):
         for tid in ids:
             for rep in THEOREMS[tid](D):
                 obj = rep.as_json_dict()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .digraph import (
     Digraph,
@@ -205,16 +205,17 @@ class ConstructionSpec:
     params: Tuple[int, ...] = ()
 
 
-FAMILIES: Dict[str, Tuple[str, ...]] = {
-    "dicycle": ("n",),
-    "extremal_tournament": ("n",),
-    "hub_digraph": ("n", "c"),
-    "ham_extremal": ("n", "*arcs"),
-    "bipartite_equal": ("half",),
-    "bipartite_T1": (),
-    "bipartite_blowup": ("t",),
-    "fig1_graph": (),
-    "fig1_blowup": ("t",),
+#: name -> (builder, parameter names): the one registry ``build`` reads.
+FAMILIES: Dict[str, Tuple[Callable[..., Digraph], Tuple[str, ...]]] = {
+    "dicycle": (dicycle, ("n",)),
+    "extremal_tournament": (extremal_tournament, ("n",)),
+    "hub_digraph": (hub_digraph, ("n", "c")),
+    "ham_extremal": (lambda n, *arcs: ham_extremal(n, zip(arcs[::2], arcs[1::2])), ("n", "*arcs")),
+    "bipartite_equal": (bipartite_equal, ("half",)),
+    "bipartite_T1": (bipartite_T1, ()),
+    "bipartite_blowup": (bipartite_blowup, ("t",)),
+    "fig1_graph": (fig1_graph, ()),
+    "fig1_blowup": (fig1_blowup, ("t",)),
 }
 
 
@@ -222,25 +223,13 @@ def build(spec: ConstructionSpec) -> Digraph:
     fam, p = spec.family, spec.params
     if fam not in FAMILIES:
         raise ValueError(f"unknown family {fam!r}; expected one of {sorted(FAMILIES)}")
-    arity = FAMILIES[fam]
-    if "*arcs" in arity:
+    builder, names = FAMILIES[fam]
+    if "*arcs" in names:
         if len(p) < 1 or (len(p) - 1) % 2:
             raise ValueError(f"{fam} takes n plus flattened arc pairs")
-        pairs = [(p[i], p[i + 1]) for i in range(1, len(p), 2)]
-        return ham_extremal(p[0], pairs)
-    if len(p) != len(arity):
-        raise ValueError(f"{fam} takes parameters {arity}, got {p}")
-    builders = {
-        "dicycle": dicycle,
-        "extremal_tournament": extremal_tournament,
-        "hub_digraph": hub_digraph,
-        "bipartite_equal": bipartite_equal,
-        "bipartite_T1": bipartite_T1,
-        "bipartite_blowup": bipartite_blowup,
-        "fig1_graph": fig1_graph,
-        "fig1_blowup": fig1_blowup,
-    }
-    return builders[fam](*p)
+    elif len(p) != len(names):
+        raise ValueError(f"{fam} takes parameters {names}, got {p}")
+    return builder(*p)
 
 
 def check_expected(spec: ConstructionSpec, D: Optional[Digraph] = None) -> List[str]:

@@ -66,11 +66,10 @@ class Digraph:
 
     def arcs(self) -> Iterator[Tuple[int, int]]:
         """All arcs (u, v) in lexicographic order."""
+        bits = frontier_bits(self.n)
         for u, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                yield (u, low.bit_length() - 1)
-                r ^= low
+            for v in bits[r]:
+                yield (u, v)
 
     def out_degree(self, u: int) -> int:
         return self.rows[u].bit_count()
@@ -82,14 +81,11 @@ class Digraph:
     def reverse_rows(self) -> Tuple[int, ...]:
         """Adjacency rows of the arc-reversed digraph (computed once)."""
         if self._rev is None:
-            n = self.n
-            rev = [0] * n
+            bits = frontier_bits(self.n)
+            rev = [0] * self.n
             for u, r in enumerate(self.rows):
-                bit = 1 << u
-                while r:
-                    low = r & -r
-                    rev[low.bit_length() - 1] |= bit
-                    r ^= low
+                for v in bits[r]:
+                    rev[v] |= 1 << u
             self._rev = tuple(rev)
         return self._rev
 
@@ -196,9 +192,9 @@ class _DecodedBits:
 
 @cache
 def frontier_bits(n: int):
-    """The frontier primitive: ``frontier_bits(n)[mask]`` lists the vertices
-    of an n-bit ``mask`` in increasing order, so a BFS step is
-    ``for v in bits[frontier]: nxt |= rows[v]``.  Up to FRONTIER_TABLE_CAP
+    """The frontier primitive and the one set-bit walk: ``frontier_bits(n)[mask]``
+    lists the vertices of an n-bit ``mask`` in increasing order, so a BFS step
+    is ``for v in bits[frontier]: nxt |= rows[v]``.  Up to FRONTIER_TABLE_CAP
     it is a tuple indexed by every mask, built on first use; above it, a
     mapping that decodes the mask on demand."""
     if n > FRONTIER_TABLE_CAP:
@@ -333,22 +329,16 @@ def multipartite_tournament_structure(D: Digraph) -> Optional[PartiteStructure]:
         unvisited &= ~comp
     if len(comps) < 2:
         return None
+    bits = frontier_bits(n)
     for comp in comps:
         other = full & ~comp
-        c = comp
-        while c:
-            low = c & -c
-            u = low.bit_length() - 1
+        for u in bits[comp]:
             # no arc inside the part, an arc across every cross pair
             if rows[u] & comp:
                 return None
             if (rows[u] | rev[u]) & other != other:
                 return None
-            c ^= low
-    parts = sorted(
-        (tuple(v for v in range(n) if (comp >> v) & 1) for comp in comps),
-        key=lambda p: (len(p), p[0]),
-    )
+    parts = sorted((tuple(bits[comp]) for comp in comps), key=lambda p: (len(p), p[0]))
     return PartiteStructure(parts=tuple(parts))
 
 
@@ -369,21 +359,15 @@ def blow_up(D: Digraph, t: int) -> Digraph:
     """
     if t < 1:
         raise ValueError(f"blow-up factor must be >= 1, got {t}")
-    n = D.n
+    bits = frontier_bits(D.n)
     block = (1 << t) - 1
-    expanded = []
-    for u in range(n):
-        r = D.rows[u]
-        e = 0
-        while r:
-            low = r & -r
-            e |= block << ((low.bit_length() - 1) * t)
-            r ^= low
-        expanded.append(e)
     rows = []
-    for u in range(n):
-        rows.extend([expanded[u]] * t)
-    return Digraph(n * t, rows)
+    for r in D.rows:
+        e = 0
+        for v in bits[r]:
+            e |= block << (v * t)
+        rows.extend([e] * t)
+    return Digraph(D.n * t, rows)
 
 
 def permute(D: Digraph, perm: Sequence[int]) -> Digraph:
@@ -391,13 +375,11 @@ def permute(D: Digraph, perm: Sequence[int]) -> Digraph:
     n = D.n
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..n-1")
+    bits = frontier_bits(n)
     rows = [0] * n
-    for u in range(n):
-        r = D.rows[u]
+    for u, r in enumerate(D.rows):
         img = 0
-        while r:
-            low = r & -r
-            img |= 1 << perm[low.bit_length() - 1]
-            r ^= low
+        for v in bits[r]:
+            img |= 1 << perm[v]
         rows[perm[u]] = img
     return Digraph(n, rows)

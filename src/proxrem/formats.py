@@ -60,18 +60,9 @@ def parse_edge_list(text: str) -> Tuple[Digraph, EdgeListInfo]:
     if header is None:
         raise ValueError("missing header line 'n <count> directed|undirected'")
     n, directed = header
-    seen = set()
-    dupes = 0
-    deduped = []
-    for u, v in pairs:
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in seen:
-            dupes += 1
-            continue
-        seen.add(key)
-        deduped.append((u, v))
-    build = from_edge_list if directed else from_undirected_edge_list
-    return build(n, deduped), EdgeListInfo(directed=directed, duplicate_pairs=dupes)
+    D = (from_edge_list if directed else from_undirected_edge_list)(n, pairs)
+    dupes = len(pairs) - (D.m if directed else D.m // 2)
+    return D, EdgeListInfo(directed=directed, duplicate_pairs=dupes)
 
 
 def read_edge_list(text: str) -> Digraph:

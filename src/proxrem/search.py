@@ -24,6 +24,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from multiprocessing import get_context
 from random import Random
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -271,14 +272,15 @@ class SearchResult:
         }
 
 
-def _observed(claim_id: str):
-    """Predicate: some equality case of the claim is observed."""
-    claim = CLAIMS[claim_id]
-    return lambda f: True in claim.bind(f.n)(f)[1]
+@cache
+def _bound(claim_id: str, n: int):
+    """The claim's check at order n, bound once per order."""
+    return CLAIMS[claim_id].bind(n)
 
 
 #: name -> (needs the distance kernel, predicate over InstanceFacts).  The
 #: kernel predicates hold only on strong instances; the others run first.
+#: ``equality_<claim>`` holds when some equality case of the claim is observed.
 PREDICATES = {
     "tournament": (False, lambda f: is_tournament(Digraph(f.n, f.rows))),
     "regular": (False, lambda f: is_regular(Digraph(f.n, f.rows))),
@@ -291,7 +293,7 @@ PREDICATES = {
     "pi_ne_rho": (True, lambda f: f.smin != f.smax),
     "rho_eq_half_n": (True, lambda f: 2 * f.smax == f.n * (f.n - 1)),
     **{
-        "equality_" + c.replace("-", "_").replace(".", "_"): (True, _observed(c))
+        "equality_" + c.replace("-", "_").replace(".", "_"): (True, lambda f, c=c: True in _bound(c, f.n)(f)[1])
         for c in ("thm-2.1-pi", "thm-2.1-rho", "thm-2.2", "thm-3.2-pi", "thm-3.2-rho", "thm-3.3")
     },
 }

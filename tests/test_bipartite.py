@@ -143,6 +143,21 @@ class TestEqualityCriterion:
                 predicted = r.good and r.constant_c is not None
                 assert r.pi_equals_rho == predicted
 
+    def test_fields_match_the_single_purpose_functions(self):
+        bad = 0
+        for D in strong_instances(3, 3):
+            r = check_equality_criterion(D)
+            good, witness = classify_good_bad(D)
+            bad += not good
+            assert (r.good, r.bad_witness) == (good, witness)
+            mus = mu_values(D)
+            sigmas, _ = sigma_ecc_vectors(D)
+            assert r.per_vertex == tuple(
+                (v, D.rows[v].bit_count(), mus[v], sigmas[v]) for v in range(D.n)
+            )
+            assert r.constant_c == (equality_constant(D) if good else None)
+        assert bad > 0
+
     def test_not_strong_pair_matches_reachability_pair(self):
         seen = 0
         for D in enumerate_class("bipartite_tournaments", parts=(3, 3)):

@@ -2,11 +2,15 @@ import json
 
 import pytest
 
-from proxrem import cli
+from proxrem import cli, verifiers
+from proxrem import digraph as digraph_mod
 from proxrem.cli import main
 from proxrem.constructions import fig1_graph
 from proxrem.formats import write_digraph6, write_edge_list
 from proxrem.metrics import metrics_report
+from proxrem.search import exhaustive_verify
+
+from test_metrics import kernel_runs  # noqa: F401  (a fixture)
 
 
 def run(capsys, argv):
@@ -133,6 +137,26 @@ class TestVerify:
         assert code == 2 and not out
         # 0 reaches everything, and nothing reaches 0
         assert json.loads(err.strip().splitlines()[-1])["unreachable_pair"] == [1, 0]
+
+    def test_enumerate_runs_the_kernel_once_per_instance_and_no_sweep(self, capsys, kernel_runs, monkeypatch):
+        sweeps = []
+        reach = digraph_mod.reach_within
+        counted = lambda *a: sweeps.append(a) or reach(*a)
+        monkeypatch.setattr(digraph_mod, "reach_within", counted)
+        monkeypatch.setattr(verifiers, "reach_within", counted)
+        code, out, _ = run(capsys, ["verify", "thm-3.3", "--enumerate", "tournaments,5"])
+        assert code == 0
+        reports = [json.loads(l) for l in out.splitlines()]
+        assert len(reports) == 544 and all(r["consistent"] for r in reports)
+        assert sweeps == []
+        assert len(kernel_runs) <= 1024
+
+    def test_enumerate_keeps_non_strong_instances_for_a_claim_without_strongness(self, capsys):
+        code, out, _ = run(capsys, ["verify", "prop-3.1", "--enumerate", "tournaments,5"])
+        assert code == 0
+        reports = [json.loads(l) for l in out.splitlines()]
+        assert all(r["consistent"] for r in reports)
+        assert len(reports) == exhaustive_verify("prop-3.1", "tournaments", n=5).checked == 1024
 
     def test_enumerate_bipartite_parts(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from proxrem.constructions import dicycle, extremal_tournament, fig1_graph
 from proxrem.digraph import Digraph, from_undirected_edge_list, is_symmetric
 from proxrem.formats import (
+    EdgeListInfo,
     parse_edge_list,
     read_digraph6,
     read_edge_list,
@@ -42,6 +45,41 @@ class TestEdgeList:
         text = "n 3 undirected\n0 1\n1 0\n"
         D, info = parse_edge_list(text)
         assert D.m == 2 and info.duplicate_pairs == 1
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_duplicate_counts_match_a_set_oracle(self, directed):
+        rng = Random(5 if directed else 6)
+        for n in (2, 3, 5, 14):
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(3 * n)]
+            pairs += pairs[: n // 2] + [(v, u) for u, v in pairs[: n // 2]]
+            rng.shuffle(pairs)
+            mode = "directed" if directed else "undirected"
+            text = f"n {n} {mode}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+            keys = {(u, v) if directed else frozenset((u, v)) for u, v in pairs}
+            rows = [0] * n
+            for u, v in pairs:
+                rows[u] |= 1 << v
+                if not directed:
+                    rows[v] |= 1 << u
+            D, info = parse_edge_list(text)
+            assert D.rows == tuple(rows)
+            assert info == EdgeListInfo(directed=directed, duplicate_pairs=len(pairs) - len(keys))
+
+    def test_both_orientations_of_one_edge(self):
+        assert parse_edge_list("n 2 directed\n0 1\n1 0\n")[1].duplicate_pairs == 0
+        assert parse_edge_list("n 2 undirected\n0 1\n1 0\n")[1].duplicate_pairs == 1
+        assert parse_edge_list("n 2 undirected\n0 1\n1 0\n1 0\n0 1\n")[1].duplicate_pairs == 3
+
+    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    @pytest.mark.parametrize("body, message", [
+        ("0 1\n0 1\n1 1\n", "loop pair (1, 1) is not allowed"),
+        ("0 1\n1 0\n2 5\n2 5\n", "pair (2, 5) has a label outside 0..2"),
+        ("0 1\n-1 2\n", "pair (-1, 2) has a label outside 0..2"),
+    ])
+    def test_bad_pairs_raise_after_duplicates(self, mode, body, message):
+        with pytest.raises(ValueError) as exc:
+            parse_edge_list(f"n 3 {mode}\n" + body)
+        assert str(exc.value) == message
 
     def test_missing_header(self):
         with pytest.raises(ValueError, match="header"):

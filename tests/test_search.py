@@ -27,6 +27,7 @@ from oracles import brute_isomorphic, fw_metrics
 from test_metrics import kernel_runs  # noqa: F401  (a fixture)
 
 search_mod = importlib.import_module("proxrem.search")
+verifiers_mod = importlib.import_module("proxrem.verifiers")
 
 
 class TestEnumeration:
@@ -244,6 +245,15 @@ class TestSearch:
         q = SearchQuery(cls="tournaments", n=4, predicates=("strong",), dedup="canonicl")
         with pytest.raises(ValueError, match="unknown dedup 'canonicl'"):
             search(q)
+
+    def test_equality_predicate_binds_its_check_once_per_order(self, monkeypatch):
+        scores = verifiers_mod._extremal_scores
+        calls = []
+        monkeypatch.setattr(verifiers_mod, "_extremal_scores", lambda n: calls.append(n) or scores(n))
+        search_mod._bound.cache_clear()
+        result = search(SearchQuery("tournaments", 6, predicates=("strong", "equality_thm_3_2_rho")))
+        assert calls == [6]
+        assert result.dedup_stats == {"labeled_matches": 2640} and len(result.matches) == 2640
 
     def test_shard_invariance(self):
         queries = [
