@@ -1,27 +1,37 @@
-"""Isomorphism via colour-refined minimal adjacency matrices.
+"""Isomorphism via individualization–refinement canonical labeling.
 
-Colour refinement (the first stage of McKay & Piperno's partition
-refinement) splits the vertices into cells by out- and in-degree, then by
-the colours of out- and in-neighbours, until no cell splits.  The canonical
-form is the smallest row-major adjacency bit matrix, packed into bytes, over
-the labelings that list the cells in colour order, each cell permuted.
-Refinement commutes with relabeling, so isomorphic digraphs reach the same
-minimum, and equal forms are relabelings of one matrix: two digraphs are
-isomorphic exactly when their forms agree.  Part-respecting forms seed the
-colours with the part index, both orders when the parts have equal size.
+The search follows McKay & Piperno, *Practical graph isomorphism II*
+(J. Symb. Comput. 2014).  An ordered partition of the vertices is refined
+to an equitable one: each cell of a splitter queue splits every cell by
+the vertices' (out-count, in-count) into it, the sub-cells taking the
+place of their cell in key order.  A node of the search tree individualizes
+one vertex of the first non-singleton cell and refines again; a discrete
+partition is a leaf, and lists the vertices in a labeling.  The canonical
+form is the smallest row-major adjacency bit matrix, packed into bytes,
+over the leaves.  Refinement and the choice of target cell commute with
+relabeling, so isomorphic digraphs reach the same minimum, and equal forms
+are relabelings of one matrix: two digraphs are isomorphic exactly when
+their forms agree.
+
+Two leaves with the same matrix give an automorphism.  A child whose
+vertex shares an orbit with an explored child, under the automorphisms
+found so far that fix the node's individualized vertices, roots a subtree
+with the same leaf matrices and is skipped; a leaf that repeats the matrix
+of a leaf in an earlier sibling subtree ends its own subtree the same way.
+
+Part-respecting forms seed the partition with the part index, both orders
+when the parts have equal size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations, product
-from math import factorial, prod
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .digraph import Digraph
+from .digraph import Digraph, frontier_bits
 
-#: Largest number of labelings searched (10!, the full search at order 10).
-CANONICAL_CEILING = factorial(10)
+#: Largest order canonicalized, the largest order the distance kernel is tested at.
+CANONICAL_CEILING = 27
 
 
 @dataclass(frozen=True)
@@ -30,42 +40,130 @@ class CanonicalForm:
     bytes: bytes
 
 
-def _rank(keys: Sequence) -> List[int]:
-    index = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [index[k] for k in keys]
+def _refine(rows, rev, lab: List[int], size: List[int], queue: List[int]) -> None:
+    """Refine the ordered partition in place to an equitable one.
+
+    A cell is a run ``lab[s:s + size[s]]`` named by its start ``s``; the
+    first sub-cell of a split keeps the start.  ``queue`` holds the starts of
+    the splitter cells; every sub-cell a split makes joins it.
+    """
+    n = len(lab)
+    queued = [False] * n
+    for s in queue:
+        queued[s] = True
+    cells = n - size.count(0)
+    i = 0
+    while i < len(queue) and cells < n:
+        s = queue[i]
+        i += 1
+        queued[s] = False
+        mask = 0
+        for v in lab[s:s + size[s]]:
+            mask |= 1 << v
+        start = 0
+        while start < n:
+            length = size[start]
+            if length > 1:
+                cell = lab[start:start + length]
+                keys = [(rows[v] & mask).bit_count() << 5 | (rev[v] & mask).bit_count() for v in cell]
+                if keys.count(keys[0]) != length:
+                    order = sorted(range(length), key=keys.__getitem__)
+                    lab[start:start + length] = [cell[j] for j in order]
+                    first = start
+                    for at in range(1, length):
+                        if keys[order[at]] != keys[order[at - 1]]:
+                            size[first] = start + at - first
+                            if not queued[first]:
+                                queued[first] = True
+                                queue.append(first)
+                            first = start + at
+                            cells += 1
+                    size[first] = start + length - first
+                    queued[first] = True
+                    queue.append(first)
+            start += length
 
 
-def _cells(D: Digraph, seed: Sequence[int]) -> List[List[int]]:
-    """Vertices grouped by refined colour, in colour order.  A round keys each
-    vertex by its colour and its out- and in-neighbour count in every cell."""
-    n = D.n
-    rows, rev = D.rows, D.reverse_rows
-    colour = _rank(seed)
-    count = max(colour) + 1
-    while count < n:
-        masks = [0] * count
-        for v, c in enumerate(colour):
-            masks[c] |= 1 << v
-        refined = _rank([
-            (colour[v], *[(rows[v] & m).bit_count() for m in masks],
-             *[(rev[v] & m).bit_count() for m in masks])
-            for v in range(n)
-        ])
-        refined_count = max(refined) + 1
-        if refined_count == count:
-            break
-        colour, count = refined, refined_count
-    cells: List[List[int]] = [[] for _ in range(count)]
-    for v, c in enumerate(colour):
-        cells[c].append(v)
-    return cells
+def _leaf_key(rows, lab: List[int]) -> int:
+    """The row-major adjacency bit matrix of the labeling ``lab`` as one int."""
+    n = len(lab)
+    bits = frontier_bits(n)
+    column = [0] * n
+    for i, v in enumerate(lab):
+        column[v] = 1 << (n - 1 - i)
+    key = 0
+    for v in lab:
+        row = 0
+        for u in bits[rows[v]]:
+            row |= column[u]
+        key = key << n | row
+    return key
 
 
-def _labelings(cells: List[List[int]]) -> Iterable[Tuple[int, ...]]:
-    if len(cells) == 1:
-        # Vertex-transitive inputs never split: skip flattening per labeling.
-        return permutations(cells[0])
-    return (tuple(chain.from_iterable(c)) for c in product(*map(permutations, cells)))
+def _close_orbits(reached: set, generators: List[List[int]], prefix: List[int]) -> None:
+    """Close ``reached`` in place under the generators that fix every vertex
+    of ``prefix``."""
+    gens = [g for g in generators if all(g[p] == p for p in prefix)]
+    stack = list(reached)
+    while stack:
+        v = stack.pop()
+        for g in gens:
+            u = g[v]
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+
+
+def _smallest_leaf(rows, rev, lab: List[int], size: List[int]) -> int:
+    """The smallest leaf key of the search tree below the equitable partition
+    ``(lab, size)``, pruned by the automorphisms its leaves reveal."""
+    n = len(lab)
+    seen: Dict[int, Tuple[List[int], List[int]]] = {}  # leaf key -> (path, labeling)
+    generators: List[List[int]] = []
+    prefix: List[int] = []
+
+    def visit(lab: List[int], size: List[int]) -> Optional[int]:
+        """Explore one node; returns the depth to jump back to, if any."""
+        target = next((s for s in range(n) if size[s] > 1), None)
+        if target is None:
+            key = _leaf_key(rows, lab)
+            if key not in seen:
+                seen[key] = (prefix[:], lab)
+                return None
+            path, other = seen[key]
+            g = [0] * n
+            for u, v in zip(other, lab):
+                g[u] = v
+            generators.append(g)
+            # g fixes the shared prefix and maps the explored sibling subtree
+            # where the two paths part onto the current one: leave it.
+            depth = 0
+            while path[depth] == prefix[depth]:
+                depth += 1
+            return depth
+        depth = len(prefix)
+        cell = lab[target:target + size[target]]
+        explored: set = set()
+        for w in cell:
+            if w in explored:
+                continue
+            child = lab[:]
+            child[target:target + len(cell)] = [w] + [v for v in cell if v != w]
+            child_size = size[:]
+            child_size[target] = 1
+            child_size[target + 1] = len(cell) - 1
+            _refine(rows, rev, child, child_size, [target])
+            prefix.append(w)
+            jump = visit(child, child_size)
+            prefix.pop()
+            if jump is not None and jump < depth:
+                return jump
+            explored.add(w)
+            _close_orbits(explored, generators, prefix)
+        return None
+
+    visit(lab, size)
+    return min(seen)
 
 
 def _seeds(n: int, parts: Optional[Sequence[Sequence[int]]]) -> List[List[int]]:
@@ -83,43 +181,26 @@ def _seeds(n: int, parts: Optional[Sequence[Sequence[int]]]) -> List[List[int]]:
 def canonical_form(
     D: Digraph, parts: Optional[Sequence[Sequence[int]]] = None
 ) -> CanonicalForm:
-    """Minimal adjacency matrix over the colour-refined (part-respecting)
-    labelings."""
+    """Minimal adjacency matrix over the leaves of the individualization–
+    refinement trees of the (part-respecting) seed partitions."""
     n = D.n
-    all_cells = [_cells(D, seed) for seed in _seeds(n, parts)]
-    size = sum(prod(factorial(len(c)) for c in cells) for cells in all_cells)
-    if size > CANONICAL_CEILING:
-        raise ValueError(
-            f"canonical form is capped at {CANONICAL_CEILING} labelings "
-            f"(exhaustive search within refined cells); got {size} at order {n}"
-        )
-    rows = D.rows
-    best: Optional[Tuple[int, ...]] = None
-    for p in chain.from_iterable(map(_labelings, all_cells)):
-        r = rows[p[0]]
-        r0 = 0
-        for q in p:
-            r0 = (r0 << 1) | ((r >> q) & 1)
-        if best is not None and r0 > best[0]:
-            continue
-        key = [r0]
-        for i in range(1, n):
-            r = rows[p[i]]
-            ri = 0
-            for q in p:
-                ri = (ri << 1) | ((r >> q) & 1)
-            key.append(ri)
-        tkey = tuple(key)
-        if best is None or tkey < best:
-            best = tkey
-    assert best is not None
-    acc = 0
-    for ri in best:
-        acc = (acc << n) | ri
+    if n > CANONICAL_CEILING:
+        raise ValueError(f"canonical form is capped at order {CANONICAL_CEILING}; got order {n}")
+    rows, rev = D.rows, D.reverse_rows
+    best = None
+    for seed in _seeds(n, parts):
+        lab = sorted(range(n), key=seed.__getitem__)
+        size = [0] * n
+        starts = [s for s in range(n) if s == 0 or seed[lab[s]] != seed[lab[s - 1]]]
+        for s, end in zip(starts, starts[1:] + [n]):
+            size[s] = end - s
+        _refine(rows, rev, lab, size, starts)
+        key = _smallest_leaf(rows, rev, lab, size)
+        if best is None or key < best:
+            best = key
     nbits = n * n
     nbytes = (nbits + 7) // 8
-    acc <<= nbytes * 8 - nbits
-    return CanonicalForm(n=n, bytes=acc.to_bytes(nbytes, "big"))
+    return CanonicalForm(n=n, bytes=(best << (nbytes * 8 - nbits)).to_bytes(nbytes, "big"))
 
 
 def are_isomorphic(A: Digraph, B: Digraph) -> bool:

@@ -24,19 +24,18 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache
 from multiprocessing import get_context
 from random import Random
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .canonical import canonical_form
-from .digraph import Digraph, is_regular, is_tournament
+from .digraph import Digraph, frontier_bits
 from .formats import read_digraph6, write_digraph6
 
 # distance_layers is bound here for the benchmark's boundary tracer
 # (perfbench/tracer.py), which patches it by name in this module.
 from .metrics import MetricsReport, distance_layers, distance_sums, metrics_report  # noqa: F401
-from .verifiers import CLAIMS, THEOREMS, InstanceFacts, resolve_theorems
+from .verifiers import CLAIMS, THEOREMS, InstanceFacts, bound_check, resolve_theorems
 
 
 class _Class(NamedTuple):
@@ -272,19 +271,28 @@ class SearchResult:
         }
 
 
-@cache
-def _bound(claim_id: str, n: int):
-    """The claim's check at order n, bound once per order."""
-    return CLAIMS[claim_id].bind(n)
+def _is_tournament(f: InstanceFacts) -> bool:
+    """n(n-1)/2 arcs and no 2-cycle, so every pair carries exactly one arc."""
+    rows = f.rows
+    bits = frontier_bits(f.n)
+    return 2 * sum(f.degrees) == f.n * (f.n - 1) and not any(
+        rows[v] >> u & 1 for u, r in enumerate(rows) for v in bits[r]
+    )
+
+
+def _is_regular(f: InstanceFacts) -> bool:
+    """Every out-degree and every in-degree is the same d."""
+    d = f.max_out
+    return f.min_out == d and all(sum(r >> v & 1 for r in f.rows) == d for v in range(f.n))
 
 
 #: name -> (needs the distance kernel, predicate over InstanceFacts).  The
 #: kernel predicates hold only on strong instances; the others run first.
 #: ``equality_<claim>`` holds when some equality case of the claim is observed.
 PREDICATES = {
-    "tournament": (False, lambda f: is_tournament(Digraph(f.n, f.rows))),
-    "regular": (False, lambda f: is_regular(Digraph(f.n, f.rows))),
-    "non_regular": (False, lambda f: not is_regular(Digraph(f.n, f.rows))),
+    "tournament": (False, _is_tournament),
+    "regular": (False, _is_regular),
+    "non_regular": (False, lambda f: not _is_regular(f)),
     "good": (False, lambda f: f.witness is None),
     "bad": (False, lambda f: f.witness is not None),
     "strong": (True, lambda f: True),
@@ -293,7 +301,7 @@ PREDICATES = {
     "pi_ne_rho": (True, lambda f: f.smin != f.smax),
     "rho_eq_half_n": (True, lambda f: 2 * f.smax == f.n * (f.n - 1)),
     **{
-        "equality_" + c.replace("-", "_").replace(".", "_"): (True, lambda f, c=c: True in _bound(c, f.n)(f)[1])
+        "equality_" + c.replace("-", "_").replace(".", "_"): (True, lambda f, c=c: True in bound_check(c, f.n)(f)[1])
         for c in ("thm-2.1-pi", "thm-2.1-rho", "thm-2.2", "thm-3.2-pi", "thm-3.2-rho", "thm-3.3")
     },
 }
@@ -426,7 +434,7 @@ class ExhaustiveResult:
 def _claim_checks(order: int, part_ranges, want) -> _Consumer:
     """The claim scan: the requested ``CLAIMS`` checks on ``InstanceFacts``."""
     facts = InstanceFacts(order, part_ranges)
-    checks = [(t, CLAIMS[t].bind(order), CLAIMS[t].evidence) for t in want if order >= CLAIMS[t].min_n]
+    checks = [(t, bound_check(t, order), CLAIMS[t].evidence) for t in want if order >= CLAIMS[t].min_n]
     loose = [check for check in checks if not CLAIMS[check[0]].strong]
 
     def consume(rows, sigmas, eccs):

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bipartite as bp
@@ -537,6 +537,13 @@ CLAIMS: Dict[str, Claim] = {
     "cor-3.8": Claim(lambda n: _cor_3_8, _with_sigmas, _cor_3_8_report, _bipartite_tournament),
 }
 
+
+@cache
+def bound_check(claim_id: str, n: int) -> Check:
+    """The claim's check at order n, bound once per order for the process."""
+    return CLAIMS[claim_id].bind(n)
+
+
 #: Claim ids that name two claims at once.
 THEOREM_ALIASES = {
     "thm-2.1": ("thm-2.1-pi", "thm-2.1-rho"),
@@ -583,7 +590,7 @@ def verify(claim_id: str, D: Digraph) -> VerificationReport:
         raise ValueError(f"claim needs n >= {claim.min_n}, got {D.n}")
     sigmas, eccs = sigma_ecc_vectors(D) if claim.strong else (None, None)
     f = InstanceFacts(D.n, parts).load(D.rows, sigmas, eccs)
-    bound, observed, predicted = claim.bind(D.n)(f)
+    bound, observed, predicted = bound_check(claim_id, D.n)(f)
     witnesses, details = claim.report(f)
     if len(observed) == 2:
         details["lower"] = {"observed": observed[0], "predicted": predicted[0]}

@@ -125,6 +125,19 @@ def rotational_tournament(n: int) -> Digraph:
     return Digraph(n, rows)
 
 
+def quadratic_residue_tournament(p: int) -> Digraph:
+    """Paley tournament on a prime p = 3 (mod 4): i beats j when j - i is a
+    nonzero square mod p."""
+    assert p % 4 == 3
+    squares = {(x * x) % p for x in range(1, p)}
+    rows = [0] * p
+    for i in range(p):
+        for j in range(p):
+            if (j - i) % p in squares:
+                rows[i] |= 1 << j
+    return Digraph(p, rows)
+
+
 def transitive_tournament(n: int) -> Digraph:
     rows = [0] * n
     for i in range(n):

@@ -151,6 +151,16 @@ class TestVerify:
         assert sweeps == []
         assert len(kernel_runs) <= 1024
 
+    def test_enumerate_binds_the_claim_once_per_order(self, capsys, monkeypatch):
+        scores = verifiers._extremal_scores
+        calls = []
+        monkeypatch.setattr(verifiers, "_extremal_scores", lambda n: calls.append(n) or scores(n))
+        verifiers.bound_check.cache_clear()
+        code, out, _ = run(capsys, ["verify", "thm-3.2-rho", "--enumerate", "tournaments,5"])
+        assert code == 0
+        assert len(out.splitlines()) == 544
+        assert calls == [5]
+
     def test_enumerate_keeps_non_strong_instances_for_a_claim_without_strongness(self, capsys):
         code, out, _ = run(capsys, ["verify", "prop-3.1", "--enumerate", "tournaments,5"])
         assert code == 0

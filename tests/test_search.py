@@ -1,4 +1,6 @@
 import importlib
+import math
+import time
 from itertools import combinations
 from random import Random
 
@@ -6,8 +8,8 @@ import pytest
 
 from proxrem.canonical import are_isomorphic, canonical_form
 from proxrem.constructions import bipartite_T1, dicycle, extremal_tournament, fig1_graph
-from proxrem.digraph import Digraph, is_regular, is_strong, permute
-from proxrem.formats import read_digraph6
+from proxrem.digraph import Digraph, is_regular, is_strong, is_tournament, permute
+from proxrem.formats import read_digraph6, write_digraph6
 from proxrem.metrics import sigma_ecc_vectors
 from proxrem.search import (
     SearchQuery,
@@ -23,10 +25,33 @@ from proxrem.search import (
 )
 from proxrem.verifiers import CLAIMS, THEOREMS, InstanceFacts
 
-from oracles import brute_isomorphic, fw_metrics
+from oracles import (
+    brute_isomorphic,
+    fw_metrics,
+    quadratic_residue_tournament,
+    rotational_tournament,
+)
 from test_metrics import kernel_runs  # noqa: F401  (a fixture)
 
 search_mod = importlib.import_module("proxrem.search")
+canonical_mod = importlib.import_module("proxrem.canonical")
+
+
+def complete_digraph(n):
+    return Digraph(n, [((1 << n) - 1) ^ (1 << v) for v in range(n)])
+
+
+#: Single-cell inputs: colour refinement leaves every vertex in one cell.
+VERTEX_TRANSITIVE = [
+    ("dicycle11", dicycle(11)),
+    ("rot7", rotational_tournament(7)),
+    ("rot9", rotational_tournament(9)),
+    ("rot11", rotational_tournament(11)),
+    ("qr7", quadratic_residue_tournament(7)),
+    ("qr11", quadratic_residue_tournament(11)),
+    ("complete10", complete_digraph(10)),
+    ("empty10", Digraph(10, [0] * 10)),
+]
 verifiers_mod = importlib.import_module("proxrem.verifiers")
 
 
@@ -127,7 +152,56 @@ class TestCanonicalForm:
 
     def test_ceiling(self):
         with pytest.raises(ValueError, match="capped"):
-            canonical_form(dicycle(11))
+            canonical_form(Digraph(28, (0,) * 28))
+
+    def test_single_cell_input_above_ten_factorial_labelings(self):
+        # Refinement cannot split a vertex-transitive digraph: 11! labelings.
+        assert canonical_form(dicycle(11)) == canonical_form(permute(dicycle(11), list(range(10, -1, -1))))
+
+    @pytest.mark.parametrize("name, D", VERTEX_TRANSITIVE)
+    def test_relabeling_invariance_on_single_cell_inputs(self, name, D):
+        rng = Random(D.n)
+        base = canonical_form(D)
+        for _ in range(5):
+            perm = list(range(D.n))
+            rng.shuffle(perm)
+            assert canonical_form(permute(D, perm)) == base
+        # The form is the matrix of a relabeling of D, so it is its own form.
+        bits = int.from_bytes(base.bytes, "big") >> (len(base.bytes) * 8 - D.n * D.n)
+        rows = [(bits >> (D.n * (D.n - 1 - i))) & ((1 << D.n) - 1) for i in range(D.n)]
+        relabeled = Digraph(D.n, [sum(1 << (D.n - 1 - j) for j in range(D.n) if r >> j & 1) for r in rows])
+        assert canonical_form(relabeled) == base
+        assert relabeled.m == D.m
+
+    def test_orbit_pruning_uses_only_the_prefix_stabilizer(self):
+        # (0 1)(2 3) moves the individualized vertex 0, so below it 2 and 3
+        # need not share an orbit; (2 3) alone fixes 0.
+        reached = {2}
+        canonical_mod._close_orbits(reached, [[1, 0, 3, 2]], [0])
+        assert reached == {2}
+        canonical_mod._close_orbits(reached, [[1, 0, 3, 2], [0, 1, 3, 2]], [0])
+        assert reached == {2, 3}
+
+    def test_regular_tournaments_of_order_seven_are_told_apart(self):
+        # QR7 and the rotational tournament are the two vertex-transitive
+        # tournaments on 7 vertices; they are not isomorphic.
+        qr7, rot7 = quadratic_residue_tournament(7), rotational_tournament(7)
+        assert not brute_isomorphic(qr7, rot7)
+        assert canonical_form(qr7) != canonical_form(rot7)
+
+    @pytest.mark.parametrize(
+        "name, D, limit_s",
+        [(name, D, 0.05) for name, D in VERTEX_TRANSITIVE if name.startswith(("rot", "qr"))]
+        + [("complete16", complete_digraph(16), 1.0)],
+    )
+    def test_hard_inputs_are_fast(self, name, D, limit_s):
+        # Best of three, so a descheduled run on a shared host does not count.
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            canonical_form(D)
+            best = min(best, time.perf_counter() - t0)
+        assert best <= limit_s
 
     @pytest.mark.parametrize(
         "cls, n, parts, classes",
@@ -250,10 +324,40 @@ class TestSearch:
         scores = verifiers_mod._extremal_scores
         calls = []
         monkeypatch.setattr(verifiers_mod, "_extremal_scores", lambda n: calls.append(n) or scores(n))
-        search_mod._bound.cache_clear()
+        verifiers_mod.bound_check.cache_clear()
         result = search(SearchQuery("tournaments", 6, predicates=("strong", "equality_thm_3_2_rho")))
         assert calls == [6]
         assert result.dedup_stats == {"labeled_matches": 2640} and len(result.matches) == 2640
+
+    def test_degree_predicates_build_no_digraph_per_instance(self, monkeypatch):
+        built = []
+
+        class Counted(Digraph):
+            __slots__ = ()
+
+            def __init__(self, n, rows):
+                built.append(n)
+                super().__init__(n, rows)
+
+        want = sorted(
+            write_digraph6(D) for D in enumerate_class("all_digraphs", 4) if is_regular(D) and is_strong(D)
+        )
+        monkeypatch.setattr(search_mod, "Digraph", Counted)
+        result = search(SearchQuery("all_digraphs", 4, predicates=("regular", "strong")))
+        assert [d6 for d6, _ in result.matches] == want and len(want) == 16
+        assert len(built) == 16  # one per match, for its digraph6 string
+
+    @pytest.mark.parametrize("cls, n", [("all_digraphs", 3), ("all_digraphs", 4), ("tournaments", 5)])
+    @pytest.mark.parametrize("predicate", ["tournament", "regular", "non_regular"])
+    def test_degree_predicates_agree_with_the_digraph_tests(self, cls, n, predicate):
+        oracle = {
+            "tournament": is_tournament,
+            "regular": is_regular,
+            "non_regular": lambda D: not is_regular(D),
+        }[predicate]
+        result = search(SearchQuery(cls, n, predicates=(predicate,)))
+        want = sorted(write_digraph6(D) for D in enumerate_class(cls, n) if oracle(D))
+        assert [d6 for d6, _ in result.matches] == want
 
     def test_shard_invariance(self):
         queries = [
