@@ -19,14 +19,16 @@ found so far that fix the node's individualized vertices, roots a subtree
 with the same leaf matrices and is skipped; a leaf that repeats the matrix
 of a leaf in an earlier sibling subtree ends its own subtree the same way.
 
-Part-respecting forms seed the partition with the part index, both orders
-when the parts have equal size.
+Bipartite tournaments need no part-respecting variant.  Their parts are the
+components of the non-adjacency relation, which every isomorphism preserves,
+so it maps parts onto parts of equal size: plain forms classify them up to
+relabelings within the parts and, when the sizes agree, a swap of the parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .digraph import Digraph, frontier_bits
 
@@ -166,41 +168,20 @@ def _smallest_leaf(rows, rev, lab: List[int], size: List[int]) -> int:
     return min(seen)
 
 
-def _seeds(n: int, parts: Optional[Sequence[Sequence[int]]]) -> List[List[int]]:
-    if parts is None:
-        return [[0] * n]
-    if sorted(v for p in parts for v in p) != list(range(n)):
-        raise ValueError("parts must cover every vertex exactly once")
-    if len(parts) != 2:
-        raise ValueError("part-respecting canonical form supports two parts")
-    a, b = parts
-    seconds = (b, a) if len(a) == len(b) else (b,)
-    return [[int(v in second) for v in range(n)] for second in seconds]
-
-
-def canonical_form(
-    D: Digraph, parts: Optional[Sequence[Sequence[int]]] = None
-) -> CanonicalForm:
+def canonical_form(D: Digraph) -> CanonicalForm:
     """Minimal adjacency matrix over the leaves of the individualization–
-    refinement trees of the (part-respecting) seed partitions."""
+    refinement tree rooted at the unit partition."""
     n = D.n
     if n > CANONICAL_CEILING:
         raise ValueError(f"canonical form is capped at order {CANONICAL_CEILING}; got order {n}")
     rows, rev = D.rows, D.reverse_rows
-    best = None
-    for seed in _seeds(n, parts):
-        lab = sorted(range(n), key=seed.__getitem__)
-        size = [0] * n
-        starts = [s for s in range(n) if s == 0 or seed[lab[s]] != seed[lab[s - 1]]]
-        for s, end in zip(starts, starts[1:] + [n]):
-            size[s] = end - s
-        _refine(rows, rev, lab, size, starts)
-        key = _smallest_leaf(rows, rev, lab, size)
-        if best is None or key < best:
-            best = key
+    lab = list(range(n))
+    size = [n] + [0] * (n - 1)
+    _refine(rows, rev, lab, size, [0])
+    key = _smallest_leaf(rows, rev, lab, size)
     nbits = n * n
     nbytes = (nbits + 7) // 8
-    return CanonicalForm(n=n, bytes=(best << (nbytes * 8 - nbits)).to_bytes(nbytes, "big"))
+    return CanonicalForm(n=n, bytes=(key << (nbytes * 8 - nbits)).to_bytes(nbytes, "big"))
 
 
 def are_isomorphic(A: Digraph, B: Digraph) -> bool:

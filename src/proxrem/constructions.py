@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from .bipartite import bad_witness, class_sizes, part_lookup
 from .digraph import (
     Digraph,
     NotStrongError,
@@ -273,17 +274,15 @@ def check_expected(spec: ConstructionSpec, D: Optional[Digraph] = None) -> List[
         expect(eccs[0] == n - 1, f"ecc(0) = {eccs[0]} != {n - 1}")
         expect(rho == Fraction(n, 2), f"rho {rho} != {n}/2")
     elif fam in ("bipartite_equal", "bipartite_T1", "bipartite_blowup"):
-        from .bipartite import classify_good_bad, neighborhood_classes
-
         structure = bipartite_tournament_structure(D)
         expect(structure is not None, "no bipartite tournament structure")
         if structure is not None:
-            good, witness = classify_good_bad(D)
-            expect(good, f"bad witness {witness}")
+            witness = bad_witness(D.rows, part_lookup(structure.parts, n))
+            expect(witness is None, f"bad witness {witness}")
             expect(pi == rho, f"pi {pi} != rho {rho}")
             if fam == "bipartite_blowup":
                 t = p[0]
-                mus = {cls.mu for cls in neighborhood_classes(D)}
+                mus = set(class_sizes(D.rows, structure.parts))
                 expect(mus == {t}, f"class sizes {mus} != {{{t}}}")
                 expect(not is_regular(D), "unexpectedly regular")
             if fam == "bipartite_T1":

@@ -365,10 +365,8 @@ def search(query: SearchQuery) -> SearchResult:
     dedup_stats = {"labeled_matches": counts["matches"]}
     if query.dedup == "canonical":
         groups: Dict[bytes, str] = {}
-        parts_arg = _layout(query.cls, query.n, query.parts)[4]
         for d6 in all_matches:
-            D = read_digraph6(d6)
-            key = canonical_form(D, parts_arg).bytes
+            key = canonical_form(read_digraph6(d6)).bytes
             groups.setdefault(key, d6)
         all_matches = sorted(groups.values())
         dedup_stats["classes"] = len(all_matches)

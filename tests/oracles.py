@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 from typing import List, Optional, Tuple
 
 from proxrem.digraph import Digraph
@@ -113,6 +114,72 @@ def brute_isomorphic(A: Digraph, B: Digraph) -> bool:
         ):
             return True
     return False
+
+
+def _cycle_types(n: int):
+    """(representative permutation, number of permutations) for every cycle
+    type of S_n."""
+
+    def partitions(rest: int, largest: int):
+        if rest == 0:
+            yield []
+            return
+        for k in range(min(rest, largest), 0, -1):
+            for tail in partitions(rest - k, k):
+                yield [k] + tail
+
+    for lengths in partitions(n, n):
+        perm: List[int] = []
+        for k in lengths:
+            start = len(perm)
+            perm += [start + (i + 1) % k for i in range(k)]
+        count = factorial(n)
+        for k in set(lengths):
+            m = lengths.count(k)
+            count //= k**m * factorial(m)
+        yield perm, count
+
+
+def _cycle_lengths(perm: List[int]) -> List[int]:
+    seen = [False] * len(perm)
+    lengths = []
+    for s in range(len(perm)):
+        length, v = 0, s
+        while not seen[v]:
+            seen[v] = True
+            v = perm[v]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def bipartite_orbit_count(a: int, b: int) -> int:
+    """Isomorphism classes of orientations of K_{a,b}, by Burnside's lemma.
+
+    The group is S_a x S_b acting on the a*b pairs, plus the part swaps when
+    a = b.  A part-keeping element fixes 2^(cycles on the pairs)
+    orientations.  A swap sends the pair (i, j) to (rho[j], pi[i]) with its
+    arc reversed, so a fixed orientation alternates along each cycle: it
+    fixes 2^(cycles) when every cycle has even length, and none otherwise.
+    """
+    pairs = [(i, j) for i in range(a) for j in range(b)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    total = 0
+    for sigma, sigma_count in _cycle_types(a):
+        for tau, tau_count in _cycle_types(b):
+            on_pairs = [index[sigma[i], tau[j]] for i, j in pairs]
+            total += sigma_count * tau_count * 2 ** len(_cycle_lengths(on_pairs))
+    order = factorial(a) * factorial(b)
+    if a == b:
+        for pi in permutations(range(a)):
+            for rho in permutations(range(b)):
+                lengths = _cycle_lengths([index[rho[j], pi[i]] for i, j in pairs])
+                if all(k % 2 == 0 for k in lengths):
+                    total += 2 ** len(lengths)
+        order *= 2
+    assert total % order == 0
+    return total // order
 
 
 def rotational_tournament(n: int) -> Digraph:

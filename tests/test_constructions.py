@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from proxrem.constructions import (
     hub_digraph,
 )
 from proxrem.digraph import (
+    Digraph,
     NotStrongError,
     degree_summary,
     is_regular,
@@ -34,6 +36,8 @@ from proxrem.metrics import (
 )
 
 from oracles import brute_isomorphic
+
+digraph_mod = importlib.import_module("proxrem.digraph")
 
 
 class TestDicycle:
@@ -220,6 +224,27 @@ class TestSpecRegistry:
             D = build(spec)
             assert is_strong(D)
             assert check_expected(spec, D) == []
+
+    def test_bipartite_families_recover_the_parts_once(self, monkeypatch):
+        structure = digraph_mod.multipartite_tournament_structure
+        calls = []
+        monkeypatch.setattr(
+            digraph_mod, "multipartite_tournament_structure", lambda D: calls.append(D.n) or structure(D)
+        )
+        assert check_expected(ConstructionSpec("bipartite_blowup", (2,))) == []
+        assert calls == [20]
+
+    @pytest.mark.parametrize(
+        "family, params, D, failures",
+        [
+            ("bipartite_T1", (), Digraph(6, (32, 24, 48, 5, 1, 2)), ["bad witness (0, 2)", "pi 9/5 != rho 3"]),
+            ("bipartite_blowup", (3,), bipartite_blowup(2), ["class sizes {2} != {3}"]),
+            ("bipartite_equal", (2,), bipartite_T1(), ["expected the degenerate regular case"]),
+            ("bipartite_blowup", (1,), dicycle(5), ["no bipartite tournament structure"]),
+        ],
+    )
+    def test_bipartite_failure_strings(self, family, params, D, failures):
+        assert check_expected(ConstructionSpec(family, params), D) == failures
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):

@@ -26,6 +26,7 @@ from proxrem.search import (
 from proxrem.verifiers import CLAIMS, THEOREMS, InstanceFacts
 
 from oracles import (
+    bipartite_orbit_count,
     brute_isomorphic,
     fw_metrics,
     quadratic_residue_tournament,
@@ -140,15 +141,8 @@ class TestCanonicalForm:
 
     def test_part_respecting(self):
         D = next(iter(enumerate_class("bipartite_tournaments", parts=(2, 2))))
-        parts = ((0, 1), (2, 3))
         perm = [1, 0, 3, 2]
-        assert canonical_form(permute(D, perm), parts) == canonical_form(D, parts)
-
-    def test_parts_must_partition_the_vertices(self):
-        D = next(iter(enumerate_class("bipartite_tournaments", parts=(2, 2))))
-        for parts in (((0, 1), (2,)), ((0, 1), (1, 2)), ((0, 1), (2, 3), ())):
-            with pytest.raises(ValueError, match="parts"):
-                canonical_form(D, parts)
+        assert canonical_form(permute(D, perm)) == canonical_form(D)
 
     def test_ceiling(self):
         with pytest.raises(ValueError, match="capped"):
@@ -209,7 +203,7 @@ class TestCanonicalForm:
             ("all_digraphs", 4, None, 218),  # OEIS A000273
             ("tournaments", 6, None, 56),  # OEIS A000568
             ("symmetric_digraphs", 6, None, 156),  # OEIS A000088
-            # Part-respecting counts, recorded with an all-permutations search.
+            # Recorded with an all-permutations search.
             ("bipartite_tournaments", None, (2, 3), 13),
             ("bipartite_tournaments", None, (3, 3), 18),
             ("bipartite_tournaments", None, (2, 4), 22),
@@ -218,12 +212,17 @@ class TestCanonicalForm:
     def test_exact_class_counts(self, cls, n, parts, classes):
         # Form classes always refine the isomorphism classes, so matching the
         # true class count proves the partition exact on the whole class.
-        layout = None
-        if parts is not None:
-            a, b = parts
-            layout = (range(a), range(a, a + b))
-        forms = {canonical_form(D, layout).bytes for D in enumerate_class(cls, n, parts)}
+        forms = {canonical_form(D).bytes for D in enumerate_class(cls, n, parts)}
         assert len(forms) == classes
+        if parts is not None:
+            assert bipartite_orbit_count(*parts) == classes
+
+    @pytest.mark.parametrize("a, b", [(a, b) for a in range(1, 13) for b in range(a, 13) if a * b <= 12])
+    def test_bipartite_class_counts_match_the_orbit_count(self, a, b):
+        # Isomorphisms keep the parts (the components of non-adjacency), so
+        # plain forms count the orbits of S_a x S_b, with the swap when a = b.
+        forms = {canonical_form(D).bytes for D in enumerate_class("bipartite_tournaments", parts=(a, b))}
+        assert len(forms) == bipartite_orbit_count(a, b)
 
     def test_equal_size_parts_trade_places(self):
         parts = ((0, 1, 2), (3, 4, 5))
@@ -235,7 +234,7 @@ class TestCanonicalForm:
         )
         swapped = permute(D, [4, 3, 5, 1, 2, 0])
         assert swapped != D
-        assert canonical_form(swapped, parts) == canonical_form(D, parts)
+        assert canonical_form(swapped) == canonical_form(D)
 
     def test_order_twelve_tournament(self):
         T = extremal_tournament(12)
@@ -314,6 +313,14 @@ class TestSearch:
         assert result.dedup_stats == {"labeled_matches": 24, "classes": 1}
         q = SearchQuery(cls="tournaments", n=5, predicates=("strong", "pi_eq_rho"), limit=5)
         assert len(search(q).matches) == 5
+
+    @pytest.mark.parametrize("parts", [(2, 3), (3, 3)])
+    def test_bipartite_dedup_counts_the_orbits(self, parts):
+        result = search(SearchQuery("bipartite_tournaments", parts=parts, dedup="canonical"))
+        assert result.dedup_stats == {
+            "labeled_matches": 2 ** (parts[0] * parts[1]),
+            "classes": bipartite_orbit_count(*parts),
+        }
 
     def test_unknown_dedup_rejected(self):
         q = SearchQuery(cls="tournaments", n=4, predicates=("strong",), dedup="canonicl")
