@@ -4,12 +4,23 @@ All whole-digraph quantities are exact: distance sums are integers and the
 averaged invariants are ``fractions.Fraction`` values, so equality tests
 such as proximity == remoteness carry no tolerance at all.  Floating point
 appears only in display strings.
+
+Distance sums and eccentricities come from one of two kernels with the
+same results.  ``distance_sums`` runs a BFS on one digraph: the ``Digraph``
+memo (``cached_distance_sums``), the random sampler and the rediscovery
+search call it.  ``lane_distance_sums`` runs it on a batch of digraphs of
+one order at once, one per lane of a few big integers: the exhaustive scan
+loop (``search._scan``) calls it on each batch of screened instances.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .digraph import (
@@ -92,11 +103,11 @@ def distance_sums(rows: Sequence[int], n: int):
     """Per-vertex distance sums and eccentricities of the digraph on ``rows``.
 
     Returns (sigmas, eccs), or (None, (u, v)) naming an unreachable ordered
-    pair when the digraph is not strong.  This is the one distance kernel:
-    the exhaustive scans call it once per instance, so the BFS stays an
-    inline loop over ``frontier_bits``, starting each source from its row
-    (the distance-1 layer).  The pair is the smallest source that misses a
-    vertex, with the smallest vertex it misses.
+    pair when the digraph is not strong.  This is the kernel for a single
+    digraph, so the BFS stays an inline loop over ``frontier_bits``,
+    starting each source from its row (the distance-1 layer).  The pair is
+    the smallest source that misses a vertex, with the smallest vertex it
+    misses.
     """
     bits = frontier_bits(n)
     full = (1 << n) - 1
@@ -123,6 +134,109 @@ def distance_sums(rows: Sequence[int], n: int):
         sigmas.append(sig)
         eccs.append(d)
     return sigmas, eccs
+
+
+#: An unsigned array typecode per lane width in bits, chosen by item size.
+_LANE_CODES = {array(code).itemsize * 8: code for code in "BHILQ"}
+
+
+def _lane_width(n: int) -> int:
+    """The smallest lane width w of 8, 16, 32 and 64 with n < w and n*n < 2**w:
+    a lane holds a vertex mask with its carry bit n, and a distance sum."""
+    if n >= 1:
+        for w in (8, 16, 32, 64):
+            if n < w and n * n < 1 << w:
+                return w
+    raise ValueError(f"lane_distance_sums needs 1 <= n < 64, got n={n}")
+
+
+def _to_lanes(x: int, code: str, nbytes: int) -> array:
+    """The w-bit lanes of x, lane 0 first."""
+    lanes = array(code, x.to_bytes(nbytes, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
+
+
+def lane_distance_sums(batch: Sequence[Sequence[int]], n: int) -> List[tuple]:
+    """``distance_sums`` of many digraphs of order n at once.
+
+    Each row tuple of ``batch`` is one w-bit lane of a few big integers, so
+    every bitwise operation below steps the BFS of the whole batch (SWAR:
+    Warren, *Hacker's Delight*, ch. 5).  ``col[v]`` holds row v of every
+    lane and E bit 0 of every lane.  From each source u, U is the unreached
+    set of each lane and F its frontier; a round adds the lane popcount of
+    U to the distance sum and 1 to the eccentricity where U is not empty,
+    and expands F by the rows its vertices select,
+    ``((F >> v) & E) * full & col[v]``.  Every lane takes as many rounds as
+    the slowest one, at most n, so a lane's sum stays below n*n.
+
+    Returns one (sigmas, eccs) pair of lists per row tuple, equal to
+    ``distance_sums``, or (None, None) for a digraph that is not strong.
+    The set-up and the lane conversions make a one-lane call cost several
+    times a ``distance_sums`` call, so single digraphs go there.
+    """
+    w = _lane_width(n)
+    if not batch:
+        return []
+    code = _LANE_CODES[w]
+    count = len(batch)
+    nbytes = count * w // 8
+
+    def every_lane(value: int) -> int:
+        return int.from_bytes(value.to_bytes(w // 8, "little") * count, "little")
+
+    def every_byte(value: int) -> int:
+        return int.from_bytes(bytes((value,)) * nbytes, "little")
+
+    # struct packs the rows a few times faster than array's constructor does
+    flat = array(code, struct.pack(f"{count * n}{code}", *chain.from_iterable(batch)))
+    if sys.byteorder == "big":
+        flat.byteswap()
+    col = [int.from_bytes(flat[v::n], "little") for v in range(n)]
+    full = (1 << n) - 1
+    E, FULL = every_lane(1), every_lane(full)
+    m1, m2, m4 = every_byte(0x55), every_byte(0x33), every_byte(0x0F)
+    # (f, mask) adds each pair of neighbouring f-bit fields into one 2f-bit
+    # field.  A round's popcount of U sits in bytes, whose sums over at most
+    # n rounds stay below 8 * n < 256 for w <= 32; at w = 64 each round also
+    # adds its bytes into 16-bit fields.  The rest run once per source.
+    fields = [(f, every_lane(sum(((1 << f) - 1) << s for s in range(0, w, 2 * f)))) for f in (8, 16, 32) if f < w]
+    per_round = fields[:1] if w == 64 else []
+    per_source = fields[len(per_round):]
+    expand = list(enumerate(col))
+    bad = 0  # bit 0 of a lane: some source misses a vertex
+    sigmas, eccs = [], []
+    for u in range(n):
+        U = FULL ^ (E << u)
+        F = col[u] & U
+        sig = ecc = 0
+        while U:
+            x = U - ((U >> 1) & m1)
+            x = (x & m2) + ((x >> 2) & m2)
+            x = (x + (x >> 4)) & m4
+            for f, mask in per_round:
+                x = (x & mask) + ((x >> f) & mask)
+            sig += x
+            ecc += ((U + FULL) >> n) & E
+            if not F:
+                break
+            U ^= F
+            nxt = 0
+            for v, c in expand:
+                nxt |= ((F >> v) & E) * full & c
+            F = nxt & U
+        bad |= ((U + FULL) >> n) & E
+        if bad == E:
+            return [(None, None)] * count
+        for f, mask in per_source:
+            sig = (sig & mask) + ((sig >> f) & mask)
+        sigmas.append(_to_lanes(sig, code, nbytes))
+        eccs.append(_to_lanes(ecc, code, nbytes))
+    return [
+        (None, None) if b else (list(s), list(e))
+        for s, e, b in zip(zip(*sigmas), zip(*eccs), _to_lanes(bad, code, nbytes))
+    ]
 
 
 def cached_distance_sums(D: Digraph):

@@ -34,7 +34,7 @@ from .formats import read_digraph6, write_digraph6
 
 # distance_layers is bound here for the benchmark's boundary tracer
 # (perfbench/tracer.py), which patches it by name in this module.
-from .metrics import MetricsReport, distance_layers, distance_sums, metrics_report  # noqa: F401
+from .metrics import MetricsReport, distance_layers, distance_sums, lane_distance_sums, metrics_report  # noqa: F401
 from .verifiers import CLAIMS, THEOREMS, InstanceFacts, bound_check, resolve_theorems
 
 
@@ -170,12 +170,13 @@ def _cert(order: int, rows: Sequence[int], theorem: str, info: dict) -> dict:
 
 class _Consumer(NamedTuple):
     """One path's part in the scan loop.  ``gate(rows)``, if set, rules an
-    instance out before the kernel, which runs only with ``kernel``.
-    ``consume(rows, sigmas, eccs)`` gets the rest (sigmas and eccs None if
-    not strong or not computed) and returns None, or the (key, info)
-    findings of an instance that adds ``weight`` to ``checked``.  The loop
-    keeps ``keep(order, rows, key, info)`` for the first ``cap`` findings,
-    cut to the ``trim`` smallest."""
+    instance out before the screen.  With ``kernel``, the lane kernel runs
+    once on each batch of screened instances.  ``consume(rows, sigmas,
+    eccs)`` then gets every instance of the batch in enumeration order, its
+    rows as a tuple (sigmas and eccs None if not strong or not computed),
+    and returns None, or the (key, info) findings of an instance that adds
+    ``weight`` to ``checked``.  The loop keeps ``keep(order, rows, key,
+    info)`` for the first ``cap`` findings, cut to the ``trim`` smallest."""
 
     consume: Callable
     keep: Callable = _cert
@@ -186,41 +187,62 @@ class _Consumer(NamedTuple):
     trim: Optional[int] = None
 
 
-def _scan(job) -> Tuple[int, int, Counter, list]:
-    """The one per-instance loop over codes start..stop-1: the Gray step, the
-    gate, the O(n) strongness screen and at most one kernel run, then the
-    consumer ``make(order, part_ranges, arg)`` builds.  Returns (strong,
-    checked, findings per key, kept findings)."""
-    cls, n, parts, start, stop, make, arg = job
-    order, _, _, _, part_ranges = _layout(cls, n, parts)
-    consume, keep, gate, kernel, weight, cap, trim = make(order, part_ranges, arg)
+#: Instances the scan loop hands the lane kernel at once.
+_LANES = 1024
+
+
+def _screened_batches(cls: str, n: Optional[int], parts, start: int, stop: int, order: int, gate, kernel: bool):
+    """Lists of up to ``_LANES`` (rows, screened) pairs, in enumeration order:
+    each instance of codes start..stop-1 that passes the gate, as a row
+    tuple, and whether the kernel should run on it (only with ``kernel``,
+    and only if it passes the O(n) strongness screen)."""
     # The screen: an empty row, or a vertex with no in-arc, rules out strongness;
     # a single vertex has no arcs yet counts as strong, so order 1 needs neither.
     empty, covered = (0, (1 << order) - 1) if order > 1 else (None, 0)
-    counts: Counter = Counter()
-    kept = []
-    strong = checked = 0
-    sigmas = eccs = None
+    batch = []
     for rows in _iter_rows(cls, n, parts, start, stop):
         if gate is not None and not gate(rows):
             continue
+        screened = False
         if kernel:
             acc = 0
             if empty not in rows:
                 for r in rows:  # a loop: it beats functools.reduce on these short rows
                     acc |= r
-            sigmas, eccs = distance_sums(rows, order) if acc == covered else (None, None)
-            if sigmas is None:
-                eccs = None  # the kernel's unreachable pair, not eccentricities
-            else:
+            screened = acc == covered
+        batch.append((tuple(rows), screened))
+        if len(batch) >= _LANES:
+            yield batch
+            batch = []
+    yield batch
+
+
+def _scan(job) -> Tuple[int, int, Counter, list]:
+    """The one per-instance loop over codes start..stop-1: the Gray step, the
+    gate and the O(n) strongness screen (``_screened_batches``), one
+    ``lane_distance_sums`` run on the screened instances of each batch, then
+    the consumer ``make(order, part_ranges, arg)`` builds, on every instance
+    of the batch in enumeration order.  Returns (strong, checked, findings
+    per key, kept findings)."""
+    cls, n, parts, start, stop, make, arg = job
+    order, _, _, _, part_ranges = _layout(cls, n, parts)
+    consume, keep, gate, kernel, weight, cap, trim = make(order, part_ranges, arg)
+    counts: Counter = Counter()
+    kept = []
+    strong = checked = 0
+    for batch in _screened_batches(cls, n, parts, start, stop, order, gate, kernel):
+        distances = iter(lane_distance_sums([rows for rows, screened in batch if screened], order))
+        for rows, screened in batch:
+            sigmas, eccs = next(distances) if screened else (None, None)
+            if sigmas is not None:
                 strong += 1
-        found = consume(rows, sigmas, eccs)
-        if found is not None:
-            checked += weight
-            for key, info in found:
-                counts[key] += 1
-                if len(kept) < cap:
-                    kept.append(keep(order, rows, key, info))
+            found = consume(rows, sigmas, eccs)
+            if found is not None:
+                checked += weight
+                for key, info in found:
+                    counts[key] += 1
+                    if len(kept) < cap:
+                        kept.append(keep(order, rows, key, info))
     return strong, checked, counts, kept if trim is None else sorted(kept)[:trim]
 
 

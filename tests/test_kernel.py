@@ -1,20 +1,26 @@
-"""The distance kernel and the frontier primitive against the oracles.
+"""The distance kernels and the frontier primitive against the oracles.
 
 ``distance_sums``, ``distance_layers`` and ``reach_within`` all expand BFS
 frontiers through ``frontier_bits``, a table up to FRONTIER_TABLE_CAP and a
 decoding mapping above it, so every order from 1 to 27 is checked on both
-sides of the cap against Floyd-Warshall and a plain queue BFS.
+sides of the cap against Floyd-Warshall and a plain queue BFS.  The lane
+kernel ``lane_distance_sums`` must equal ``distance_sums`` lane for lane,
+on both sides of each lane-width boundary.
 """
 
+import importlib
+from array import array
 from random import Random
 
 import pytest
 
 from proxrem.digraph import FRONTIER_TABLE_CAP, Digraph, frontier_bits, reach_within
-from proxrem.metrics import distance_layers, distance_sums
+from proxrem.metrics import distance_layers, distance_sums, lane_distance_sums
 from proxrem.search import enumerate_class
 
 from oracles import bfs_distances, floyd_warshall
+
+metrics_mod = importlib.import_module("proxrem.metrics")
 
 
 def expected(D):
@@ -76,3 +82,63 @@ def test_frontier_bits_lists_the_set_vertices():
             assert list(bits[mask]) == [v for v in range(n) if mask >> v & 1]
     assert len(frontier_bits(FRONTIER_TABLE_CAP)) == 2 ** FRONTIER_TABLE_CAP
     assert frontier_bits(FRONTIER_TABLE_CAP) is frontier_bits(FRONTIER_TABLE_CAP)
+
+
+def per_digraph(batch, n):
+    """``distance_sums`` on each row tuple, with (None, None) where it finds
+    an unreachable pair: the lane kernel's result, one digraph at a time."""
+    out = []
+    for rows in batch:
+        sigmas, eccs = distance_sums(rows, n)
+        out.append((sigmas, eccs) if sigmas is not None else (None, None))
+    return out
+
+
+@pytest.mark.parametrize(
+    "cls, n, parts",
+    [("all_digraphs", n, None) for n in (1, 2, 3, 4)]
+    + [("tournaments", n, None) for n in (1, 2, 3, 4, 5, 6)]
+    + [("symmetric_digraphs", n, None) for n in (1, 2, 3, 4, 5)]
+    + [("bipartite_tournaments", None, (2, 3)), ("bipartite_tournaments", None, (3, 3))],
+)
+def test_lanes_agree_on_every_small_instance(cls, n, parts):
+    batch = [D.rows for D in enumerate_class(cls, n, parts)]
+    order = n if parts is None else sum(parts)
+    for start in range(0, len(batch), 1024):
+        chunk = batch[start:start + 1024]
+        assert lane_distance_sums(chunk, order) == per_digraph(chunk, order)
+
+
+#: Both sides of each lane-width boundary: 7 | 8 (w = 8 | 16), 15 | 16
+#: (16 | 32) and 31 | 32 (32 | 64).
+LANE_ORDERS = (1, 7, 8, 15, 16, 27, 31, 32)
+
+
+@pytest.mark.parametrize("n", LANE_ORDERS)
+@pytest.mark.parametrize("size", [0, 1, 2, 1025])
+def test_lanes_agree_on_random_batches(n, size):
+    rng = Random(7000 + 100 * n + size)
+    # sparse draws are mostly not strong, dense ones mostly strong
+    digraphs = [random_digraph(n, rng.choice((0.1, 2.5 / n, 0.5, 0.9)), rng) for _ in range(size)]
+    batch = [D.rows for D in digraphs]
+    got = lane_distance_sums(batch, n)
+    assert got == per_digraph(batch, n)
+    for D, lane in zip(digraphs[:40], got):
+        sigmas, eccs = expected(D)  # Floyd-Warshall
+        assert lane == ((sigmas, eccs) if sigmas is not None else (None, None))
+    if size == 1025:
+        assert {lane[0] is None for lane in got} == ({False} if n == 1 else {True, False})
+
+
+def test_lane_edge_cases():
+    assert lane_distance_sums([], 5) == []
+    assert lane_distance_sums([(0,)], 1) == [([0], [0])]
+    assert lane_distance_sums([(0,)] * 3, 1) == [([0], [0])] * 3
+    for w, code in metrics_mod._LANE_CODES.items():
+        assert array(code).itemsize * 8 == w
+    assert sorted(metrics_mod._LANE_CODES) == [8, 16, 32, 64]
+    cycle = [1 << ((v + 1) % 63) for v in range(63)]
+    assert lane_distance_sums([cycle], 63) == [distance_sums(cycle, 63)]
+    for n in (0, 64, 100):
+        with pytest.raises(ValueError, match="1 <= n < 64"):
+            lane_distance_sums([(0,) * n], n)

@@ -276,16 +276,23 @@ class TestSerialization:
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """Records the rows of every distance-kernel run, whichever module calls it."""
+    """Records the rows of every distance-kernel run, whichever module calls it;
+    each lane of a ``lane_distance_sums`` batch counts as one run."""
     runs = []
     kernel = metrics_mod.distance_sums
+    lanes = metrics_mod.lane_distance_sums
 
     def counted(rows, n):
         runs.append(tuple(rows))
         return kernel(rows, n)
 
-    monkeypatch.setattr(metrics_mod, "distance_sums", counted)
-    monkeypatch.setattr(search_mod, "distance_sums", counted)
+    def lanes_counted(batch, n):
+        runs.extend(tuple(rows) for rows in batch)
+        return lanes(batch, n)
+
+    for mod in (metrics_mod, search_mod):
+        monkeypatch.setattr(mod, "distance_sums", counted)
+        monkeypatch.setattr(mod, "lane_distance_sums", lanes_counted)
     return runs
 
 

@@ -651,6 +651,27 @@ class TestShardCountInvariance:
         assert got == _search_json(1, "none")
 
 
+class TestLaneBatchInvariance:
+    """The number of instances the scan loop hands the lane kernel at once
+    changes no output: not the kept findings past MAX_CERTIFICATES, which
+    depend on the enumeration order, nor canonical dedup or a limit, for
+    every shard count."""
+
+    @pytest.fixture(scope="class")
+    def default_batches(self):
+        return _exhaustive_json(1), _search_json(1, "canonical"), _search_json(1, "none")
+
+    @pytest.mark.parametrize("lanes", [1, 7, search_mod._LANES])
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_batch_size_changes_no_output(self, monkeypatch, default_batches, lanes, shards):
+        assert default_batches[0]["failure_counts"] == {
+            "thm-3.2-pi": 2400, "thm-3.2-rho": 1200, "thm-3.3": 0, "prop-3.1": 0,
+        }
+        monkeypatch.setattr(search_mod, "_LANES", lanes)
+        got = _exhaustive_json(shards), _search_json(shards, "canonical"), _search_json(shards, "none")
+        assert got == default_batches
+
+
 def _slow_failing_d6():
     from proxrem.formats import write_digraph6
 
