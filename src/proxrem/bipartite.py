@@ -16,24 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .digraph import (
     Digraph,
-    NotStrongError,
     PartiteStructure,
     bipartite_tournament_structure,
-    find_unreachable_pair,
 )
 from .metrics import sigma_ecc_vectors
-
-
-@dataclass(frozen=True)
-class NeighborhoodClass:
-    """Vertices of one part sharing an identical out-neighborhood."""
-
-    representative: int
-    members: Tuple[int, ...]
-
-    @property
-    def mu(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -146,68 +132,6 @@ def beats_half(rows: Sequence[int], parts: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def classify_good_bad(D: Digraph) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    """(good, witness): witness is the smallest pair (u, v) with
-    the out-neighborhood of u properly contained in that of v."""
-    witness = bad_witness(D.rows, part_lookup(require_bipartite_tournament(D).parts, D.n))
-    return witness is None, witness
-
-
-def neighborhood_classes(D: Digraph) -> List[NeighborhoodClass]:
-    """Equivalence classes of equal out-neighborhoods within each part."""
-    classes: List[NeighborhoodClass] = []
-    for part in require_bipartite_tournament(D).parts:
-        groups: Dict[int, List[int]] = {}
-        for v in part:
-            groups.setdefault(D.rows[v], []).append(v)
-        for members in groups.values():
-            members.sort()
-            classes.append(
-                NeighborhoodClass(representative=members[0], members=tuple(members))
-            )
-    classes.sort(key=lambda c: c.representative)
-    return classes
-
-
-def mu_values(D: Digraph) -> Dict[int, int]:
-    """Class size (mu) per vertex."""
-    return dict(enumerate(class_sizes(D.rows, require_bipartite_tournament(D).parts)))
-
-
-def _good_strong_classes(D: Digraph, what: str) -> Tuple[Sequence[Sequence[int]], List[int]]:
-    """(parts, mu) of a good strong bipartite tournament; raises ValueError
-    on other input (NotStrongError when it is not strong)."""
-    parts = require_bipartite_tournament(D).parts
-    pair = find_unreachable_pair(D)
-    if pair is not None:
-        raise NotStrongError(pair)
-    witness = bad_witness(D.rows, part_lookup(parts, D.n))
-    if witness is not None:
-        raise ValueError(f"{what} needs a good instance; bad witness {witness}")
-    return parts, class_sizes(D.rows, parts)
-
-
-def sigma_by_formula(D: Digraph, v: int) -> int:
-    """Closed-form distance sum for a vertex of a good strong bipartite
-    tournament: 2*(mu(v) - d+(v)) + 2*|own part| + 3*|other part| - 4.
-
-    The form relies on every vertex having eccentricity at most 4, which
-    holds exactly for good strong instances; both preconditions are
-    enforced.
-    """
-    parts, mu = _good_strong_classes(D, "formula")
-    if not 0 <= v < D.n:
-        raise ValueError(f"vertex {v} outside 0..{D.n - 1}")
-    return formula_sigmas(class_constants(D.rows, parts, mu))[v]
-
-
-def equality_constant(D: Digraph) -> Optional[int]:
-    """The shared constant c with 2*(mu - d+) + |other part| == c for every
-    vertex, or None when no such constant exists."""
-    parts = require_bipartite_tournament(D).parts
-    return shared_value(class_constants(D.rows, parts, class_sizes(D.rows, parts)))
-
-
 def check_equality_criterion(D: Digraph) -> BipartiteReport:
     """Full verdict: good/bad, per-vertex table, the constant, and whether
     the exact metrics agree that proximity equals remoteness."""
@@ -226,15 +150,3 @@ def check_equality_criterion(D: Digraph) -> BipartiteReport:
         pi_equals_rho=min(sigmas) == max(sigmas),
     )
 
-
-def check_cor_reg(D: Digraph) -> bool:
-    """Degree test for constant-class instances: every vertex must beat
-    exactly half of the opposite part.
-
-    Preconditions: good, strong, and one shared class size over all
-    vertices of both parts; raises ValueError otherwise.
-    """
-    parts, mu = _good_strong_classes(D, "degree test")
-    if shared_value(mu) is None:
-        raise ValueError("degree test needs one class size shared by every vertex")
-    return beats_half(D.rows, parts)

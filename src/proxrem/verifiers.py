@@ -6,7 +6,10 @@ case, the *observed* equality (computed from the exact metrics) against the
 *predicted* equality (computed from structure alone: degrees, arc counts,
 eccentricity certificates, neighborhood classes).  The two routes never
 share a computation, so a faulty characterization shows up as an
-inconsistent verdict rather than a silently agreeing one.  A claim's row
+inconsistent verdict rather than a silently agreeing one.  The predicted
+side is defined only in these checks; a caller reads it from the report of
+``verify``: ``equality_predicted``, or ``details["lower"]["predicted"]``
+and ``details["upper"]["predicted"]`` for two cases.  A claim's row
 also names its input class (any digraph, tournament or bipartite
 tournament), its minimum order, whether it needs strong connectivity, and
 the witnesses and details its report carries; ``verify`` builds every
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bipartite as bp
@@ -167,34 +170,6 @@ def _near_regular_window(n: int) -> Tuple[int, int]:
     return (n - 1) // 2, n // 2
 
 
-def is_complete_digraph(D: Digraph) -> bool:
-    return D.m == D.n * (D.n - 1)
-
-
-def is_dicycle(D: Digraph) -> bool:
-    """Structural: n arcs, every semi-degree 1, strong."""
-    if D.m != D.n:
-        return False
-    if any(r.bit_count() != 1 for r in D.rows):
-        return False
-    if any(r.bit_count() != 1 for r in D.reverse_rows):
-        return False
-    return find_unreachable_pair(D) is None
-
-
-def _in_window(D: Digraph) -> bool:
-    lo, hi = _near_regular_window(D.n)
-    return all(lo <= r.bit_count() <= hi for r in D.rows)
-
-
-def is_regular_tournament(D: Digraph) -> bool:
-    return D.n % 2 == 1 and _in_window(D)
-
-
-def is_almost_regular_tournament(D: Digraph) -> bool:
-    return D.n % 2 == 0 and _in_window(D)
-
-
 def _spanning_orders(rows: Sequence[int], n: int, starts) -> Iterator[List[int]]:
     """The ordering v_0..v_{n-1} with d(v_0, v_i) = i from each start in
     ``starts`` that has one: a start of eccentricity n-1, whose BFS layers
@@ -209,15 +184,6 @@ def _long_starts(eccs: Sequence[int], n: int) -> List[int]:
     return [u for u, e in enumerate(eccs) if e == n - 1]
 
 
-def spanning_path_ordering(D: Digraph) -> Optional[List[int]]:
-    """Vertex ordering v_0..v_{n-1} with d(v_0, v_i) = i, if one exists.
-
-    Such an ordering exists exactly when some vertex has eccentricity n-1.
-    The smallest starting vertex is chosen.
-    """
-    return next(_spanning_orders(D.rows, D.n, range(D.n)), None)
-
-
 def _extremal_scores(n: int) -> List[int]:
     """Sorted score sequence of the remoteness-extremal tournament."""
     return sorted([1, 1] + list(range(2, n - 1)) + [n - 2])
@@ -228,14 +194,12 @@ def _is_extremal(rows: Sequence[int], n: int, scores: List[int], target: List[in
     ``scores`` equal the ``target`` from ``_extremal_scores(n)``, and along
     the first spanning-path ordering every v_i beats exactly v_{i+1} and
     v_0..v_{i-2} (an explicit isomorphism).  The ordering starts at the
-    first vertex of eccentricity n-1 in ``eccs``, or at the first vertex
-    that has one when ``eccs`` is None.  Any ordering of an isomorphic copy
-    shows it, since its eccentricity-(n-1) starts are images of one
-    another."""
+    first vertex of eccentricity n-1 in ``eccs``.  Any ordering of an
+    isomorphic copy shows it, since its eccentricity-(n-1) starts are images
+    of one another."""
     if scores != target:
         return False
-    starts = range(n) if eccs is None else _long_starts(eccs, n)
-    order = next(_spanning_orders(rows, n, starts), None)
+    order = next(_spanning_orders(rows, n, _long_starts(eccs, n)), None)
     if order is None:
         return False
     for i, v in enumerate(order):
@@ -245,15 +209,6 @@ def _is_extremal(rows: Sequence[int], n: int, scores: List[int], target: List[in
         if rows[v] != want:
             return False
     return True
-
-
-def is_iso_to_extremal_tournament(D: Digraph) -> bool:
-    """Isomorphism to the remoteness-extremal tournament of the same order."""
-    n = D.n
-    if not is_tournament(D) or n < 3:
-        return False
-    scores = sorted(r.bit_count() for r in D.rows)
-    return _is_extremal(D.rows, n, scores, _extremal_scores(n), None)
 
 
 def _thm22_certificate(f: InstanceFacts) -> Optional[Dict[str, object]]:
@@ -604,19 +559,6 @@ def verify(claim_id: str, D: Digraph) -> VerificationReport:
         witnesses=witnesses,
         details=details,
     )
-
-
-verify_thm_2_2 = partial(verify, "thm-2.2")
-verify_prop_3_1 = partial(verify, "prop-3.1")
-verify_thm_3_3 = partial(verify, "thm-3.3")
-
-
-def verify_thm_2_1(D: Digraph) -> Tuple[VerificationReport, ...]:
-    return tuple(verify(t, D) for t in THEOREM_ALIASES["thm-2.1"])
-
-
-def verify_thm_3_2(D: Digraph) -> Tuple[VerificationReport, ...]:
-    return tuple(verify(t, D) for t in THEOREM_ALIASES["thm-3.2"])
 
 
 #: The reference verifiers: one report list per claim on one Digraph.

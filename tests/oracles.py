@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
 from proxrem.digraph import Digraph
 
@@ -238,7 +238,7 @@ def _in_degree(D: Digraph, u: int) -> int:
     return sum(1 for v in range(D.n) if v != u and D.has_arc(v, u))
 
 
-def _is_dicycle(D: Digraph) -> bool:
+def is_dicycle_oracle(D: Digraph) -> bool:
     """Following the unique out-arc from vertex 0 visits every vertex once."""
     n = D.n
     if any(_out_degree(D, u) != 1 for u in range(n)):
@@ -248,6 +248,18 @@ def _is_dicycle(D: Digraph) -> bool:
         seen.add(u)
         u = next(v for v in range(n) if v != u and D.has_arc(u, v))
     return u == 0 and len(seen) == n
+
+
+def is_complete_oracle(D: Digraph) -> bool:
+    return all(D.has_arc(u, v) for u in range(D.n) for v in range(D.n) if u != v)
+
+
+def is_near_regular_oracle(D: Digraph) -> bool:
+    """Every out-degree is (n-1)/2 (odd n, regular) or n/2 - 1 or n/2 (even
+    n, almost regular)."""
+    n = D.n
+    allowed = {(n - 1) // 2} if n % 2 else {n // 2 - 1, n // 2}
+    return all(_out_degree(D, u) in allowed for u in range(n))
 
 
 def general_claims(D: Digraph):
@@ -260,12 +272,11 @@ def general_claims(D: Digraph):
     pi_ok = (
         1 <= pi <= half
         and (pi == 1) == any(_out_degree(D, u) == n - 1 for u in range(n))
-        and (pi == half) == _is_dicycle(D)
+        and (pi == half) == is_dicycle_oracle(D)
     )
-    complete = all(D.has_arc(u, v) for u in range(n) for v in range(n) if u != v)
     rho_ok = (
         1 <= rho <= half
-        and (rho == 1) == complete
+        and (rho == 1) == is_complete_oracle(D)
         and (rho == half) == any(e == n - 1 for e in ecc)
     )
     # a start of eccentricity n-1 orders the vertices by their distance from it
@@ -314,11 +325,10 @@ def tournament_claims(D: Digraph):
     pi, rho = Fraction(min(sigma), n - 1), Fraction(max(sigma), n - 1)
     if n % 2:
         pi_cap = rho_floor = Fraction(3, 2)
-        near_regular = all(d == (n - 1) // 2 for d in out)
     else:
         pi_cap = Fraction(3, 2) - Fraction(1, 2 * (n - 1))
         rho_floor = Fraction(3, 2) + Fraction(1, 2 * (n - 1))
-        near_regular = all(d in (n // 2 - 1, n // 2) for d in out)
+    near_regular = is_near_regular_oracle(D)
     verdicts["thm-3.2-pi"] = (
         Fraction(n, n - 1) <= pi <= pi_cap
         and (pi == Fraction(n, n - 1)) == (max(out) == n - 2)
@@ -334,29 +344,58 @@ def tournament_claims(D: Digraph):
     return verdicts
 
 
+class BipartiteFacts(NamedTuple):
+    part_of: List[FrozenSet[int]]  # part_of[v]: the vertices of v's part
+    bad: Optional[Tuple[int, int]]
+    mu: List[int]
+    c: List[int]
+    beats_half: bool
+
+
+def bipartite_facts_oracle(D: Digraph) -> BipartiteFacts:
+    """The parts, the smallest bad pair, mu and c per vertex, and the
+    beats-half test of a bipartite tournament, from frozenset
+    out-neighbourhoods.
+
+    Two vertices share a part exactly when no arc joins them.  The bad pair
+    is the smallest (u, v) of one part with N+(u) a proper subset of N+(v),
+    None on a good instance.  mu(v) counts the vertices of v's part whose
+    out-neighbourhood is N+(v); c(v) = 2*(mu(v) - d+(v)) + |other part|.
+    ``beats_half`` says every vertex beats exactly half of the other part.
+    """
+    n = D.n
+    part_of = [
+        frozenset(w for w in range(n) if not D.has_arc(v, w) and not D.has_arc(w, v)) for v in range(n)
+    ]
+    first, second = set(part_of)  # exactly two parts
+    assert not first & second and len(first | second) == n
+    assert not any(D.has_arc(u, v) and D.has_arc(v, u) for u in range(n) for v in range(n))
+    nbhd = [frozenset(w for w in range(n) if D.has_arc(v, w)) for v in range(n)]
+    bad = min(((u, v) for u in range(n) for v in part_of[u] if nbhd[u] < nbhd[v]), default=None)
+    mu = [sum(1 for w in part_of[v] if nbhd[w] == nbhd[v]) for v in range(n)]
+    other = [n - len(part_of[v]) for v in range(n)]
+    c = [2 * (mu[v] - len(nbhd[v])) + other[v] for v in range(n)]
+    beats_half = all(2 * len(nbhd[v]) == other[v] for v in range(n))
+    return BipartiteFacts(part_of, bad, mu, c, beats_half)
+
+
 def bipartite_claims(D: Digraph):
     """lem-3.4 .. cor-3.8 on a strong bipartite tournament."""
     n = D.n
     _, sigma, ecc = _distance_facts(D)
     assert sigma is not None
-    parts = brute_bipartition(D)
-    assert parts is not None
-    part_of = {v: p for p in parts for v in p}
+    facts = bipartite_facts_oracle(D)
+    bad, mu = facts.bad is not None, facts.mu
     out = [_out_degree(D, u) for u in range(n)]
-    nbhd = [frozenset(v for v in range(n) if D.has_arc(u, v)) for u in range(n)]
-    bad = any(nbhd[u] < nbhd[v] for u in range(n) for v in part_of[u])
-    mu = [sum(1 for w in part_of[v] if nbhd[w] == nbhd[v]) for v in range(n)]
-    own = [len(part_of[v]) for v in range(n)]
+    own = [len(facts.part_of[v]) for v in range(n)]
     other = [n - own[v] for v in range(n)]
     equal = min(sigma) == max(sigma)
-    c = {2 * (mu[v] - out[v]) + other[v] for v in range(n)}
     constant_mu = len(set(mu)) == 1
-    beats_half = all(2 * out[v] == other[v] for v in range(n))
     return {
         "lem-3.4": not (bad and equal),
         "lem-3.5": bad or all(e <= 4 for e in ecc),
         "lem-3.6": bad
         or all(sigma[v] == 2 * (mu[v] - out[v]) + 2 * own[v] + 3 * other[v] - 4 for v in range(n)),
-        "cor-3.7": equal == (not bad and len(c) == 1),
-        "cor-3.8": bad or not constant_mu or equal == beats_half,
+        "cor-3.7": equal == (not bad and len(set(facts.c)) == 1),
+        "cor-3.8": bad or not constant_mu or equal == facts.beats_half,
     }

@@ -14,7 +14,6 @@ from random import Random
 
 import pytest
 
-from proxrem.bipartite import classify_good_bad, mu_values
 from proxrem.canonical import are_isomorphic, canonical_form
 from proxrem.constructions import (
     FIG1_SIGMA,
@@ -44,7 +43,7 @@ from proxrem.search import (
 )
 from proxrem.verifiers import verify_sec5_facts
 
-from oracles import fw_metrics
+from oracles import bipartite_facts_oracle, fw_metrics, is_iso_to_extremal_oracle
 
 
 def verdict(capsys, name, ok, extra=""):
@@ -116,7 +115,6 @@ def test_criterion_3_even_order_bounds_and_safe_characterizations(capsys):
     # order 6, checked directly: the window bounds, the proximity lower
     # characterization and the remoteness upper characterization all hold
     n = 6
-    from proxrem.verifiers import is_iso_to_extremal_tournament
 
     bad = 0
     strong = 0
@@ -133,7 +131,7 @@ def test_criterion_3_even_order_bounds_and_safe_characterizations(capsys):
             bad += 1
         elif (smin == n) != (max(degs) == n - 2):
             bad += 1
-        elif (2 * smax == n * (n - 1)) != is_iso_to_extremal_tournament(D):
+        elif (2 * smax == n * (n - 1)) != is_iso_to_extremal_oracle(D):
             bad += 1
     verdict(
         capsys,
@@ -207,13 +205,14 @@ def test_criterion_6_bipartite_equality_family(capsys):
     details = []
     for t in range(1, 6):
         D = bipartite_blowup(t)
-        good, _ = classify_good_bad(D)
+        facts = bipartite_facts_oracle(D)
+        good = facts.bad is None
         pi, rho, _ = proximity_remoteness(D)
-        mus = set(mu_values(D).values())
+        mus = set(facts.mu)
         ok = ok and good and is_strong(D) and pi == rho and mus == {t} and not is_regular(D)
     for h in range(1, 6):
         D = bipartite_equal(h)
-        good, _ = classify_good_bad(D)
+        good = bipartite_facts_oracle(D).bad is None
         pi, rho, _ = proximity_remoteness(D)
         ok = ok and good and is_strong(D) and pi == rho
         # degenerate member: the equal-blocks family is regular, flag it

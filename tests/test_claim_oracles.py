@@ -6,13 +6,23 @@ comparing them checks plumbing only.  These tests compare the counts with
 distances and shares no code with the library.
 """
 
+from random import Random
+
 import pytest
 
-from proxrem.digraph import is_strong
+from proxrem.constructions import extremal_tournament
+from proxrem.digraph import NotStrongError, is_strong, permute
 from proxrem.search import enumerate_class, exhaustive_verify
-from proxrem.verifiers import is_iso_to_extremal_tournament
+from proxrem.verifiers import verify
 
-from oracles import bipartite_claims, general_claims, is_iso_to_extremal_oracle, tournament_claims
+from oracles import (
+    bipartite_claims,
+    general_claims,
+    is_iso_to_extremal_oracle,
+    rotational_tournament,
+    tournament_claims,
+    transitive_tournament,
+)
 
 GENERAL = ("thm-2.1", "thm-2.2")
 TOURNAMENT = ("thm-3.2", "thm-3.3", "prop-3.1")
@@ -50,8 +60,32 @@ def test_failure_counts_match_oracles(claims, oracle, cls, n, parts, strong_only
         assert got["thm-3.2-pi"] == 2400 and got["thm-3.2-rho"] == 1200
 
 
-@pytest.mark.parametrize("n", [3, 4, 6])  # n=5: test_verifiers.TestIsoToExtremal
+def extremal_predicted(D):
+    """thm-3.2-rho's predicted upper case: isomorphism onto the extremal
+    tournament, decided by the spanning-path pattern certificate."""
+    return verify("thm-3.2-rho", D).details["upper"]["predicted"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_pattern_certificate_matches_brute_isomorphism(n):
     for D in enumerate_class("tournaments", n):
         if is_strong(D):
-            assert is_iso_to_extremal_tournament(D) == is_iso_to_extremal_oracle(D)
+            assert extremal_predicted(D) == is_iso_to_extremal_oracle(D)
+
+
+def test_pattern_certificate_on_relabelings_and_samples():
+    rng = Random(1234)
+    for n in (4, 5, 6, 7):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        D = permute(extremal_tournament(n), perm)
+        assert extremal_predicted(D) and is_iso_to_extremal_oracle(D)
+    members = [
+        (permute(extremal_tournament(7), [3, 0, 6, 1, 5, 2, 4]), True),
+        (rotational_tournament(5), False),
+        (rotational_tournament(7), False),
+    ]
+    for D, member in members:
+        assert extremal_predicted(D) == member == is_iso_to_extremal_oracle(D)
+    with pytest.raises(NotStrongError):
+        extremal_predicted(transitive_tournament(7))

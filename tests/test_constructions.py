@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from proxrem.bipartite import classify_good_bad, mu_values
 from proxrem.constructions import (
     FIG1_SIGMA,
     ConstructionSpec,
@@ -35,7 +34,7 @@ from proxrem.metrics import (
     sigma_ecc_vectors,
 )
 
-from oracles import brute_isomorphic
+from oracles import bipartite_facts_oracle, brute_isomorphic
 
 digraph_mod = importlib.import_module("proxrem.digraph")
 
@@ -145,14 +144,13 @@ class TestBipartiteFamilies:
     def test_equal_half2(self):
         D = bipartite_equal(2)
         assert all(r.bit_count() == 2 for r in D.rows)
-        good, _ = classify_good_bad(D)
-        assert good
+        assert bipartite_facts_oracle(D).bad is None
         pi, rho, _ = proximity_remoteness(D)
         assert pi == rho
 
     def test_equal_half3_mu(self):
         D = bipartite_equal(3)
-        assert set(mu_values(D).values()) == {3}
+        assert set(bipartite_facts_oracle(D).mu) == {3}
 
     def test_T1_fixed_values(self):
         D = bipartite_T1()
@@ -170,10 +168,10 @@ class TestBipartiteFamilies:
         assert D.n == 20
         pi, rho, _ = proximity_remoteness(D)
         assert pi == rho
-        assert set(mu_values(D).values()) == {2}
+        assert set(bipartite_facts_oracle(D).mu) == {2}
 
     def test_blowup_t3_mu(self):
-        assert set(mu_values(bipartite_blowup(3)).values()) == {3}
+        assert set(bipartite_facts_oracle(bipartite_blowup(3)).mu) == {3}
 
 
 class TestFig1:

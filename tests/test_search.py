@@ -26,6 +26,7 @@ from proxrem.search import (
 from proxrem.verifiers import CLAIMS, THEOREMS, InstanceFacts
 
 from oracles import (
+    bipartite_facts_oracle,
     bipartite_orbit_count,
     brute_isomorphic,
     fw_metrics,
@@ -390,11 +391,9 @@ class TestSearch:
         )
         result = search(q)
         assert result.matches
-        from proxrem.bipartite import classify_good_bad
-
         for d6, rep in result.matches:
             D = read_digraph6(d6)
-            assert classify_good_bad(D)[0]
+            assert bipartite_facts_oracle(D).bad is None
             assert rep.proximity == rep.remoteness
 
 

@@ -2,7 +2,6 @@ import pytest
 
 from proxrem import digraph as digraph_mod
 from proxrem import verifiers
-from proxrem.canonical import canonical_form
 from proxrem.constructions import (
     bipartite_T1,
     bipartite_blowup,
@@ -17,27 +16,19 @@ from proxrem.digraph import (
     find_unreachable_pair,
     from_edge_list,
     is_strong,
-    permute,
 )
 from proxrem.metrics import is_p_king
 from proxrem.search import enumerate_class
-from proxrem.verifiers import (
-    THEOREMS,
-    is_almost_regular_tournament,
-    is_complete_digraph,
-    is_dicycle,
-    is_iso_to_extremal_tournament,
-    is_regular_tournament,
-    spanning_path_ordering,
-    verify_prop_3_1,
-    verify_sec5_facts,
-    verify_thm_2_1,
-    verify_thm_2_2,
-    verify_thm_3_2,
-    verify_thm_3_3,
-)
+from proxrem.verifiers import THEOREM_ALIASES, THEOREMS, verify, verify_sec5_facts
 
-from oracles import brute_isomorphic, rotational_tournament, transitive_tournament
+from oracles import (
+    bfs_distances,
+    is_complete_oracle,
+    is_dicycle_oracle,
+    is_near_regular_oracle,
+    rotational_tournament,
+    transitive_tournament,
+)
 from test_metrics import kernel_runs  # noqa: F401  (a fixture)
 
 
@@ -45,96 +36,77 @@ def complete_digraph(n):
     return from_edge_list(n, [(u, v) for u in range(n) for v in range(n) if u != v])
 
 
+def reports(alias, D):
+    """The reports of both claims an alias names, as ``verify`` gives them."""
+    return tuple(verify(t, D) for t in THEOREM_ALIASES[alias])
+
+
+def predicted(claim_id, D, case):
+    """The structural side of one equality case, from the claim's row."""
+    return verify(claim_id, D).details[case]["predicted"]
+
+
 class TestStructuralHelpers:
+    """The predicted side of thm-2.1 and thm-3.2, read from the claim rows
+    and compared with the oracles' transcriptions."""
+
     def test_is_dicycle(self):
-        assert is_dicycle(dicycle(5))
-        assert not is_dicycle(extremal_tournament(4))
-        # union of two 2-cycles: every semi-degree 1 but not strong
-        D = from_edge_list(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-        assert not is_dicycle(D)
+        for D, want in ((dicycle(5), True), (extremal_tournament(4), False)):
+            assert predicted("thm-2.1-pi", D, "upper") == want == is_dicycle_oracle(D)
 
     def test_is_complete(self):
-        assert is_complete_digraph(complete_digraph(4))
-        assert not is_complete_digraph(dicycle(4))
+        for D, want in ((complete_digraph(4), True), (dicycle(4), False)):
+            assert predicted("thm-2.1-rho", D, "lower") == want == is_complete_oracle(D)
 
     def test_regular_almost_regular(self):
-        assert is_regular_tournament(rotational_tournament(5))
-        assert not is_regular_tournament(extremal_tournament(5))
-        assert is_almost_regular_tournament(extremal_tournament(4))
-        assert not is_almost_regular_tournament(extremal_tournament(6))
+        cases = (
+            (rotational_tournament(5), True),
+            (extremal_tournament(5), False),
+            (extremal_tournament(4), True),
+            (extremal_tournament(6), False),
+        )
+        for D, want in cases:
+            assert predicted("thm-3.2-pi", D, "upper") == want == is_near_regular_oracle(D)
+            assert predicted("thm-3.2-rho", D, "lower") == want
 
     def test_spanning_path_ordering(self):
-        order = spanning_path_ordering(extremal_tournament(5))
+        D = extremal_tournament(5)
+        order = verify("thm-2.1-rho", D).witnesses["ordering"]
         assert order == [0, 1, 2, 3, 4]
-        assert spanning_path_ordering(rotational_tournament(5)) is None
-
-
-class TestIsoToExtremal:
-    def test_relabelings_recognized(self):
-        from random import Random
-
-        rng = Random(1234)
-        for n in (4, 5, 6, 7):
-            T = extremal_tournament(n)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            assert is_iso_to_extremal_tournament(permute(T, perm))
-
-    def test_non_members_rejected(self):
-        assert not is_iso_to_extremal_tournament(rotational_tournament(5))
-        assert not is_iso_to_extremal_tournament(transitive_tournament(5))
-        assert not is_iso_to_extremal_tournament(dicycle(4))
-
-    def test_agrees_with_brute_force_n5(self):
-        target = extremal_tournament(5)
-        for D in enumerate_class("tournaments", 5):
-            if not is_strong(D):
-                continue
-            assert is_iso_to_extremal_tournament(D) == brute_isomorphic(D, target)
-
-    def test_agrees_with_brute_force_n7_samples(self):
-        target = extremal_tournament(7)
-        samples = [
-            permute(target, [3, 0, 6, 1, 5, 2, 4]),
-            rotational_tournament(7),
-            transitive_tournament(7),
-        ]
-        for D in samples:
-            strong_ok = is_strong(D)
-            got = is_iso_to_extremal_tournament(D)
-            assert got == (strong_ok and brute_isomorphic(D, target))
+        assert bfs_distances(D, order[0]) == [order.index(v) for v in range(D.n)]
+        assert "ordering" not in verify("thm-2.1-rho", rotational_tournament(5)).witnesses
 
 
 class TestThm21:
     def test_dicycle_pi_upper(self):
-        rep_pi, rep_rho = verify_thm_2_1(dicycle(5))
+        rep_pi, rep_rho = reports("thm-2.1", dicycle(5))
         assert rep_pi.ok and rep_pi.equality_observed and rep_pi.equality_predicted
         assert rep_rho.ok and rep_rho.equality_observed  # ecc n-1 everywhere
 
     def test_complete_rho_lower(self):
-        rep_pi, rep_rho = verify_thm_2_1(complete_digraph(4))
+        rep_pi, rep_rho = reports("thm-2.1", complete_digraph(4))
         assert rep_rho.ok and rep_rho.details["lower"]["observed"]
         assert rep_pi.ok and rep_pi.details["lower"]["observed"]
 
     def test_extremal_tournament_rho_upper(self):
-        rep_pi, rep_rho = verify_thm_2_1(extremal_tournament(6))
+        rep_pi, rep_rho = reports("thm-2.1", extremal_tournament(6))
         assert rep_rho.ok
         assert rep_rho.details["upper"]["observed"]
         assert rep_rho.witnesses["ordering"] == [0, 1, 2, 3, 4, 5]
 
     def test_rejects_non_strong(self):
         with pytest.raises(NotStrongError):
-            verify_thm_2_1(from_edge_list(3, [(0, 1), (1, 2)]))
+            reports("thm-2.1", from_edge_list(3, [(0, 1), (1, 2)]))
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
-            verify_thm_2_1(dicycle(2))
+            reports("thm-2.1", dicycle(2))
 
 
 class TestThm22:
     def test_hub_attains_equality(self):
         for n in (4, 5, 6, 8):
-            rep = verify_thm_2_2(hub_digraph(n, n - 1))
+            rep = verify("thm-2.2", hub_digraph(n, n - 1))
             assert rep.ok and rep.equality_observed and rep.equality_predicted
             assert rep.witnesses["dominant_vertex"] == 0
 
@@ -146,16 +118,16 @@ class TestThm22:
         monkeypatch.setattr(verifiers, "distance_layers", lambda *a: walks.append(a) or layers(*a))
         D = hub_digraph(6, 5)
         for reports in (1, 2):
-            rep = verify_thm_2_2(D)
+            rep = verify("thm-2.2", D)
             assert rep.ok and rep.witnesses["dominant_vertex"] == 0
             assert len(walks) == reports
 
     def test_dicycle_no_equality(self):
-        rep = verify_thm_2_2(dicycle(6))
+        rep = verify("thm-2.2", dicycle(6))
         assert rep.ok and not rep.equality_observed
 
     def test_complete_no_equality(self):
-        rep = verify_thm_2_2(complete_digraph(4))
+        rep = verify("thm-2.2", complete_digraph(4))
         assert rep.ok and not rep.equality_observed
 
 
@@ -184,26 +156,26 @@ class TestRequireStrong:
 
 class TestProp31:
     def test_extremal(self):
-        assert verify_prop_3_1(extremal_tournament(7)).ok
+        assert verify("prop-3.1", extremal_tournament(7)).ok
 
     def test_triangle_everyone_king(self):
-        rep = verify_prop_3_1(dicycle(3))
+        rep = verify("prop-3.1", dicycle(3))
         assert rep.ok and rep.witnesses["max_out_degree_vertices"] == [0, 1, 2]
 
     def test_transitive_source(self):
-        rep = verify_prop_3_1(transitive_tournament(5))
+        rep = verify("prop-3.1", transitive_tournament(5))
         assert rep.ok and rep.witnesses["max_out_degree_vertices"] == [0]
 
     def test_rejects_non_tournament(self):
         with pytest.raises(ValueError):
-            verify_prop_3_1(dicycle(4))
+            verify("prop-3.1", dicycle(4))
 
     def test_violations_match_an_independent_two_king_test(self):
         # Strong or not, every tournament's maximum out-degree vertices are
         # 2-kings (Prop. 3.1), so the report lists no violation.
         for n in range(2, 6):
             for D in enumerate_class("tournaments", n):
-                rep = verify_prop_3_1(D)
+                rep = verify("prop-3.1", D)
                 top = max(r.bit_count() for r in D.rows)
                 leaders = [v for v in range(n) if D.rows[v].bit_count() == top]
                 assert rep.witnesses["max_out_degree_vertices"] == leaders
@@ -213,24 +185,24 @@ class TestProp31:
 
 class TestThm32:
     def test_triangle_hits_both_windows(self):
-        rep_pi, rep_rho = verify_thm_3_2(dicycle(3))
+        rep_pi, rep_rho = reports("thm-3.2", dicycle(3))
         assert rep_pi.ok and rep_rho.ok
         assert rep_pi.details["upper"]["observed"]
         assert rep_rho.details["lower"]["observed"]
 
     def test_extremal5_rho_upper(self):
-        rep_pi, rep_rho = verify_thm_3_2(extremal_tournament(5))
+        rep_pi, rep_rho = reports("thm-3.2", extremal_tournament(5))
         assert rep_rho.ok and rep_rho.details["upper"]["observed"]
 
     def test_rotational5_regular_case(self):
-        rep_pi, rep_rho = verify_thm_3_2(rotational_tournament(5))
+        rep_pi, rep_rho = reports("thm-3.2", rotational_tournament(5))
         assert rep_pi.ok and rep_pi.details["upper"]["observed"]
         assert rep_rho.ok and rep_rho.details["lower"]["observed"]
 
     def test_n4_bounds_hold(self):
         for D in enumerate_class("tournaments", 4):
             if is_strong(D):
-                rep_pi, rep_rho = verify_thm_3_2(D)
+                rep_pi, rep_rho = reports("thm-3.2", D)
                 assert rep_pi.bound_holds and rep_rho.bound_holds
 
     def test_even_order_remoteness_lower_characterization_gap(self):
@@ -239,7 +211,7 @@ class TestThm32:
         # characterization is wrong, and the verifier must say so.
         for D in enumerate_class("tournaments", 4):
             if is_strong(D):
-                _, rep_rho = verify_thm_3_2(D)
+                _, rep_rho = reports("thm-3.2", D)
                 assert rep_rho.bound_holds
                 assert not rep_rho.consistent
 
@@ -262,15 +234,15 @@ class TestThm32:
 
 class TestThm33:
     def test_rotational_equal_and_regular(self):
-        rep = verify_thm_3_3(rotational_tournament(5))
+        rep = verify("thm-3.3", rotational_tournament(5))
         assert rep.ok and rep.equality_observed and rep.equality_predicted
 
     def test_extremal_unequal_and_irregular(self):
-        rep = verify_thm_3_3(extremal_tournament(5))
+        rep = verify("thm-3.3", extremal_tournament(5))
         assert rep.ok and not rep.equality_observed and not rep.equality_predicted
 
     def test_triangle(self):
-        rep = verify_thm_3_3(dicycle(3))
+        rep = verify("thm-3.3", dicycle(3))
         assert rep.ok and rep.equality_observed
 
 
@@ -317,12 +289,12 @@ class TestSec5:
 class TestReportShape:
     def test_consistency_field_definition(self):
         for D in (dicycle(5), extremal_tournament(5), complete_digraph(4)):
-            for rep in (*verify_thm_2_1(D), verify_thm_2_2(D)):
+            for rep in (*reports("thm-2.1", D), verify("thm-2.2", D)):
                 if rep.consistent:
                     assert rep.equality_observed == rep.equality_predicted
 
     def test_json_serializable(self):
         import json
 
-        rep_pi, _ = verify_thm_2_1(dicycle(5))
+        rep_pi, _ = reports("thm-2.1", dicycle(5))
         json.dumps(rep_pi.as_json_dict())
