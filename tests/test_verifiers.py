@@ -16,6 +16,7 @@ from proxrem.digraph import (
     find_unreachable_pair,
     from_edge_list,
     is_strong,
+    permute,
 )
 from proxrem.metrics import is_p_king
 from proxrem.search import enumerate_class
@@ -25,6 +26,7 @@ from oracles import (
     bfs_distances,
     is_complete_oracle,
     is_dicycle_oracle,
+    is_iso_to_extremal_oracle,
     is_near_regular_oracle,
     rotational_tournament,
     transitive_tournament,
@@ -75,6 +77,38 @@ class TestStructuralHelpers:
         assert order == [0, 1, 2, 3, 4]
         assert bfs_distances(D, order[0]) == [order.index(v) for v in range(D.n)]
         assert "ordering" not in verify("thm-2.1-rho", rotational_tournament(5)).witnesses
+
+
+class TestIsoToExtremal:
+    """thm-3.2-rho's predicted upper case (isomorphism onto the extremal
+    tournament, decided by the spanning-path pattern certificate) against
+    the all-permutations oracle.  The exhaustive n <= 6 comparison is in
+    test_claim_oracles.py."""
+
+    def test_relabelings_recognized(self):
+        from random import Random
+
+        rng = Random(1234)
+        for n in (4, 5, 6, 7):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            D = permute(extremal_tournament(n), perm)
+            assert predicted("thm-3.2-rho", D, "upper") and is_iso_to_extremal_oracle(D)
+
+    def test_non_members_rejected(self):
+        D = rotational_tournament(5)
+        assert not predicted("thm-3.2-rho", D, "upper")
+        assert not is_iso_to_extremal_oracle(D)
+
+    def test_agrees_with_brute_force_n7_samples(self):
+        samples = [
+            (permute(extremal_tournament(7), [3, 0, 6, 1, 5, 2, 4]), True),
+            (rotational_tournament(7), False),
+        ]
+        for D, member in samples:
+            assert predicted("thm-3.2-rho", D, "upper") == member == is_iso_to_extremal_oracle(D)
+        with pytest.raises(NotStrongError):
+            predicted("thm-3.2-rho", transitive_tournament(7), "upper")
 
 
 class TestThm21:
