@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -194,9 +195,10 @@ class _DecodedBits:
 def frontier_bits(n: int):
     """The frontier primitive and the one set-bit walk: ``frontier_bits(n)[mask]``
     lists the vertices of an n-bit ``mask`` in increasing order, so a BFS step
-    is ``for v in bits[frontier]: nxt |= rows[v]``.  Up to FRONTIER_TABLE_CAP
-    it is a tuple indexed by every mask, built on first use; above it, a
-    mapping that decodes the mask on demand."""
+    is ``for v in bits[frontier]: nxt |= rows[v]``, written once, in
+    ``bfs_layers``.  Up to FRONTIER_TABLE_CAP it is a tuple indexed by every
+    mask, built on first use; above it, a mapping that decodes the mask on
+    demand."""
     if n > FRONTIER_TABLE_CAP:
         return _DecodedBits()
     table = [()]
@@ -205,19 +207,27 @@ def frontier_bits(n: int):
     return tuple(table)
 
 
-def reach_within(rows: Sequence[int], source: int, steps: int) -> int:
-    """Bitmask of the vertices within ``steps`` arcs of ``source`` (itself
-    included); with steps >= n - 1, every vertex reachable from it."""
+def bfs_layers(rows: Sequence[int], source: int) -> Iterator[int]:
+    """The one scalar BFS: yields the mask of ``source``, then the layer of
+    vertices at distance 1, 2, ... from it, until no new vertex is reached.
+    Each layer is expanded only when the next one is asked for."""
     bits = frontier_bits(len(rows))
     seen = frontier = 1 << source
-    for _ in range(steps):
+    while frontier:
+        yield frontier
         nxt = 0
         for v in bits[frontier]:
             nxt |= rows[v]
         frontier = nxt & ~seen
-        if not frontier:
-            break
         seen |= frontier
+
+
+def reach_within(rows: Sequence[int], source: int, steps: int) -> int:
+    """Bitmask of the vertices within ``steps`` arcs of ``source`` (itself
+    included); with steps >= n - 1, every vertex reachable from it."""
+    seen = 0
+    for layer in islice(bfs_layers(rows, source), steps + 1):
+        seen |= layer
     return seen
 
 
@@ -280,74 +290,47 @@ def degree_summary(D: Digraph) -> DegreeSummary:
     )
 
 
-def is_regular(D: Digraph) -> bool:
-    """True when the minimum and maximum semi-degrees coincide."""
-    ds = degree_summary(D)
-    return ds.min_semi == ds.max_semi
-
-
-def is_tournament(D: Digraph) -> bool:
-    """True when every unordered pair carries exactly one arc."""
-    n = D.n
+def is_regular(D) -> bool:
+    """True when every out-degree and every in-degree equals one d.  Reads
+    only ``D.n`` and ``D.rows``, so any record with those fields will do."""
     rows = D.rows
-    rev = D.reverse_rows
-    full = (1 << n) - 1
-    for u in range(n):
-        if rows[u] & rev[u]:
-            return False
-        if (rows[u] | rev[u] | (1 << u)) != full:
-            return False
-    return True
+    d = rows[0].bit_count()
+    return all(r.bit_count() == d for r in rows) and all(
+        sum(r >> v & 1 for r in rows) == d for v in range(D.n)
+    )
 
 
-def multipartite_tournament_structure(D: Digraph) -> Optional[PartiteStructure]:
-    """The partition of an oriented complete multipartite graph, or None.
-
-    The parts are recovered as the connected components of the
-    non-adjacency relation, then validated: at least two parts, no arc
-    inside a part, exactly one arc across every cross pair.  Parts are
-    ordered by (size, smallest label).  A tournament comes back as n
-    singleton parts.
-    """
-    n = D.n
-    if n < 2:
-        return None
-    rows = D.rows
-    rev = D.reverse_rows
-    full = (1 << n) - 1
-    # An orientation never carries both arcs of a pair.
-    for u in range(n):
-        if rows[u] & rev[u]:
-            return None
-    nonadj = [full & ~(rows[u] | rev[u] | (1 << u)) for u in range(n)]
-    unvisited = full
-    comps = []
-    while unvisited:
-        start = (unvisited & -unvisited).bit_length() - 1
-        comp = reach_within(nonadj, start, n - 1)
-        comps.append(comp)
-        unvisited &= ~comp
-    if len(comps) < 2:
-        return None
+def is_tournament(D) -> bool:
+    """True when every unordered pair carries exactly one arc: n(n-1)/2 arcs
+    and no 2-cycle.  Reads only ``D.n`` and ``D.rows``, so any record with
+    those fields will do."""
+    n, rows = D.n, D.rows
     bits = frontier_bits(n)
-    for comp in comps:
-        other = full & ~comp
-        for u in bits[comp]:
-            # no arc inside the part, an arc across every cross pair
-            if rows[u] & comp:
-                return None
-            if (rows[u] | rev[u]) & other != other:
-                return None
-    parts = sorted((tuple(bits[comp]) for comp in comps), key=lambda p: (len(p), p[0]))
-    return PartiteStructure(parts=tuple(parts))
+    return 2 * sum(r.bit_count() for r in rows) == n * (n - 1) and not any(
+        rows[v] >> u & 1 for u, r in enumerate(rows) for v in bits[r]
+    )
 
 
 def bipartite_tournament_structure(D: Digraph) -> Optional[PartiteStructure]:
-    """The bipartition of an oriented complete bipartite graph, or None."""
-    structure = multipartite_tournament_structure(D)
-    if structure is None or len(structure.parts) != 2:
+    """The bipartition of an oriented complete bipartite graph, or None.
+
+    Vertex 0's part is vertex 0 and the vertices it shares no arc with.  The
+    input qualifies when the other part is not empty, no pair carries two
+    arcs, and every vertex is adjacent to exactly the other part.  The parts
+    are ordered by (size, smallest label).
+    """
+    n, rows, rev = D.n, D.rows, D.reverse_rows
+    full = (1 << n) - 1
+    part = full & ~(rows[0] | rev[0])
+    other = full & ~part
+    if not other:
         return None
-    return structure
+    for u in range(n):
+        if rows[u] & rev[u] or (rows[u] | rev[u]) != (other if part >> u & 1 else part):
+            return None
+    bits = frontier_bits(n)
+    parts = sorted((tuple(bits[part]), tuple(bits[other])), key=lambda p: (len(p), p[0]))
+    return PartiteStructure(parts=tuple(parts))
 
 
 def blow_up(D: Digraph, t: int) -> Digraph:

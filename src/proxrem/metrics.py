@@ -6,11 +6,13 @@ such as proximity == remoteness carry no tolerance at all.  Floating point
 appears only in display strings.
 
 Distance sums and eccentricities come from one of two kernels with the
-same results.  ``distance_sums`` runs a BFS on one digraph: the ``Digraph``
-memo (``cached_distance_sums``), the random sampler and the rediscovery
-search call it.  ``lane_distance_sums`` runs it on a batch of digraphs of
-one order at once, one per lane of a few big integers: the exhaustive scan
-loop (``search._scan``) calls it on each batch of screened instances.
+same results.  ``distance_sums`` reads the one scalar BFS,
+``digraph.bfs_layers``, on one digraph: the ``Digraph`` memo
+(``cached_distance_sums``) and the rediscovery search call it, and
+``distance_layers`` and ``bfs_profile`` read the same layers.
+``lane_distance_sums`` runs the BFS on a batch of digraphs of one order at
+once, one per lane of a few big integers: the exhaustive scan loop
+(``search._scan``) calls it on each batch of screened instances.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .digraph import (
     DegreeSummary,
     Digraph,
     NotStrongError,
+    bfs_layers,
     degree_summary,
     frontier_bits,
     is_regular,
@@ -38,18 +41,7 @@ from .digraph import (
 
 def distance_layers(rows: Sequence[int], n: int, source: int) -> List[int]:
     """BFS layer bitmasks from ``source``; layers[i] holds distance-i vertices."""
-    bits = frontier_bits(n)
-    seen = frontier = 1 << source
-    layers = [frontier]
-    while True:
-        nxt = 0
-        for v in bits[frontier]:
-            nxt |= rows[v]
-        frontier = nxt & ~seen
-        if not frontier:
-            return layers
-        layers.append(frontier)
-        seen |= frontier
+    return list(bfs_layers(rows, source))
 
 
 @dataclass(frozen=True)
@@ -103,34 +95,24 @@ def distance_sums(rows: Sequence[int], n: int):
     """Per-vertex distance sums and eccentricities of the digraph on ``rows``.
 
     Returns (sigmas, eccs), or (None, (u, v)) naming an unreachable ordered
-    pair when the digraph is not strong.  This is the kernel for a single
-    digraph, so the BFS stays an inline loop over ``frontier_bits``,
-    starting each source from its row (the distance-1 layer).  The pair is
-    the smallest source that misses a vertex, with the smallest vertex it
-    misses.
+    pair when the digraph is not strong: the smallest source that misses a
+    vertex, with the smallest vertex it misses.  This is the kernel for a
+    single digraph, over ``bfs_layers``; a source stops at the layer that
+    completes its reach.
     """
-    bits = frontier_bits(n)
     full = (1 << n) - 1
     sigmas = []
     eccs = []
     for u in range(n):
-        seen = 1 << u
-        frontier = rows[u] & ~seen
-        sig = d = 0
-        while frontier:
-            d += 1
-            sig += d * frontier.bit_count()
-            seen |= frontier
+        seen = sig = 0
+        for d, layer in enumerate(bfs_layers(rows, u)):
+            sig += d * layer.bit_count()
+            seen |= layer
             if seen == full:
                 break
-            nxt = 0
-            for v in bits[frontier]:
-                nxt |= rows[v]
-            frontier = nxt & ~seen
         else:
             missing = ~seen & full
-            if missing:
-                return None, (u, (missing & -missing).bit_length() - 1)
+            return None, (u, (missing & -missing).bit_length() - 1)
         sigmas.append(sig)
         eccs.append(d)
     return sigmas, eccs

@@ -29,7 +29,7 @@ from random import Random
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .canonical import canonical_form
-from .digraph import Digraph, frontier_bits
+from .digraph import Digraph, is_regular, is_tournament
 from .formats import read_digraph6, write_digraph6
 
 # distance_layers is bound here for the benchmark's boundary tracer
@@ -293,28 +293,14 @@ class SearchResult:
         }
 
 
-def _is_tournament(f: InstanceFacts) -> bool:
-    """n(n-1)/2 arcs and no 2-cycle, so every pair carries exactly one arc."""
-    rows = f.rows
-    bits = frontier_bits(f.n)
-    return 2 * sum(f.degrees) == f.n * (f.n - 1) and not any(
-        rows[v] >> u & 1 for u, r in enumerate(rows) for v in bits[r]
-    )
-
-
-def _is_regular(f: InstanceFacts) -> bool:
-    """Every out-degree and every in-degree is the same d."""
-    d = f.max_out
-    return f.min_out == d and all(sum(r >> v & 1 for r in f.rows) == d for v in range(f.n))
-
-
 #: name -> (needs the distance kernel, predicate over InstanceFacts).  The
 #: kernel predicates hold only on strong instances; the others run first.
+#: ``tournament`` and ``regular`` are the digraph tests, on the record's rows.
 #: ``equality_<claim>`` holds when some equality case of the claim is observed.
 PREDICATES = {
-    "tournament": (False, _is_tournament),
-    "regular": (False, _is_regular),
-    "non_regular": (False, lambda f: not _is_regular(f)),
+    "tournament": (False, is_tournament),
+    "regular": (False, is_regular),
+    "non_regular": (False, lambda f: not is_regular(f)),
     "good": (False, lambda f: f.witness is None),
     "bad": (False, lambda f: f.witness is not None),
     "strong": (True, lambda f: True),
@@ -523,19 +509,6 @@ def exhaustive_verify(
 # ---------------------------------------------------------------------------
 # Randomized generation
 # ---------------------------------------------------------------------------
-
-def random_strong_digraph(n: int, rng: Random, arc_prob: float = 0.5, max_tries: int = 10000) -> Digraph:
-    """Each arc present with probability ``arc_prob``, redrawn until strong."""
-    for _ in range(max_tries):
-        rows = [0] * n
-        for u in range(n):
-            for v in range(n):
-                if u != v and rng.random() < arc_prob:
-                    rows[u] |= 1 << v
-        if distance_sums(rows, n)[0] is not None:
-            return Digraph(n, rows)
-    raise RuntimeError(f"no strong digraph found in {max_tries} tries")
-
 
 def random_graph_with_degrees(degrees: Sequence[int], rng: Random, max_shuffles: int = 200):
     """Uniform-ish simple graph with the given degree sequence (stub pairing

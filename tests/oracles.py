@@ -74,6 +74,45 @@ def fw_metrics(D: Digraph):
     )
 
 
+def unreachable_pair_oracle(D: Digraph) -> Optional[Tuple[int, int]]:
+    """The smallest u, then the smallest v, with no (u, v)-dipath by the
+    matrix oracle; None when D is strong."""
+    dist = floyd_warshall(D)
+    return next(((u, v) for u in range(D.n) for v in range(D.n) if dist[u][v] is INF), None)
+
+
+def sample_strong_digraph(n: int, rng, arc_prob: float = 0.5, max_tries: int = 10000) -> Digraph:
+    """Each arc present with probability ``arc_prob``, redrawn until the
+    matrix oracle finds every pair joined by a dipath."""
+    for _ in range(max_tries):
+        rows = [0] * n
+        for u in range(n):
+            for v in range(n):
+                if u != v and rng.random() < arc_prob:
+                    rows[u] |= 1 << v
+        D = Digraph(n, rows)
+        if unreachable_pair_oracle(D) is None:
+            return D
+    raise RuntimeError(f"no strong digraph found in {max_tries} tries")
+
+
+def is_tournament_oracle(D: Digraph) -> bool:
+    """Every unordered pair {u, v} carries exactly one of its two arcs."""
+    return all(D.has_arc(u, v) + D.has_arc(v, u) == 1 for u in range(D.n) for v in range(u + 1, D.n))
+
+
+def is_regular_oracle(D: Digraph) -> bool:
+    """The out-degrees and in-degrees counted from the arc list are all one
+    value."""
+    n = D.n
+    out, inn = [0] * n, [0] * n
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and D.has_arc(u, v)]
+    for u, v in arcs:
+        out[u] += 1
+        inn[v] += 1
+    return len(set(out + inn)) == 1
+
+
 def brute_bipartition(D: Digraph) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """All-bipartitions scan: is D an orientation of a complete bipartite
     graph with nonempty parts?  Returns the parts ordered by (size, label)."""

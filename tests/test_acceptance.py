@@ -37,13 +37,12 @@ from proxrem.search import (
     SearchQuery,
     enumerate_class,
     exhaustive_verify,
-    random_strong_digraph,
     rediscover_sigma_equal_graph,
     search,
 )
 from proxrem.verifiers import verify_sec5_facts
 
-from oracles import bipartite_facts_oracle, fw_metrics, is_iso_to_extremal_oracle
+from oracles import bipartite_facts_oracle, fw_metrics, is_iso_to_extremal_oracle, sample_strong_digraph
 
 
 def verdict(capsys, name, ok, extra=""):
@@ -264,7 +263,7 @@ def test_criterion_9_metric_oracle_equivalence(capsys):
     ok = True
     for _ in range(10000):
         n = rng.randint(2, 6)
-        D = random_strong_digraph(n, rng, arc_prob=rng.choice((0.3, 0.5, 0.7)))
+        D = sample_strong_digraph(n, rng, arc_prob=rng.choice((0.3, 0.5, 0.7)))
         pi, rho, _ = proximity_remoteness(D)
         rad, diam = radius_diameter(D)
         if fw_metrics(D) != (pi, rho, rad, diam):

@@ -12,8 +12,8 @@ import pytest
 from proxrem.digraph import (
     FRONTIER_TABLE_CAP,
     Digraph,
+    bipartite_tournament_structure,
     blow_up,
-    multipartite_tournament_structure,
     permute,
 )
 
@@ -46,8 +46,8 @@ def blow_up_oracle(D, t):
     return tuple(sum(1 << y for y in range(n) if arc(D, x // t, y // t)) for x in range(n))
 
 
-def multipartite_oracle(D):
-    """Parts of an oriented complete multipartite graph, or None: group each
+def bipartite_oracle(D):
+    """Parts of an oriented complete bipartite graph, or None: group each
     vertex with the first part whose first member it is not adjacent to,
     then check every ordered pair against the definition."""
     n = D.n
@@ -66,7 +66,7 @@ def multipartite_oracle(D):
                 count = arc(D, u, v) + arc(D, v, u)
                 if count != (0 if same else 1):
                     return None
-    if len(parts) < 2:
+    if len(parts) != 2:
         return None
     return tuple(sorted(map(tuple, parts), key=lambda p: (len(p), p[0])))
 
@@ -86,7 +86,8 @@ def random_digraphs(n, rng):
 
 
 def random_multipartite(n, k, rng):
-    """An orientation of a complete multipartite graph with at most k parts."""
+    """An orientation of a complete multipartite graph with at most k parts;
+    with k = 2, a bipartite tournament unless every vertex drew one part."""
     label = [rng.randrange(k) for _ in range(n)]
     rows = [0] * n
     for u in range(n):
@@ -126,22 +127,23 @@ def test_blow_up(n):
 def test_blow_ups_past_the_cap(n, t):
     """Blow-ups of orders at or below the cap that reach orders above it."""
     rng = Random(3000 + n * t)
-    for D in random_digraphs(n, rng) + [random_multipartite(n, 3, rng)]:
+    for D in random_digraphs(n, rng) + [random_multipartite(n, 2, rng)]:
         B = blow_up(D, t)
         assert B.n > FRONTIER_TABLE_CAP
         assert B.rows == blow_up_oracle(D, t)
         assert list(B.arcs()) == arcs_oracle(B)
         assert B.reverse_rows == reverse_oracle(B)
-        got = multipartite_tournament_structure(B)
-        assert (got and got.parts) == multipartite_oracle(B)
+        got = bipartite_tournament_structure(B)
+        assert (got and got.parts) == bipartite_oracle(B)
 
 
 @pytest.mark.parametrize("n", ORDERS)
 def test_multipartite_structure(n):
+    """Bipartite recognition on two-part instances and their near misses."""
     rng = Random(4000 + n)
     cases = random_digraphs(n, rng)
-    for k in (2, 3, n):
-        D = random_multipartite(n, k, rng)
+    for _ in range(3):
+        D = random_multipartite(n, 2, rng)
         cases.append(D)
         if D.m:  # near misses: one cross pair doubled, one cross pair dropped
             u, v = rng.choice(arcs_oracle(D))
@@ -151,7 +153,10 @@ def test_multipartite_structure(n):
             rows[v] &= ~(1 << u)
             rows[u] &= ~(1 << v)
             cases.append(Digraph(n, rows))
+    recognized = 0
     for D in cases:
-        got = multipartite_tournament_structure(D)
-        want = multipartite_oracle(D)
+        got = bipartite_tournament_structure(D)
+        want = bipartite_oracle(D)
         assert (got and got.parts) == want, D.rows
+        recognized += want is not None
+    assert recognized or n == 1

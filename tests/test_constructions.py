@@ -36,7 +36,7 @@ from proxrem.metrics import (
 
 from oracles import bipartite_facts_oracle, brute_isomorphic
 
-digraph_mod = importlib.import_module("proxrem.digraph")
+constructions_mod = importlib.import_module("proxrem.constructions")
 
 
 class TestDicycle:
@@ -224,10 +224,10 @@ class TestSpecRegistry:
             assert check_expected(spec, D) == []
 
     def test_bipartite_families_recover_the_parts_once(self, monkeypatch):
-        structure = digraph_mod.multipartite_tournament_structure
+        structure = constructions_mod.bipartite_tournament_structure
         calls = []
         monkeypatch.setattr(
-            digraph_mod, "multipartite_tournament_structure", lambda D: calls.append(D.n) or structure(D)
+            constructions_mod, "bipartite_tournament_structure", lambda D: calls.append(D.n) or structure(D)
         )
         assert check_expected(ConstructionSpec("bipartite_blowup", (2,))) == []
         assert calls == [20]

@@ -26,7 +26,7 @@ from proxrem.digraph import (
     permute,
 )
 
-from oracles import brute_bipartition, rotational_tournament
+from oracles import brute_bipartition, is_regular_oracle, is_tournament_oracle, rotational_tournament
 
 
 def random_digraphs(max_n=6):
@@ -39,6 +39,24 @@ def random_digraphs(max_n=6):
             ]),
         )
     )
+
+
+def every_digraph(n):
+    """All 2^(n(n-1)) labeled digraphs of order n, one arc per code bit."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for code in range(1 << len(pairs)):
+        yield from_edge_list(n, [p for k, p in enumerate(pairs) if code >> k & 1])
+
+
+def every_tournament(n):
+    """All 2^(n(n-1)/2) labeled tournaments of order n, one orientation per
+    code bit."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for code in range(1 << len(pairs)):
+        yield from_edge_list(n, [(v, u) if code >> k & 1 else (u, v) for k, (u, v) in enumerate(pairs)])
+
+
+SMALL_DIGRAPHS = [D for n in range(1, 5) for D in every_digraph(n)] + list(every_tournament(5))
 
 
 class TestConstructors:
@@ -153,6 +171,15 @@ class TestRegularity:
         for t in range(1, 4):
             assert not is_regular(bipartite_blowup(t))
 
+    def test_agrees_with_the_oracle(self):
+        """Every digraph of order <= 4 and every tournament of order 5."""
+        # d-regular digraphs of order n are the 0/1 matrices with zero
+        # diagonal and line sums d: derangements for d = 1 and d = n - 2,
+        # so 1 + 2 + (1 + 2 + 1) + (1 + 9 + 9 + 1), and 24 regular tournaments
+        assert sum(map(is_regular_oracle, SMALL_DIGRAPHS)) == 1 + 2 + 4 + 20 + 24
+        for D in SMALL_DIGRAPHS:
+            assert is_regular(D) == is_regular_oracle(D), D.rows
+
 
 class TestTournament:
     def test_extremal_is_tournament(self):
@@ -171,6 +198,12 @@ class TestTournament:
             T = extremal_tournament(n)
             assert T.m == n * (n - 1) // 2
 
+    def test_agrees_with_the_oracle(self):
+        """Every digraph of order <= 4 and every tournament of order 5."""
+        assert sum(map(is_tournament_oracle, SMALL_DIGRAPHS)) == 1 + 2 + 8 + 64 + 1024
+        for D in SMALL_DIGRAPHS:
+            assert is_tournament(D) == is_tournament_oracle(D), D.rows
+
 
 class TestBipartiteStructure:
     def test_T1_parts(self):
@@ -187,16 +220,7 @@ class TestBipartiteStructure:
 
     def test_brute_force_agreement_n4(self):
         # every labeled digraph on 4 vertices
-        for code in range(1 << 12):
-            rows = [0, 0, 0, 0]
-            k = 0
-            for u in range(4):
-                for v in range(4):
-                    if u != v:
-                        if (code >> k) & 1:
-                            rows[u] |= 1 << v
-                        k += 1
-            D = Digraph(4, rows)
+        for D in every_digraph(4):
             got = bipartite_tournament_structure(D)
             want = brute_bipartition(D)
             if want is None:
@@ -214,24 +238,22 @@ class TestBipartiteStructure:
             assert got.parts == want
 
     def test_multipartite_recognition(self):
-        from proxrem.digraph import multipartite_tournament_structure
-
-        # a tournament is an n-partite tournament with singleton parts
-        s = multipartite_tournament_structure(extremal_tournament(4))
-        assert s is not None and s.sizes == (1, 1, 1, 1)
-        # orientation of complete tripartite K_{1,1,2}
+        # more than two parts is not bipartite: a tournament (n singleton
+        # parts) and an orientation of the complete tripartite K_{1,1,2}
+        assert bipartite_tournament_structure(extremal_tournament(4)) is None
         D = from_edge_list(
             4, [(0, 1), (1, 2), (1, 3), (2, 0), (3, 0)]
         )
-        s = multipartite_tournament_structure(D)
-        assert s is not None and s.sizes == (1, 1, 2)
+        assert bipartite_tournament_structure(D) is None
         # dicycle(4) is an orientation of K_{2,2}; dicycle(5) is nothing partite
-        s = multipartite_tournament_structure(dicycle(4))
-        assert s is not None and s.sizes == (2, 2)
-        assert multipartite_tournament_structure(dicycle(5)) is None
+        s = bipartite_tournament_structure(dicycle(4))
+        assert s is not None and s.parts == ((0, 2), (1, 3))
+        assert bipartite_tournament_structure(dicycle(5)) is None
         # 2-cycle is not an orientation
         two = from_edge_list(2, [(0, 1), (1, 0)])
-        assert multipartite_tournament_structure(two) is None
+        assert bipartite_tournament_structure(two) is None
+        # a single vertex has no second part
+        assert bipartite_tournament_structure(Digraph(1, (0,))) is None
 
 
 class TestBlowUp:

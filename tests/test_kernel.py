@@ -1,9 +1,10 @@
 """The distance kernels and the frontier primitive against the oracles.
 
-``distance_sums``, ``distance_layers`` and ``reach_within`` all expand BFS
-frontiers through ``frontier_bits``, a table up to FRONTIER_TABLE_CAP and a
-decoding mapping above it, so every order from 1 to 27 is checked on both
-sides of the cap against Floyd-Warshall and a plain queue BFS.  The lane
+``distance_sums``, ``distance_layers`` and ``reach_within`` all read the
+one scalar BFS, ``bfs_layers``, which expands frontiers through
+``frontier_bits``, a table up to FRONTIER_TABLE_CAP and a decoding mapping
+above it, so every order from 1 to 27 is checked on both sides of the cap
+against Floyd-Warshall and a plain queue BFS.  The lane
 kernel ``lane_distance_sums`` must equal ``distance_sums`` lane for lane,
 on both sides of each lane-width boundary.
 """
@@ -14,11 +15,11 @@ from random import Random
 
 import pytest
 
-from proxrem.digraph import FRONTIER_TABLE_CAP, Digraph, frontier_bits, reach_within
+from proxrem.digraph import FRONTIER_TABLE_CAP, Digraph, find_unreachable_pair, frontier_bits, reach_within
 from proxrem.metrics import distance_layers, distance_sums, lane_distance_sums
 from proxrem.search import enumerate_class
 
-from oracles import bfs_distances, floyd_warshall
+from oracles import bfs_distances, floyd_warshall, unreachable_pair_oracle
 
 metrics_mod = importlib.import_module("proxrem.metrics")
 
@@ -59,6 +60,41 @@ def random_digraph(n, arc_prob, rng):
 def test_every_small_digraph_matches_the_oracles(n):
     for D in enumerate_class("all_digraphs", n):
         check_instance(D)
+
+
+class ReadRows(list):
+    """Adjacency rows that record which rows the BFS expands."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, v):
+        self.read.append(v)
+        return super().__getitem__(v)
+
+
+def test_bfs_expands_only_the_layers_asked_for():
+    path = ReadRows([1 << (v + 1) for v in range(5)] + [0])  # the dipath 0 -> 1 -> ... -> 5
+    assert reach_within(path, 0, 2) == 0b111 and path.read == [0, 1]
+    assert reach_within(path, 0, 0) == 0b1 and path.read == [0, 1]
+    complete = ReadRows([0b1111 & ~(1 << u) for u in range(4)])
+    assert distance_sums(complete, 4) == ([3] * 4, [1] * 4)
+    assert complete.read == [0, 1, 2, 3]  # each source stops at its first layer
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_unreachable_pair_rule(n):
+    """``analyze`` reports the pair ``distance_sums`` finds and ``verify
+    --input`` the pair ``find_unreachable_pair`` finds: on every non-strong
+    digraph both are the smallest u, then the smallest v, with no dipath."""
+    non_strong = 0
+    for D in enumerate_class("all_digraphs", n):
+        want = unreachable_pair_oracle(D)
+        if want is not None:
+            non_strong += 1
+            assert distance_sums(D.rows, n)[1] == find_unreachable_pair(D) == want
+    assert non_strong == {2: 3, 3: 46, 4: 2490}[n]
 
 
 @pytest.mark.parametrize("n", range(1, 28))

@@ -8,7 +8,7 @@ import pytest
 
 from proxrem.canonical import are_isomorphic, canonical_form
 from proxrem.constructions import bipartite_T1, dicycle, extremal_tournament, fig1_graph
-from proxrem.digraph import Digraph, is_regular, is_strong, is_tournament, permute
+from proxrem.digraph import Digraph, is_regular, is_strong, permute
 from proxrem.formats import read_digraph6, write_digraph6
 from proxrem.metrics import sigma_ecc_vectors
 from proxrem.search import (
@@ -16,7 +16,6 @@ from proxrem.search import (
     enumerate_class,
     exhaustive_verify,
     random_graph_with_degrees,
-    random_strong_digraph,
     rediscover_sigma_equal_graph,
     resolve_theorems,
     search,
@@ -30,8 +29,11 @@ from oracles import (
     bipartite_orbit_count,
     brute_isomorphic,
     fw_metrics,
+    is_regular_oracle,
+    is_tournament_oracle,
     quadratic_residue_tournament,
     rotational_tournament,
+    sample_strong_digraph,
 )
 from test_metrics import kernel_runs  # noqa: F401  (a fixture)
 
@@ -109,7 +111,7 @@ class TestCanonicalForm:
     def test_permutation_invariance(self):
         rng = Random(42)
         for _ in range(20):
-            D = random_strong_digraph(rng.randint(2, 5), rng)
+            D = sample_strong_digraph(rng.randint(2, 5), rng)
             base = canonical_form(D)
             for _ in range(5):
                 perm = list(range(D.n))
@@ -118,7 +120,7 @@ class TestCanonicalForm:
 
     def test_hundred_permutations_one_instance(self):
         rng = Random(77)
-        D = random_strong_digraph(5, rng)
+        D = sample_strong_digraph(5, rng)
         base = canonical_form(D)
         for _ in range(100):
             perm = list(range(5))
@@ -245,7 +247,7 @@ class TestCanonicalForm:
 
     def test_permutation_invariance_up_to_order_ten(self):
         rng = Random(10)
-        instances = [random_strong_digraph(n, rng) for n in range(2, 11) for _ in range(3)]
+        instances = [sample_strong_digraph(n, rng) for n in range(2, 11) for _ in range(3)]
         instances += [bipartite_T1(), fig1_graph()]
         for D in instances:
             base = canonical_form(D)
@@ -260,13 +262,13 @@ class TestAreIsomorphic:
         rng = Random(5)
         for _ in range(40):
             n = rng.randint(2, 5)
-            A = random_strong_digraph(n, rng)
+            A = sample_strong_digraph(n, rng)
             if rng.random() < 0.5:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 B = permute(A, perm)
             else:
-                B = random_strong_digraph(n, rng)
+                B = sample_strong_digraph(n, rng)
             assert are_isomorphic(A, B) == brute_isomorphic(A, B)
 
     def test_fig1_self(self):
@@ -348,7 +350,7 @@ class TestSearch:
                 super().__init__(n, rows)
 
         want = sorted(
-            write_digraph6(D) for D in enumerate_class("all_digraphs", 4) if is_regular(D) and is_strong(D)
+            write_digraph6(D) for D in enumerate_class("all_digraphs", 4) if is_regular_oracle(D) and is_strong(D)
         )
         monkeypatch.setattr(search_mod, "Digraph", Counted)
         result = search(SearchQuery("all_digraphs", 4, predicates=("regular", "strong")))
@@ -359,9 +361,9 @@ class TestSearch:
     @pytest.mark.parametrize("predicate", ["tournament", "regular", "non_regular"])
     def test_degree_predicates_agree_with_the_digraph_tests(self, cls, n, predicate):
         oracle = {
-            "tournament": is_tournament,
-            "regular": is_regular,
-            "non_regular": lambda D: not is_regular(D),
+            "tournament": is_tournament_oracle,
+            "regular": is_regular_oracle,
+            "non_regular": lambda D: not is_regular_oracle(D),
         }[predicate]
         result = search(SearchQuery(cls, n, predicates=(predicate,)))
         want = sorted(write_digraph6(D) for D in enumerate_class(cls, n) if oracle(D))
@@ -702,6 +704,7 @@ class TestRandomized:
         assert not result.success and result.iterations == 1
 
     def test_random_strong_digraph_is_strong(self):
+        """The test sampler's oracle and the library agree on strongness."""
         rng = Random(17)
         for _ in range(20):
-            assert is_strong(random_strong_digraph(rng.randint(2, 6), rng))
+            assert is_strong(sample_strong_digraph(rng.randint(2, 6), rng))
