@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from . import constructions
 from .bipartite import check_equality_criterion
-from .digraph import Digraph, NotStrongError, is_symmetric
+from .digraph import Digraph, NotStrongError, is_strong, is_symmetric
 from .formats import (
     parse_edge_list,
     read_digraph6,
@@ -25,7 +25,7 @@ from .formats import (
     write_digraph6,
     write_edge_list,
 )
-from .metrics import CSV_HEADER, cached_distance_sums, metrics_report
+from .metrics import CSV_HEADER, metrics_report
 from .search import (
     SearchQuery,
     enumerate_class,
@@ -177,7 +177,7 @@ def _verify_instances(args, ids):
         strong = any(CLAIMS[t].strong for t in ids)
         for D in enumerate_class(cls, n=n, parts=parts):
             # the one kernel run, memoised on D for the verifier to read back
-            if not strong or cached_distance_sums(D)[0] is not None:
+            if not strong or is_strong(D):
                 yield write_digraph6(D).strip(), D
     else:
         raise ValueError("one input source required: --input, --family or --enumerate")

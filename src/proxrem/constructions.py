@@ -16,11 +16,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from .bipartite import bad_witness, class_sizes, part_lookup
 from .digraph import (
     Digraph,
-    NotStrongError,
     blow_up,
     bipartite_tournament_structure,
     degree_summary,
-    find_unreachable_pair,
     from_edge_list,
     from_undirected_edge_list,
     is_regular,
@@ -100,9 +98,7 @@ def ham_extremal(n: int, back_arcs: Iterable[Tuple[int, int]]) -> Digraph:
             continue  # already a dipath arc
         rows[a] |= 1 << b
     D = Digraph(n, rows)
-    pair = find_unreachable_pair(D)
-    if pair is not None:
-        raise NotStrongError(pair)
+    sigma_ecc_vectors(D)  # raises NotStrongError with the kernel memo's pair
     return D
 
 

@@ -32,10 +32,10 @@ class Digraph:
     """Immutable simple digraph on vertices 0..n-1.
 
     The reverse rows (``_rev``) and the distance kernel's result (``_dist``,
-    see ``metrics.cached_distance_sums``) are cached on first use.  Each is
-    a pure function of the rows and its write is idempotent, so the instance
-    stays immutable and safe to share; equality, hashing and pickling
-    ignore both.
+    filled and read only by ``cached_distance_sums``) are cached on first
+    use.  Each is a pure function of the rows and its write is idempotent,
+    so the instance stays immutable and safe to share; equality, hashing and
+    pickling ignore both.
     """
 
     __slots__ = ("n", "rows", "_rev", "_dist")
@@ -231,6 +231,44 @@ def reach_within(rows: Sequence[int], source: int, steps: int) -> int:
     return seen
 
 
+def distance_sums(rows: Sequence[int], n: int):
+    """Per-vertex distance sums and eccentricities of the digraph on ``rows``.
+
+    Returns (sigmas, eccs), or (None, (u, v)) naming an unreachable ordered
+    pair when the digraph is not strong: the smallest source that misses a
+    vertex, with the smallest vertex it misses.  This is the kernel for a
+    single digraph, over ``bfs_layers``; a source stops at the layer that
+    completes its reach.
+    """
+    full = (1 << n) - 1
+    sigmas = []
+    eccs = []
+    for u in range(n):
+        seen = sig = 0
+        for d, layer in enumerate(bfs_layers(rows, u)):
+            sig += d * layer.bit_count()
+            seen |= layer
+            if seen == full:
+                break
+        else:
+            missing = ~seen & full
+            return None, (u, (missing & -missing).bit_length() - 1)
+        sigmas.append(sig)
+        eccs.append(d)
+    return sigmas, eccs
+
+
+def cached_distance_sums(D: Digraph, known=None):
+    """``distance_sums`` of D, run at most once per Digraph and kept in its
+    ``_dist`` slot: (sigmas, eccs) as tuples, or (None, (u, v)).  A strong
+    result ``known`` from a kernel with the same output is kept in its place."""
+    dist = D._dist
+    if dist is None:
+        sigmas, eccs = distance_sums(D.rows, D.n) if known is None else known
+        dist = D._dist = (None, eccs) if sigmas is None else (tuple(sigmas), tuple(eccs))
+    return dist
+
+
 def is_strong(D: Digraph) -> bool:
     """True when every ordered vertex pair is joined by a dipath.
 
@@ -242,23 +280,11 @@ def is_strong(D: Digraph) -> bool:
 def find_unreachable_pair(D: Digraph) -> Optional[Tuple[int, int]]:
     """Some ordered pair (u, v) with no (u, v)-dipath, or None if strong.
 
-    Decided by forward and backward reachability from vertex 0, which is
-    equivalent to a full strong-components pass for this yes/no question;
-    a digraph whose cached kernel result says strong returns None at once.
+    The pair is the one ``distance_sums`` names, read from D's kernel memo,
+    which the first call fills.
     """
-    if D._dist is not None and D._dist[0] is not None:
-        return None
-    n = D.n
-    full = (1 << n) - 1
-    fwd = reach_within(D.rows, 0, n - 1)
-    if fwd != full:
-        missing = (~fwd & full)
-        return (0, (missing & -missing).bit_length() - 1)
-    bwd = reach_within(D.reverse_rows, 0, n - 1)
-    if bwd != full:
-        missing = (~bwd & full)
-        return ((missing & -missing).bit_length() - 1, 0)
-    return None
+    sigmas, pair = cached_distance_sums(D)
+    return pair if sigmas is None else None
 
 
 def complement(D: Digraph) -> Digraph:

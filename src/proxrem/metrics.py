@@ -6,9 +6,9 @@ such as proximity == remoteness carry no tolerance at all.  Floating point
 appears only in display strings.
 
 Distance sums and eccentricities come from one of two kernels with the
-same results.  ``distance_sums`` reads the one scalar BFS,
-``digraph.bfs_layers``, on one digraph: the ``Digraph`` memo
-(``cached_distance_sums``) and the rediscovery search call it, and
+same results.  ``digraph.distance_sums`` reads the one scalar BFS,
+``digraph.bfs_layers``, on one digraph: the ``Digraph`` memo, which
+``sigma_ecc_vectors`` reads, and the rediscovery search call it, and
 ``distance_layers`` and ``bfs_profile`` read the same layers.
 ``lane_distance_sums`` runs the BFS on a batch of digraphs of one order at
 once, one per lane of a few big integers: the exhaustive scan loop
@@ -30,6 +30,7 @@ from .digraph import (
     Digraph,
     NotStrongError,
     bfs_layers,
+    cached_distance_sums,
     degree_summary,
     frontier_bits,
     is_regular,
@@ -91,33 +92,6 @@ def g_of(xs: Sequence[int]) -> int:
     return sum(i * x for i, x in enumerate(xs))
 
 
-def distance_sums(rows: Sequence[int], n: int):
-    """Per-vertex distance sums and eccentricities of the digraph on ``rows``.
-
-    Returns (sigmas, eccs), or (None, (u, v)) naming an unreachable ordered
-    pair when the digraph is not strong: the smallest source that misses a
-    vertex, with the smallest vertex it misses.  This is the kernel for a
-    single digraph, over ``bfs_layers``; a source stops at the layer that
-    completes its reach.
-    """
-    full = (1 << n) - 1
-    sigmas = []
-    eccs = []
-    for u in range(n):
-        seen = sig = 0
-        for d, layer in enumerate(bfs_layers(rows, u)):
-            sig += d * layer.bit_count()
-            seen |= layer
-            if seen == full:
-                break
-        else:
-            missing = ~seen & full
-            return None, (u, (missing & -missing).bit_length() - 1)
-        sigmas.append(sig)
-        eccs.append(d)
-    return sigmas, eccs
-
-
 #: An unsigned array typecode per lane width in bits, chosen by item size.
 _LANE_CODES = {array(code).itemsize * 8: code for code in "BHILQ"}
 
@@ -141,7 +115,7 @@ def _to_lanes(x: int, code: str, nbytes: int) -> array:
 
 
 def lane_distance_sums(batch: Sequence[Sequence[int]], n: int) -> List[tuple]:
-    """``distance_sums`` of many digraphs of order n at once.
+    """``digraph.distance_sums`` of many digraphs of order n at once.
 
     Each row tuple of ``batch`` is one w-bit lane of a few big integers, so
     every bitwise operation below steps the BFS of the whole batch (SWAR:
@@ -219,16 +193,6 @@ def lane_distance_sums(batch: Sequence[Sequence[int]], n: int) -> List[tuple]:
         (None, None) if b else (list(s), list(e))
         for s, e, b in zip(zip(*sigmas), zip(*eccs), _to_lanes(bad, code, nbytes))
     ]
-
-
-def cached_distance_sums(D: Digraph):
-    """``distance_sums`` of D, run at most once per Digraph and kept in its
-    ``_dist`` slot: (sigmas, eccs) as tuples, or (None, (u, v))."""
-    dist = D._dist
-    if dist is None:
-        sigmas, eccs = distance_sums(D.rows, D.n)
-        dist = D._dist = (None, eccs) if sigmas is None else (tuple(sigmas), tuple(eccs))
-    return dist
 
 
 def sigma_ecc_vectors(D: Digraph) -> Tuple[List[int], List[int]]:
@@ -356,20 +320,19 @@ def rational_json(q: Fraction) -> dict:
 
 def metrics_report(D: Digraph) -> MetricsReport:
     """Compute the full invariant report; raises NotStrongError when needed."""
-    sigmas, eccs = sigma_ecc_vectors(D)
-    if D.n < 2:
+    if D.n < 2:  # a single vertex is strong, so this hides no NotStrongError
         raise ValueError("metrics report needs at least 2 vertices")
-    smin, smax = min(sigmas), max(sigmas)
-    den = D.n - 1
+    pi, rho, (prox_witness, rem_witness) = proximity_remoteness(D)
+    radius, diameter = radius_diameter(D)
     return MetricsReport(
         n=D.n,
         m=D.m,
-        proximity=Fraction(smin, den),
-        remoteness=Fraction(smax, den),
-        prox_witness=sigmas.index(smin),
-        rem_witness=sigmas.index(smax),
-        radius=min(eccs),
-        diameter=max(eccs),
+        proximity=pi,
+        remoteness=rho,
+        prox_witness=prox_witness,
+        rem_witness=rem_witness,
+        radius=radius,
+        diameter=diameter,
         degrees=degree_summary(D),
         is_strong=True,
         is_regular=is_regular(D),

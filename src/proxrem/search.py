@@ -29,12 +29,12 @@ from random import Random
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .canonical import canonical_form
-from .digraph import Digraph, is_regular, is_tournament
+from .digraph import Digraph, cached_distance_sums, distance_sums, is_regular, is_tournament
 from .formats import read_digraph6, write_digraph6
 
 # distance_layers is bound here for the benchmark's boundary tracer
 # (perfbench/tracer.py), which patches it by name in this module.
-from .metrics import MetricsReport, distance_layers, distance_sums, lane_distance_sums, metrics_report  # noqa: F401
+from .metrics import MetricsReport, distance_layers, lane_distance_sums, metrics_report  # noqa: F401
 from .verifiers import CLAIMS, THEOREMS, InstanceFacts, bound_check, resolve_theorems
 
 
@@ -249,6 +249,8 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
 def _run_shards(cls: str, n: Optional[int], parts, shards: int, make, arg):
     """The one shard driver: ``_scan`` on contiguous code ranges, in a pool
     when there are several; kept findings stay in enumeration order."""
+    if shards < 1:
+        raise ValueError(f"shard count must be >= 1, got {shards}")
     total = total_count(cls, n, parts)
     jobs = [(cls, n, parts, *shard_range(total, i, shards), make, arg) for i in range(shards)]
     if shards == 1:
@@ -363,11 +365,10 @@ def search(query: SearchQuery) -> SearchResult:
         raise ValueError("good/bad predicates need the bipartite_tournaments class")
     _check_size(query.cls, query.n, query.parts)
     t0 = time.perf_counter()
-    shards = max(1, query.shards)
     # Without dedup each shard may keep just its smallest `limit` matches.
     trim = query.limit if query.dedup == "none" else None
     scanned, _, _, counts, all_matches = _run_shards(
-        query.cls, query.n, query.parts, shards, _predicate_matches, (query.predicates, trim)
+        query.cls, query.n, query.parts, query.shards, _predicate_matches, (query.predicates, trim)
     )
     all_matches.sort()
     dedup_stats = {"labeled_matches": counts["matches"]}
@@ -392,7 +393,7 @@ def search(query: SearchQuery) -> SearchResult:
         scanned=scanned,
         elapsed=time.perf_counter() - t0,
         dedup_stats=dedup_stats,
-        shards=shards,
+        shards=query.shards,
     )
 
 
@@ -465,7 +466,7 @@ def _reference_reports(order: int, part_ranges, want) -> _Consumer:
     def consume(rows, sigmas, eccs):
         if sigmas is not None:
             D = Digraph(order, tuple(rows))
-            D._dist = (tuple(sigmas), tuple(eccs))  # as metrics.cached_distance_sums fills it
+            cached_distance_sums(D, (sigmas, eccs))
             return [(t, {"report": r.as_json_dict()}) for t, verifier in verifiers for r in verifier(D) if not r.ok]
 
     return _Consumer(consume, weight=len(verifiers))
@@ -493,7 +494,7 @@ def exhaustive_verify(
     _check_size(cls, n, parts)
     t0 = time.perf_counter()
     make = _claim_checks if set(ids) <= _CLASSES[cls].scan_claims else _reference_reports
-    scanned, strong_count, checked, fails, certs = _run_shards(cls, n, parts, max(1, shards), make, ids)
+    scanned, strong_count, checked, fails, certs = _run_shards(cls, n, parts, shards, make, ids)
     return ExhaustiveResult(
         theorems=ids,
         cls=cls,
@@ -510,28 +511,29 @@ def exhaustive_verify(
 # Randomized generation
 # ---------------------------------------------------------------------------
 
-def random_graph_with_degrees(degrees: Sequence[int], rng: Random, max_shuffles: int = 200):
+MAX_SHUFFLES = 200
+
+
+def random_graph_with_degrees(degrees: Sequence[int], rng: Random):
     """Uniform-ish simple graph with the given degree sequence (stub pairing
-    with whole-shuffle rejection), as adjacency rows; None when every
-    shuffle produced a loop or repeated edge."""
+    with whole-shuffle rejection), as adjacency rows; None when each of
+    ``MAX_SHUFFLES`` shuffles produced a loop or repeated edge."""
     n = len(degrees)
     stubs: List[int] = []
     for v, d in enumerate(degrees):
         stubs.extend([v] * d)
     if len(stubs) % 2:
         raise ValueError("degree sum must be even")
-    for _ in range(max_shuffles):
+    for _ in range(MAX_SHUFFLES):
         rng.shuffle(stubs)
         rows = [0] * n
-        ok = True
         for i in range(0, len(stubs), 2):
             u, v = stubs[i], stubs[i + 1]
             if u == v or (rows[u] >> v) & 1:
-                ok = False
                 break
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        if ok:
+        else:
             return rows
     return None
 

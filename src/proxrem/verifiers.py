@@ -64,7 +64,7 @@ from .canonical import canonical_form  # noqa: F401
 from .constructions import dicycle as make_dicycle
 from .constructions import hub_digraph
 from .digraph import Digraph, NotStrongError, find_unreachable_pair, is_tournament, reach_within
-from .metrics import cached_distance_sums, distance_layers, sigma_ecc_vectors
+from .metrics import distance_layers, proximity_remoteness, radius_diameter, sigma_ecc_vectors
 
 
 @dataclass
@@ -523,13 +523,6 @@ def resolve_theorems(ids: Sequence[str]) -> Tuple[str, ...]:
 # The reference verifier
 # ---------------------------------------------------------------------------
 
-def _require_strong(D: Digraph) -> None:
-    cached_distance_sums(D)  # fills D's kernel memo, which answers a strong D at once
-    pair = find_unreachable_pair(D)
-    if pair is not None:
-        raise NotStrongError(pair)
-
-
 def verify(claim_id: str, D: Digraph) -> VerificationReport:
     """One claim's report on one instance, from its row in ``CLAIMS``.
 
@@ -539,8 +532,9 @@ def verify(claim_id: str, D: Digraph) -> VerificationReport:
     """
     claim = CLAIMS[claim_id]
     parts = claim.requires(D)
-    if claim.strong:
-        _require_strong(D)
+    pair = find_unreachable_pair(D) if claim.strong else None
+    if pair is not None:
+        raise NotStrongError(pair)
     if D.n < claim.min_n:
         raise ValueError(f"claim needs n >= {claim.min_n}, got {D.n}")
     sigmas, eccs = sigma_ecc_vectors(D) if claim.strong else (None, None)
@@ -587,9 +581,8 @@ def verify_sec5_facts(kind: str, n: int, c: Optional[int] = None) -> Verificatio
         D = make_dicycle(n)
     else:
         raise ValueError(f"kind must be 'hub' or 'dicycle', got {kind!r}")
-    sigmas, eccs = sigma_ecc_vectors(D)
-    rad, diam = min(eccs), max(eccs)
-    rho = Fraction(max(sigmas), n - 1)
+    _, rho, _ = proximity_remoteness(D)
+    rad, diam = radius_diameter(D)
     checks: Dict[str, bool] = {}
     if kind == "hub":
         checks["rad_is_1"] = rad == 1

@@ -3,14 +3,13 @@ import json
 import pytest
 
 from proxrem import cli, verifiers
-from proxrem import digraph as digraph_mod
 from proxrem.cli import main
 from proxrem.constructions import fig1_graph
 from proxrem.formats import write_digraph6, write_edge_list
 from proxrem.metrics import metrics_report
 from proxrem.search import exhaustive_verify
 
-from test_metrics import kernel_runs  # noqa: F401  (a fixture)
+from test_metrics import kernel_runs, sweeps  # noqa: F401  (fixtures)
 
 
 def run(capsys, argv):
@@ -138,12 +137,7 @@ class TestVerify:
         # 0 reaches everything, and nothing reaches 0
         assert json.loads(err.strip().splitlines()[-1])["unreachable_pair"] == [1, 0]
 
-    def test_enumerate_runs_the_kernel_once_per_instance_and_no_sweep(self, capsys, kernel_runs, monkeypatch):
-        sweeps = []
-        reach = digraph_mod.reach_within
-        counted = lambda *a: sweeps.append(a) or reach(*a)
-        monkeypatch.setattr(digraph_mod, "reach_within", counted)
-        monkeypatch.setattr(verifiers, "reach_within", counted)
+    def test_enumerate_runs_the_kernel_once_per_instance_and_no_sweep(self, capsys, kernel_runs, sweeps):
         code, out, _ = run(capsys, ["verify", "thm-3.3", "--enumerate", "tournaments,5"])
         assert code == 0
         reports = [json.loads(l) for l in out.splitlines()]
@@ -288,11 +282,18 @@ MALFORMED = [
     ["verify", "sec5-facts", "--family", "hub_digraph:2"],
     ["verify", "sec5-facts", "--family", "dicycle:1"],
     ["verify", "sec5-facts", "--family", "dicycle:x"],
+    ["exhaustive-verify", "thm-2.1", "all_digraphs", "3", "--shards", "0"],
+    ["search", "--class", "tournaments", "--n", "3", "--pred", "strong", "--shards", "-4"],
+    ["PROXREM_SHARDS=0", "exhaustive-verify", "thm-2.1", "all_digraphs", "3"],
 ]
 
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
-def test_malformed_input_exits_2_with_json_error(capsys, argv):
+def test_malformed_input_exits_2_with_json_error(capsys, monkeypatch, argv):
+    if "=" in argv[0]:  # an environment setting, as a shell writes it
+        name, _, value = argv[0].partition("=")
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     code, _, err = run(capsys, argv)
     assert code == 2
     assert "error" in json.loads(err.strip().splitlines()[-1])

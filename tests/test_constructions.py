@@ -35,6 +35,7 @@ from proxrem.metrics import (
 )
 
 from oracles import bipartite_facts_oracle, brute_isomorphic
+from test_metrics import kernel_runs, sweeps  # noqa: F401  (fixtures)
 
 constructions_mod = importlib.import_module("proxrem.constructions")
 
@@ -121,9 +122,11 @@ class TestHamExtremal:
         assert eccs[0] == n - 1
         assert Fraction(max(sigmas), n - 1) == Fraction(n, 2)
 
-    def test_empty_not_strong(self):
-        with pytest.raises(NotStrongError):
+    def test_empty_not_strong(self, sweeps):
+        with pytest.raises(NotStrongError) as err:
             ham_extremal(4, [])
+        assert err.value.pair == (1, 0)
+        assert sweeps == []  # the pair comes from the kernel memo
 
     def test_forward_shortcut_rejected(self):
         with pytest.raises(ValueError, match="forward shortcut"):
@@ -231,6 +234,14 @@ class TestSpecRegistry:
         )
         assert check_expected(ConstructionSpec("bipartite_blowup", (2,))) == []
         assert calls == [20]
+
+    @pytest.mark.parametrize("family, params", [("hub_digraph", (8, 3)), ("bipartite_blowup", (2,))])
+    def test_check_expected_runs_the_kernel_once_and_no_sweep(self, kernel_runs, sweeps, family, params):
+        spec = ConstructionSpec(family, params)
+        D = build(spec)
+        assert check_expected(spec, D) == []
+        assert kernel_runs == [D.rows]
+        assert sweeps == []
 
     @pytest.mark.parametrize(
         "family, params, D, failures",

@@ -15,8 +15,15 @@ from random import Random
 
 import pytest
 
-from proxrem.digraph import FRONTIER_TABLE_CAP, Digraph, find_unreachable_pair, frontier_bits, reach_within
-from proxrem.metrics import distance_layers, distance_sums, lane_distance_sums
+from proxrem.digraph import (
+    FRONTIER_TABLE_CAP,
+    Digraph,
+    distance_sums,
+    find_unreachable_pair,
+    frontier_bits,
+    reach_within,
+)
+from proxrem.metrics import distance_layers, lane_distance_sums
 from proxrem.search import enumerate_class
 
 from oracles import bfs_distances, floyd_warshall, unreachable_pair_oracle

@@ -43,6 +43,7 @@ from test_digraph import random_digraphs
 metrics_mod = importlib.import_module("proxrem.metrics")
 digraph_mod = importlib.import_module("proxrem.digraph")
 search_mod = importlib.import_module("proxrem.search")
+verifiers_mod = importlib.import_module("proxrem.verifiers")
 
 
 class TestProfiles:
@@ -279,7 +280,7 @@ def kernel_runs(monkeypatch):
     """Records the rows of every distance-kernel run, whichever module calls it;
     each lane of a ``lane_distance_sums`` batch counts as one run."""
     runs = []
-    kernel = metrics_mod.distance_sums
+    kernel = digraph_mod.distance_sums
     lanes = metrics_mod.lane_distance_sums
 
     def counted(rows, n):
@@ -290,9 +291,26 @@ def kernel_runs(monkeypatch):
         runs.extend(tuple(rows) for rows in batch)
         return lanes(batch, n)
 
-    for mod in (metrics_mod, search_mod):
+    for mod in (digraph_mod, search_mod):
         monkeypatch.setattr(mod, "distance_sums", counted)
+    for mod in (metrics_mod, search_mod):
         monkeypatch.setattr(mod, "lane_distance_sums", lanes_counted)
+    return runs
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Records the arguments of every ``reach_within`` run, whichever module
+    calls it."""
+    runs = []
+    reach = digraph_mod.reach_within
+
+    def counted(*args):
+        runs.append(args)
+        return reach(*args)
+
+    for mod in (digraph_mod, metrics_mod, verifiers_mod):
+        monkeypatch.setattr(mod, "reach_within", counted)
     return runs
 
 
@@ -340,22 +358,26 @@ class TestKernelMemo:
             assert second.value.pair == first.value.pair
             u, v = first.value.pair
             assert floyd_warshall(D)[u][v] is None
-            # find_unreachable_pair still computes its own pair
-            assert find_unreachable_pair(D) == find_unreachable_pair(fresh) is not None
+            # find_unreachable_pair reads the memo's pair
+            assert find_unreachable_pair(D) == find_unreachable_pair(fresh) == (u, v)
             assert not is_strong(D)
+            assert len(kernel_runs) == runs + 1  # the fresh copy's one run
 
-    def test_strong_memo_answers_find_unreachable_pair(self, monkeypatch):
+    def test_strong_memo_answers_find_unreachable_pair(self, kernel_runs, sweeps):
         D = rotational_tournament(7)
         sigma_ecc_vectors(D)
-
-        def no_reach(*args):
-            raise AssertionError("reach_within ran on a digraph known to be strong")
-
-        monkeypatch.setattr(digraph_mod, "reach_within", no_reach)
         assert find_unreachable_pair(D) is None
         assert is_strong(D)
-        with pytest.raises(AssertionError):
-            find_unreachable_pair(Digraph(D.n, D.rows))
+        assert kernel_runs == [D.rows] and sweeps == []
+        # a fresh digraph: one kernel run fills the memo, which the metrics read
+        fresh = Digraph(D.n, D.rows)
+        assert find_unreachable_pair(fresh) is None
+        assert kernel_runs == [D.rows, D.rows]
+        sigma_ecc_vectors(fresh)
+        proximity_remoteness(fresh)
+        radius_diameter(fresh)
+        metrics_report(fresh)
+        assert kernel_runs == [D.rows, D.rows] and sweeps == []
 
     @pytest.mark.parametrize("D", [extremal_tournament(5), from_edge_list(3, [(0, 1), (1, 2)])])
     def test_pickle_equality_and_hash_ignore_the_memo(self, D):

@@ -1,6 +1,5 @@
 import pytest
 
-from proxrem import digraph as digraph_mod
 from proxrem import verifiers
 from proxrem.constructions import (
     bipartite_T1,
@@ -31,7 +30,7 @@ from oracles import (
     rotational_tournament,
     transitive_tournament,
 )
-from test_metrics import kernel_runs  # noqa: F401  (a fixture)
+from test_metrics import kernel_runs, sweeps  # noqa: F401  (fixtures)
 
 
 def complete_digraph(n):
@@ -166,18 +165,23 @@ class TestThm22:
 
 
 class TestRequireStrong:
-    """``verify`` runs the kernel before its strongness test, so the kernel
-    memo answers a strong digraph without a reachability sweep."""
+    """``verify``'s strongness test reads the kernel memo, so a fresh digraph,
+    strong or not, costs one kernel run and no reachability sweep."""
 
-    def test_strong_input_runs_the_kernel_once_and_no_sweep(self, kernel_runs, monkeypatch):
-        sweeps = []
-        reach = digraph_mod.reach_within
-        monkeypatch.setattr(digraph_mod, "reach_within", lambda *a: sweeps.append(a) or reach(*a))
+    def test_strong_input_runs_the_kernel_once_and_no_sweep(self, kernel_runs, sweeps):
         T = extremal_tournament(7)
         D = Digraph(T.n, T.rows)
         assert verifiers.verify("thm-3.3", D).ok
         assert sweeps == []
         assert kernel_runs == [D.rows]
+
+    def test_non_strong_input_runs_the_kernel_once_and_no_sweep(self, kernel_runs, sweeps):
+        D = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(NotStrongError) as err:
+            verify("thm-2.1-pi", D)
+        assert err.value.pair == (1, 0)
+        assert kernel_runs == [D.rows]
+        assert sweeps == []
 
     def test_not_strong_error_names_the_unreachable_pair(self):
         cases = [D for n in (2, 3) for D in enumerate_class("all_digraphs", n) if not is_strong(D)]
