@@ -239,7 +239,8 @@ def cmd_search(args) -> int:
         limit=args.limit,
         shards=_default_shards(args.shards),
     )
-    # --out is opened before the scan, so an unwritable path fails at once.
+    # Query errors exit before --out opens, and --out opens before the scan.
+    query.check()
     with open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout) as fh:
         result = search(query)
         fh.writelines(d6 if d6.endswith("\n") else d6 + "\n" for d6, _ in result.matches)

@@ -12,7 +12,7 @@ same results.  ``digraph.distance_sums`` reads the one scalar BFS,
 ``distance_layers`` and ``bfs_profile`` read the same layers.
 ``lane_distance_sums`` runs the BFS on a batch of digraphs of one order at
 once, one per lane of a few big integers: the exhaustive scan loop
-(``search._scan``) calls it on each batch of screened instances.
+(``search._scan``) calls it on the screened instances of each block.
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 
 Enumeration walks labeled arc-subset codes in Gray-code order, so advancing
 from one instance to the next toggles a single arc (or reorients a single
-pair).  Shards are contiguous code ranges; any worker count produces the
-same normalized result set.  One per-instance loop on raw adjacency rows,
-``_scan``, serves search, the claim scan and the reference path; each
-supplies a consumer, and Digraphs are built only where a consumer needs one.
+pair); ``_blocks`` builds each aligned block of codes at once, one lane per
+instance, from Gray(c0 + j) = Gray(c0) ^ Gray(j).  Shards are contiguous
+code ranges; any worker count produces the same normalized result set.
+One per-instance loop on raw adjacency rows, ``_scan``, serves search, the
+claim scan and the reference path; each supplies a consumer, and one that
+reads only strong instances never sees one that fails the strongness
+screen.  Digraphs are built only where a consumer needs one.
 
 Feasibility ceilings (labeled instances):
 
@@ -23,7 +26,8 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import compress, repeat
 from multiprocessing import get_context
 from random import Random
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -31,10 +35,11 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 from .canonical import canonical_form
 from .digraph import Digraph, cached_distance_sums, distance_sums, is_regular, is_tournament
 from .formats import read_digraph6, write_digraph6
+from .metrics import _LANE_CODES, MetricsReport, _lane_width, _to_lanes, lane_distance_sums, metrics_report
 
 # distance_layers is bound here for the benchmark's boundary tracer
 # (perfbench/tracer.py), which patches it by name in this module.
-from .metrics import MetricsReport, distance_layers, lane_distance_sums, metrics_report  # noqa: F401
+from .metrics import distance_layers  # noqa: F401
 from .verifiers import CLAIMS, THEOREMS, InstanceFacts, bound_check, resolve_theorems
 
 
@@ -68,7 +73,9 @@ def _spec(cls: str) -> _Class:
     return _CLASSES[cls]
 
 
-def _check_size(cls: str, n: Optional[int], parts: Optional[Tuple[int, int]]) -> None:
+def _check_size(cls: str, n: Optional[int], parts: Optional[Tuple[int, int]], shards: int = 1) -> None:
+    if shards < 1:
+        raise ValueError(f"shard count must be >= 1, got {shards}")
     spec = _spec(cls)
     if spec.sized_by_parts:
         if parts is None or parts[0] * parts[1] > spec.ceiling:
@@ -92,9 +99,7 @@ def _layout(cls: str, n: Optional[int], parts: Optional[Tuple[int, int]]):
         part_ranges = range(a), range(a, order)
     else:
         order = n
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        if spec.flip == "arc":
-            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (u < v or spec.flip == "arc")]
         part_ranges = None
     base = [0] * order
     flips = []
@@ -110,29 +115,49 @@ def total_count(cls: str, n: Optional[int] = None, parts: Optional[Tuple[int, in
     return 1 << nbits
 
 
-def _rows_at(base: List[int], flips, code: int) -> List[int]:
-    rows = list(base)
-    g = code ^ (code >> 1)
-    k = 0
-    while g:
-        if g & 1:
-            for v, mask in flips[k]:
-                rows[v] ^= mask
-        g >>= 1
-        k += 1
-    return rows
+#: The scan loop's block size is the largest power of two at most this.
+_LANES = 1024
 
 
-def _iter_rows(cls: str, n: Optional[int], parts, start: int, stop: int) -> Iterator[List[int]]:
-    """Yields the (shared, mutated in place) row list for codes start..stop-1."""
+def _blocks(cls: str, n: Optional[int], parts, start: int, stop: int):
+    """The one Gray enumerator: per aligned block of 2**k codes (2**k the
+    largest power of two <= ``_LANES``, or the whole class if smaller), the
+    row tuples of its codes in start..stop-1 in order, and a 0/1 array of
+    those that pass the strongness screen (no empty row and no vertex
+    without an in-arc; one vertex counts as strong).  Rows are linear over
+    GF(2) in the Gray code, and Gray(c0 + j) = Gray(c0) ^ Gray(j) for a
+    block's first code c0 and j < 2**k.  So column v, row v of each instance
+    in one w-bit lane, is row v at c0 broadcast to every lane XOR the lanes
+    of Gray(j)'s rows, built once; the screen is a few carry tests
+    ``(x + FULL) >> n & E`` on the columns, as in ``lane_distance_sums``;
+    the tuples come out in C."""
     order, nbits, base, flips, _ = _layout(cls, n, parts)
-    rows = _rows_at(base, flips, start)
-    if start < stop:
-        yield rows
-    for idx in range(start + 1, stop):
-        for v, mask in flips[(idx & -idx).bit_length() - 1]:
-            rows[v] ^= mask
-        yield rows
+    k = min(_LANES.bit_length() - 1, nbits)
+    w = _lane_width(order)
+    code, nbytes = _LANE_CODES[w], w // 8 << k
+    E = int.from_bytes((1).to_bytes(w // 8, "little") * (1 << k), "little")
+    FULL = ((1 << order) - 1) * E
+    low, table = [0] * order, []
+    for j in range(1 << k):
+        for v, mask in flips[(j & -j).bit_length() - 1] if j else ():
+            low[v] ^= mask
+        table.append(tuple(low))
+    pattern = [int.from_bytes(b"".join(r[v].to_bytes(w // 8, "little") for r in table), "little") for v in range(order)]
+    head, gray = list(base), 0
+    for c0 in range(start >> k << k, stop, 1 << k):
+        toggled, gray = gray ^ c0 ^ (c0 >> 1), c0 ^ (c0 >> 1)
+        for bit in range(nbits):
+            for v, mask in flips[bit] if toggled >> bit & 1 else ():
+                head[v] ^= mask
+        col = [h * E ^ p for h, p in zip(head, pattern)]
+        screen, covered = E, 0
+        for c in col:
+            screen &= (c + FULL) >> order
+            covered |= c
+        screen = screen & ~((covered ^ FULL) + FULL >> order) if order > 1 else E
+        lo, hi = max(start - c0, 0), min(stop - c0, 1 << k)
+        block = list(zip(*(_to_lanes(c, code, nbytes) for c in col)))
+        yield block[lo:hi], _to_lanes(screen, code, nbytes)[lo:hi]
 
 
 def shard_range(total: int, index: int, count: int) -> Tuple[int, int]:
@@ -149,11 +174,9 @@ def enumerate_class(
 ) -> Iterator[Digraph]:
     """Every labeled member exactly once, in Gray-code-adjacent order."""
     _check_size(cls, n, parts)
-    order, nbits, base, flips, _ = _layout(cls, n, parts)
-    total = 1 << nbits
-    start, stop = shard_range(total, *shard) if shard else (0, total)
-    for rows in _iter_rows(cls, n, parts, start, stop):
-        yield Digraph(order, tuple(rows))
+    order, nbits, _, _, _ = _layout(cls, n, parts)
+    start, stop = shard_range(1 << nbits, *shard) if shard else (0, 1 << nbits)
+    yield from (Digraph(order, rows) for block, _ in _blocks(cls, n, parts, start, stop) for rows in block)
 
 
 #: Cap on stored counterexample certificates (counts stay exact).
@@ -161,79 +184,54 @@ MAX_CERTIFICATES = 200
 
 
 def _cert(order: int, rows: Sequence[int], theorem: str, info: dict) -> dict:
-    return {
-        "digraph6": write_digraph6(Digraph(order, tuple(rows))),
-        "theorem": theorem,
-        **info,
-    }
+    return {"digraph6": write_digraph6(Digraph(order, rows)), "theorem": theorem, **info}
 
 
 class _Consumer(NamedTuple):
-    """One path's part in the scan loop.  ``gate(rows)``, if set, rules an
-    instance out before the screen.  With ``kernel``, the lane kernel runs
-    once on each batch of screened instances.  ``consume(rows, sigmas,
-    eccs)`` then gets every instance of the batch in enumeration order, its
-    rows as a tuple (sigmas and eccs None if not strong or not computed),
-    and returns None, or the (key, info) findings of an instance that adds
-    ``weight`` to ``checked``.  The loop keeps ``keep(order, rows, key,
-    info)`` for the first ``cap`` findings, cut to the ``trim`` smallest."""
+    """One path's part in the scan loop.  Without ``every`` the consumer
+    reads only strong instances: it never sees one that fails the
+    strongness screen, and ``gate(rows)``, if set, rules a screened one out
+    before the kernel.  With ``every`` it sees every instance.  With
+    ``kernel`` the lane kernel runs once per block on the screened instances
+    it sees.  ``consume(rows, sigmas, eccs)`` gets each instance it sees in
+    enumeration order, its rows as a tuple (sigmas and eccs None if not
+    strong or not computed), and returns None, or the (key, info) findings
+    of an instance that adds ``weight`` to ``checked``.  The loop keeps
+    ``keep(order, rows, key, info)`` for the first ``cap`` findings, cut to
+    the ``trim`` smallest."""
 
     consume: Callable
     keep: Callable = _cert
     gate: Optional[Callable] = None
     kernel: bool = True
+    every: bool = False
     weight: int = 1
     cap: float = MAX_CERTIFICATES
     trim: Optional[int] = None
 
 
-#: Instances the scan loop hands the lane kernel at once.
-_LANES = 1024
-
-
-def _screened_batches(cls: str, n: Optional[int], parts, start: int, stop: int, order: int, gate, kernel: bool):
-    """Lists of up to ``_LANES`` (rows, screened) pairs, in enumeration order:
-    each instance of codes start..stop-1 that passes the gate, as a row
-    tuple, and whether the kernel should run on it (only with ``kernel``,
-    and only if it passes the O(n) strongness screen)."""
-    # The screen: an empty row, or a vertex with no in-arc, rules out strongness;
-    # a single vertex has no arcs yet counts as strong, so order 1 needs neither.
-    empty, covered = (0, (1 << order) - 1) if order > 1 else (None, 0)
-    batch = []
-    for rows in _iter_rows(cls, n, parts, start, stop):
-        if gate is not None and not gate(rows):
-            continue
-        screened = False
-        if kernel:
-            acc = 0
-            if empty not in rows:
-                for r in rows:  # a loop: it beats functools.reduce on these short rows
-                    acc |= r
-            screened = acc == covered
-        batch.append((tuple(rows), screened))
-        if len(batch) >= _LANES:
-            yield batch
-            batch = []
-    yield batch
-
-
 def _scan(job) -> Tuple[int, int, Counter, list]:
-    """The one per-instance loop over codes start..stop-1: the Gray step, the
-    gate and the O(n) strongness screen (``_screened_batches``), one
-    ``lane_distance_sums`` run on the screened instances of each batch, then
-    the consumer ``make(order, part_ranges, arg)`` builds, on every instance
-    of the batch in enumeration order.  Returns (strong, checked, findings
-    per key, kept findings)."""
+    """The one per-instance loop over codes start..stop-1, one ``_blocks``
+    block at a time: the screen and the gate (for a consumer without
+    ``every``), one ``lane_distance_sums`` run on the screened instances
+    left (with ``kernel``), then the consumer ``make(order, part_ranges,
+    arg)`` builds on each instance left, in enumeration order.  Returns
+    (strong, checked, findings per key, kept findings)."""
     cls, n, parts, start, stop, make, arg = job
     order, _, _, _, part_ranges = _layout(cls, n, parts)
-    consume, keep, gate, kernel, weight, cap, trim = make(order, part_ranges, arg)
+    consume, keep, gate, kernel, every, weight, cap, trim = make(order, part_ranges, arg)
     counts: Counter = Counter()
     kept = []
     strong = checked = 0
-    for batch in _screened_batches(cls, n, parts, start, stop, order, gate, kernel):
-        distances = iter(lane_distance_sums([rows for rows, screened in batch if screened], order))
-        for rows, screened in batch:
-            sigmas, eccs = next(distances) if screened else (None, None)
+    for block, screened in _blocks(cls, n, parts, start, stop):
+        if not every:
+            block = list(compress(block, screened))
+            if gate is not None:
+                block = list(filter(gate, block))
+        flags = repeat(False) if not kernel else screened if every else repeat(True)
+        distances = iter(lane_distance_sums(list(compress(block, flags)), order))
+        for rows, flag in zip(block, flags):
+            sigmas, eccs = next(distances) if flag else (None, None)
             if sigmas is not None:
                 strong += 1
             found = consume(rows, sigmas, eccs)
@@ -249,8 +247,6 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
 def _run_shards(cls: str, n: Optional[int], parts, shards: int, make, arg):
     """The one shard driver: ``_scan`` on contiguous code ranges, in a pool
     when there are several; kept findings stay in enumeration order."""
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
     total = total_count(cls, n, parts)
     jobs = [(cls, n, parts, *shard_range(total, i, shards), make, arg) for i in range(shards)]
     if shards == 1:
@@ -275,6 +271,20 @@ class SearchQuery:
     dedup: str = "none"  # none | canonical
     limit: Optional[int] = None
     shards: int = 1
+
+    def check(self) -> None:
+        """Raise ValueError on any query error.  ``search`` and the CLI call
+        this before a scan starts or an output file opens."""
+        for p in self.predicates:
+            if p not in PREDICATES:
+                raise ValueError(f"unknown predicate {p!r}; known: {sorted(PREDICATES)}")
+        if self.dedup not in ("none", "canonical"):
+            raise ValueError(f"unknown dedup {self.dedup!r}; expected 'none' or 'canonical'")
+        if self.limit is not None and self.limit < 0:
+            raise ValueError(f"limit must be nonnegative, got {self.limit}")
+        if self.cls != "bipartite_tournaments" and {"good", "bad"} & set(self.predicates):
+            raise ValueError("good/bad predicates need the bipartite_tournaments class")
+        _check_size(self.cls, self.n, self.parts, self.shards)
 
 
 @dataclass
@@ -321,7 +331,8 @@ _MATCH = (("matches", None),)  # the one finding of a matching instance
 
 
 def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
-    """Search: the predicates that need no kernel gate each instance before it."""
+    """Search: the predicates that need no kernel rule an instance out
+    before the kernel runs on it."""
     predicates, trim = arg
     facts = InstanceFacts(order, part_ranges)
     cheap = [PREDICATES[p][1] for p in predicates if not PREDICATES[p][0]]
@@ -332,16 +343,19 @@ def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
         return all(fn(facts) for fn in cheap)
 
     def consume(rows, sigmas, eccs):
+        if not costly:
+            return _MATCH if not cheap or gate(rows) else None
         if sigmas is not None:
             facts.load(rows, sigmas, eccs)
             if all(fn(facts) for fn in costly):
                 return _MATCH
 
     return _Consumer(
-        consume if costly else lambda rows, sigmas, eccs: _MATCH,
-        lambda order, rows, key, info: write_digraph6(Digraph(order, tuple(rows))),
+        consume,
+        lambda order, rows, key, info: write_digraph6(Digraph(order, rows)),
         gate=gate if cheap else None,
         kernel=bool(costly),
+        every=not costly,  # with a kernel predicate every match is strong
         cap=math.inf,
         trim=trim,
     )
@@ -354,16 +368,7 @@ def search(query: SearchQuery) -> SearchResult:
     and limit are applied, so it does not depend on the shard count, and
     ``dedup_stats`` counts every match and class before the limit.
     """
-    for p in query.predicates:
-        if p not in PREDICATES:
-            raise ValueError(f"unknown predicate {p!r}; known: {sorted(PREDICATES)}")
-    if query.dedup not in ("none", "canonical"):
-        raise ValueError(f"unknown dedup {query.dedup!r}; expected 'none' or 'canonical'")
-    if query.limit is not None and query.limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {query.limit}")
-    if query.cls != "bipartite_tournaments" and {"good", "bad"} & set(query.predicates):
-        raise ValueError("good/bad predicates need the bipartite_tournaments class")
-    _check_size(query.cls, query.n, query.parts)
+    query.check()
     t0 = time.perf_counter()
     # Without dedup each shard may keep just its smallest `limit` matches.
     trim = query.limit if query.dedup == "none" else None
@@ -455,7 +460,7 @@ def _claim_checks(order: int, part_ranges, want) -> _Consumer:
                     failed.append((t, evidence(facts)))
             return failed
 
-    return _Consumer(consume)
+    return _Consumer(consume, every=bool(loose))
 
 
 def _reference_reports(order: int, part_ranges, want) -> _Consumer:
@@ -465,7 +470,7 @@ def _reference_reports(order: int, part_ranges, want) -> _Consumer:
 
     def consume(rows, sigmas, eccs):
         if sigmas is not None:
-            D = Digraph(order, tuple(rows))
+            D = Digraph(order, rows)
             cached_distance_sums(D, (sigmas, eccs))
             return [(t, {"report": r.as_json_dict()}) for t, verifier in verifiers for r in verifier(D) if not r.ok]
 
@@ -491,7 +496,7 @@ def exhaustive_verify(
     if isinstance(theorem_ids, str):
         theorem_ids = [theorem_ids]
     ids = resolve_theorems(theorem_ids)
-    _check_size(cls, n, parts)
+    _check_size(cls, n, parts, shards)
     t0 = time.perf_counter()
     make = _claim_checks if set(ids) <= _CLASSES[cls].scan_claims else _reference_reports
     scanned, strong_count, checked, fails, certs = _run_shards(cls, n, parts, shards, make, ids)
@@ -549,15 +554,7 @@ class RediscoveryResult:
     sigma_equal_hits: int
 
     def as_json_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "iterations": self.iterations,
-            "budget": self.budget,
-            "seed": self.seed,
-            "digraph6": self.digraph6,
-            "sigma": self.sigma,
-            "sigma_equal_hits": self.sigma_equal_hits,
-        }
+        return asdict(self)
 
 
 def rediscover_sigma_equal_graph(

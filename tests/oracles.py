@@ -96,6 +96,31 @@ def sample_strong_digraph(n: int, rng, arc_prob: float = 0.5, max_tries: int = 1
     raise RuntimeError(f"no strong digraph found in {max_tries} tries")
 
 
+def gray_order_oracle(cls: str, pairs: List[Tuple[int, int]], n: int) -> List[Tuple[int, ...]]:
+    """The adjacency rows of code c at index c, for every code of a class
+    whose code bit k decides pair k = (u, v) of ``pairs``.  Code c stands
+    for Gray(c) = c XOR (c >> 1), decoded one bit at a time into an n x n
+    matrix: in ``all_digraphs`` the bit is the arc u -> v; in
+    ``symmetric_digraphs`` it is both arcs; in the oriented classes 0 is
+    u -> v and 1 is v -> u."""
+    out = []
+    for c in range(2 ** len(pairs)):
+        gray = c ^ (c >> 1)
+        adj = [[False] * n for _ in range(n)]
+        for k, (u, v) in enumerate(pairs):
+            bit = (gray >> k) & 1 == 1
+            if cls == "all_digraphs":
+                adj[u][v] = bit
+            elif cls == "symmetric_digraphs":
+                adj[u][v] = adj[v][u] = bit
+            elif bit:
+                adj[v][u] = True
+            else:
+                adj[u][v] = True
+        out.append(tuple(sum(2 ** v for v in range(n) if adj[u][v]) for u in range(n)))
+    return out
+
+
 def is_tournament_oracle(D: Digraph) -> bool:
     """Every unordered pair {u, v} carries exactly one of its two arcs."""
     return all(D.has_arc(u, v) + D.has_arc(v, u) == 1 for u in range(D.n) for v in range(u + 1, D.n))

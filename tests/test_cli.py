@@ -204,6 +204,19 @@ class TestSearchCli:
         assert code == 2
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize(
+        "query",
+        [["--pred", "strong", "--shards", "0"], ["--pred", "strong", "--limit", "-1"], ["--pred", "nosuch"]],
+        ids=" ".join,
+    )
+    def test_query_error_leaves_an_existing_out_file_alone(self, tmp_path, capsys, query):
+        out_path = tmp_path / "kept.d6"
+        out_path.write_bytes(b"BW\nBO\n")
+        code, _, err = run(capsys, ["search", "--class", "tournaments", "--n", "3", *query, "--out", str(out_path)])
+        assert code == 2
+        assert "error" in json.loads(err)
+        assert out_path.read_bytes() == b"BW\nBO\n"
+
     def test_stdout_matches_summary_on_stderr(self, capsys):
         code, out, err = run(
             capsys,

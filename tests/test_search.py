@@ -1,7 +1,8 @@
 import importlib
 import math
 import time
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
@@ -29,6 +30,7 @@ from oracles import (
     bipartite_orbit_count,
     brute_isomorphic,
     fw_metrics,
+    gray_order_oracle,
     is_regular_oracle,
     is_tournament_oracle,
     quadratic_residue_tournament,
@@ -581,6 +583,20 @@ class TestStrongnessScreen:
         # a 3-cycle beating another 3-cycle passes it and reaches the kernel.
         assert any(_passes_screen(rows) for rows in not_strong) == (n == 6)
 
+    def test_strong_only_search_gates_only_screened_instances(self, monkeypatch):
+        loads = []
+        load = InstanceFacts.load
+
+        def recorded(self, rows, sigmas, eccs):
+            loads.append(tuple(rows))
+            return load(self, rows, sigmas, eccs)
+
+        monkeypatch.setattr(InstanceFacts, "load", recorded)
+        r = search(SearchQuery(cls="bipartite_tournaments", parts=(3, 3), predicates=("strong", "good")))
+        assert r.dedup_stats["labeled_matches"] > 0
+        assert len(set(loads)) < r.scanned == 512
+        assert all(_passes_screen(rows) for rows in loads)
+
 
 def _exhaustive_json(shards):
     obj = exhaustive_verify(
@@ -671,6 +687,74 @@ class TestLaneBatchInvariance:
         monkeypatch.setattr(search_mod, "_LANES", lanes)
         got = _exhaustive_json(shards), _search_json(shards, "canonical"), _search_json(shards, "none")
         assert got == default_batches
+
+    @pytest.fixture(scope="class")
+    def default_claim_scans(self):
+        return _claim_scans_json(1)
+
+    @pytest.mark.parametrize("lanes", [1, 7, search_mod._LANES])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_claim_scans_with_and_without_non_strong_instances(
+        self, monkeypatch, default_claim_scans, lanes, shards
+    ):
+        bipartite, prop31 = default_claim_scans
+        assert bipartite["scanned"] == 4096 and bipartite["checked"] == bipartite["strong"] > 0
+        # prop-3.1 is checked on every tournament, strong or not.
+        assert prop31["checked"] == prop31["scanned"] == 32768 > prop31["strong"]
+        monkeypatch.setattr(search_mod, "_LANES", lanes)
+        assert _claim_scans_json(shards) == default_claim_scans
+
+
+BIPARTITE_CLAIMS = ["lem-3.4", "lem-3.5", "lem-3.6", "cor-3.7", "cor-3.8"]
+
+
+def _claim_scans_json(shards):
+    scans = [
+        exhaustive_verify(BIPARTITE_CLAIMS, "bipartite_tournaments", parts=(3, 4), shards=shards),
+        exhaustive_verify(["prop-3.1"], "tournaments", n=6, shards=shards),
+    ]
+    out = [r.as_json_dict() for r in scans]
+    for obj in out:
+        del obj["elapsed_seconds"]
+    return out
+
+
+#: Class sizes from no code bit (order 1) through less than one block to several blocks.
+GRAY_ORDER_CASES = (
+    [("all_digraphs", n, None) for n in (1, 2, 3, 4)]
+    + [("tournaments", n, None) for n in range(2, 7)]
+    + [("symmetric_digraphs", n, None) for n in range(2, 7)]
+    + [("bipartite_tournaments", None, parts) for parts in ((1, 1), (2, 3), (3, 4))]
+)
+
+
+@lru_cache(maxsize=None)
+def _gray_order(cls, n, parts):
+    """The oracle's rows for a class.  Code bit k decides the k-th pair in
+    lexicographic order: ordered pairs u != v for all digraphs, u < v for
+    tournaments and symmetric digraphs, (i, a + j) across the parts."""
+    if parts is not None:
+        a, b = parts
+        return gray_order_oracle(cls, [(i, a + j) for i in range(a) for j in range(b)], a + b)
+    pairs = permutations(range(n), 2) if cls == "all_digraphs" else combinations(range(n), 2)
+    return gray_order_oracle(cls, list(pairs), n)
+
+
+class TestGrayOrder:
+    """``enumerate_class`` lists code c at place c, for a whole class (from
+    no code bit, below one block, to several blocks) and for shards whose
+    boundaries fall inside a block, whatever the block size."""
+
+    @pytest.mark.parametrize("lanes", [1, 7, 1024])
+    @pytest.mark.parametrize("cls, n, parts", GRAY_ORDER_CASES, ids=lambda v: str(v).replace(" ", ""))
+    def test_enumeration_follows_the_gray_code(self, monkeypatch, lanes, cls, n, parts):
+        want = _gray_order(cls, n, parts)
+        monkeypatch.setattr(search_mod, "_LANES", lanes)
+        assert [D.rows for D in enumerate_class(cls, n, parts)] == want
+        for count in (3, 7):
+            for index in range(count):
+                start, stop = shard_range(len(want), index, count)
+                assert [D.rows for D in enumerate_class(cls, n, parts, shard=(index, count))] == want[start:stop]
 
 
 def _slow_failing_d6():
