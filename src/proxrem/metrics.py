@@ -10,9 +10,12 @@ same results.  ``digraph.distance_sums`` reads the one scalar BFS,
 ``digraph.bfs_layers``, on one digraph: the ``Digraph`` memo, which
 ``sigma_ecc_vectors`` reads, and the rediscovery search call it, and
 ``distance_layers`` and ``bfs_profile`` read the same layers.
-``lane_distance_sums`` runs the BFS on a batch of digraphs of one order at
-once, one per lane of a few big integers: the exhaustive scan loop
-(``search._scan``) calls it on the screened instances of each block.
+``lane_bfs`` runs the BFS on many digraphs of one order at once, one per
+lane of a few big integers, and returns its results as lane integers: the
+exhaustive scan loop (``search._scan``) calls it on the compacted columns
+of each block's screened instances, and the claims' lane tests
+(``verifiers.LaneFacts``) read its lanes.  ``lane_distance_sums`` is its
+row-tuple form.  Both are built on ``Lanes``, the lane primitives.
 """
 
 from __future__ import annotations
@@ -98,7 +101,9 @@ _LANE_CODES = {array(code).itemsize * 8: code for code in "BHILQ"}
 
 def _lane_width(n: int) -> int:
     """The smallest lane width w of 8, 16, 32 and 64 with n < w and n*n < 2**w:
-    a lane holds a vertex mask with its carry bit n, and a distance sum."""
+    a lane holds a vertex mask with its carry bit n, and a distance sum.
+    Every lane value of order n (a vertex mask, a degree, an eccentricity, a
+    distance sum) is then below 2**(w-1), so the top bit of a lane is free."""
     if n >= 1:
         for w in (8, 16, 32, 64):
             if n < w and n * n < 1 << w:
@@ -106,92 +111,175 @@ def _lane_width(n: int) -> int:
     raise ValueError(f"lane_distance_sums needs 1 <= n < 64, got n={n}")
 
 
-def _to_lanes(x: int, code: str, nbytes: int) -> array:
-    """The w-bit lanes of x, lane 0 first."""
-    lanes = array(code, x.to_bytes(nbytes, "little"))
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return lanes
+class Lanes:
+    """Lane-wise arithmetic on ``count`` w-bit lanes of one big integer, lane
+    i in bits w*i..w*i+w-1 (SWAR: Warren, *Hacker's Delight*, ch. 5), for
+    digraphs of order n: w is ``_lane_width(n)``.  Every value a lane holds
+    is below 2**(w-1), so the top bit of each lane is a guard bit and no
+    carry or borrow below crosses into the next lane.  A *mask* holds 0 or 1
+    in each lane; ``E`` is the mask of every lane and ``FULL`` the vertex set
+    in every lane.  ``lanes``/``join`` convert to and from an array."""
+
+    __slots__ = (
+        "n", "count", "w", "code", "nbytes", "E", "FULL", "m1", "m2", "m4", "fields", "_guard", "_below",
+    )
+
+    def __init__(self, n: int, count: int):
+        w = self.w = _lane_width(n)
+        self.n, self.count = n, count
+        self.code, self.nbytes = _LANE_CODES[w], count * w // 8
+        self.E = int.from_bytes((1).to_bytes(w // 8, "little") * count, "little")
+        self.FULL = self.every((1 << n) - 1)
+        self._guard = self.every(1 << (w - 1))
+        self._below = self._guard - self.E  # 2**(w-1) - 1 in every lane
+        ones = int.from_bytes(b"\x01" * (w // 8), "little")  # 1 in every byte of a lane
+        self.m1, self.m2, self.m4 = (self.every(b * ones) for b in (0x55, 0x33, 0x0F))
+        # (f, mask) adds each pair of neighbouring f-bit fields into one 2f-bit field
+        self.fields = [
+            (f, self.every(sum(((1 << f) - 1) << s for s in range(0, w, 2 * f)))) for f in (8, 16, 32) if f < w
+        ]
+
+    def every(self, value: int) -> int:
+        """``value`` (below 2**w) in every lane."""
+        return value * self.E
+
+    def lanes(self, x: int) -> array:
+        """The lanes of x, lane 0 first."""
+        lanes = array(self.code, x.to_bytes(self.nbytes, "little"))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return lanes
+
+    def join(self, lanes: array) -> int:
+        """The integer whose lanes are ``lanes``: the inverse of ``lanes``."""
+        if sys.byteorder == "big":
+            lanes = array(lanes.typecode, lanes)
+            lanes.byteswap()
+        return int.from_bytes(lanes, "little")
+
+    def at_least(self, x: int, k: int) -> int:
+        """The mask of lanes with x >= k: the guard bit of x + 2**(w-1) - k."""
+        if k <= 0:
+            return self.E
+        if k > 1 << self.w - 1:
+            return 0
+        return (x + self._guard - self.every(k)) >> self.w - 1 & self.E
+
+    def at_most(self, x: int, k: int) -> int:
+        """The mask of lanes with x <= k."""
+        return self.E ^ self.at_least(x, k + 1)
+
+    def equal(self, x: int, k: int) -> int:
+        """The mask of lanes with x == k."""
+        return self.at_least(x, k) ^ self.at_least(x, k + 1)
+
+    def nonzero(self, x: int) -> int:
+        """The mask of lanes with x != 0: the guard bit of x + 2**(w-1) - 1."""
+        return (x + self._below) >> self.w - 1 & self.E
+
+    def ge(self, x: int, y: int) -> int:
+        """The mask of lanes with x >= y: the guard bit of (x | guard) - y."""
+        return ((x | self._guard) - y) >> self.w - 1 & self.E
+
+    def minimum(self, xs: Sequence[int]) -> int:
+        lane = (1 << self.w) - 1
+        low = xs[0]
+        for x in xs[1:]:
+            low ^= (low ^ x) & self.ge(low, x) * lane
+        return low
+
+    def maximum(self, xs: Sequence[int]) -> int:
+        lane = (1 << self.w) - 1
+        high = xs[0]
+        for x in xs[1:]:
+            high ^= (high ^ x) & self.ge(x, high) * lane
+        return high
+
+    def byte_counts(self, x: int) -> int:
+        """The popcount of each byte of x, in that byte."""
+        x -= (x >> 1) & self.m1
+        x = (x & self.m2) + ((x >> 2) & self.m2)
+        return (x + (x >> 4)) & self.m4
+
+    @staticmethod
+    def fold(x: int, fields) -> int:
+        for f, mask in fields:
+            x = (x & mask) + ((x >> f) & mask)
+        return x
+
+    def popcount(self, x: int) -> int:
+        return self.fold(self.byte_counts(x), self.fields)
+
+    def successors(self, F: int, col: Sequence[int]) -> int:
+        """The out-neighbours of the vertex set F of each lane: the union of
+        the rows ``col[v]`` (row v of every lane) its vertices select."""
+        E, full = self.E, (1 << self.n) - 1
+        nxt = 0
+        for v, c in enumerate(col):
+            nxt |= ((F >> v) & E) * full & c
+        return nxt
 
 
-def lane_distance_sums(batch: Sequence[Sequence[int]], n: int) -> List[tuple]:
-    """``digraph.distance_sums`` of many digraphs of order n at once.
+def lane_bfs(L: Lanes, col: Sequence[int]) -> Tuple[List[int], List[int], int]:
+    """The distance kernel of ``L.count`` digraphs of order ``L.n`` at once,
+    one per lane: ``col[v]`` holds row v of every lane.
 
-    Each row tuple of ``batch`` is one w-bit lane of a few big integers, so
-    every bitwise operation below steps the BFS of the whole batch (SWAR:
-    Warren, *Hacker's Delight*, ch. 5).  ``col[v]`` holds row v of every
-    lane and E bit 0 of every lane.  From each source u, U is the unreached
-    set of each lane and F its frontier; a round adds the lane popcount of
-    U to the distance sum and 1 to the eccentricity where U is not empty,
-    and expands F by the rows its vertices select,
-    ``((F >> v) & E) * full & col[v]``.  Every lane takes as many rounds as
-    the slowest one, at most n, so a lane's sum stays below n*n.
-
-    Returns one (sigmas, eccs) pair of lists per row tuple, equal to
-    ``distance_sums``, or (None, None) for a digraph that is not strong.
-    The set-up and the lane conversions make a one-lane call cost several
-    times a ``distance_sums`` call, so single digraphs go there.
+    From each source u, U is the unreached set of each lane and F its
+    frontier; a round adds the lane popcount of U to the distance sum and 1
+    to the eccentricity where U is not empty, and expands F by
+    ``L.successors``.  Every lane takes as many rounds as the slowest one,
+    at most n, so a lane's sum stays below n*n.  Returns (sigmas, eccs,
+    not_strong): per source u the lane ints of sigma(u) and ecc(u), and the
+    mask of lanes in which some source misses a vertex.  When no lane is
+    strong the lists stop early; their values on a lane that is not strong
+    are meaningless but stay below n*n.
     """
-    w = _lane_width(n)
-    if not batch:
-        return []
-    code = _LANE_CODES[w]
-    count = len(batch)
-    nbytes = count * w // 8
-
-    def every_lane(value: int) -> int:
-        return int.from_bytes(value.to_bytes(w // 8, "little") * count, "little")
-
-    def every_byte(value: int) -> int:
-        return int.from_bytes(bytes((value,)) * nbytes, "little")
-
-    # struct packs the rows a few times faster than array's constructor does
-    flat = array(code, struct.pack(f"{count * n}{code}", *chain.from_iterable(batch)))
-    if sys.byteorder == "big":
-        flat.byteswap()
-    col = [int.from_bytes(flat[v::n], "little") for v in range(n)]
-    full = (1 << n) - 1
-    E, FULL = every_lane(1), every_lane(full)
-    m1, m2, m4 = every_byte(0x55), every_byte(0x33), every_byte(0x0F)
-    # (f, mask) adds each pair of neighbouring f-bit fields into one 2f-bit
-    # field.  A round's popcount of U sits in bytes, whose sums over at most
-    # n rounds stay below 8 * n < 256 for w <= 32; at w = 64 each round also
+    E, FULL, n = L.E, L.FULL, L.n
+    # A round's popcount of U sits in bytes, whose sums over at most n
+    # rounds stay below 8 * n < 256 for w <= 32; at w = 64 each round also
     # adds its bytes into 16-bit fields.  The rest run once per source.
-    fields = [(f, every_lane(sum(((1 << f) - 1) << s for s in range(0, w, 2 * f)))) for f in (8, 16, 32) if f < w]
-    per_round = fields[:1] if w == 64 else []
-    per_source = fields[len(per_round):]
-    expand = list(enumerate(col))
-    bad = 0  # bit 0 of a lane: some source misses a vertex
+    per_round = L.fields[:1] if L.w == 64 else []
+    per_source = L.fields[len(per_round):]
+    bad = 0
     sigmas, eccs = [], []
     for u in range(n):
         U = FULL ^ (E << u)
         F = col[u] & U
         sig = ecc = 0
         while U:
-            x = U - ((U >> 1) & m1)
-            x = (x & m2) + ((x >> 2) & m2)
-            x = (x + (x >> 4)) & m4
-            for f, mask in per_round:
-                x = (x & mask) + ((x >> f) & mask)
-            sig += x
-            ecc += ((U + FULL) >> n) & E
+            sig += L.fold(L.byte_counts(U), per_round)
+            ecc += L.nonzero(U)
             if not F:
                 break
             U ^= F
-            nxt = 0
-            for v, c in expand:
-                nxt |= ((F >> v) & E) * full & c
-            F = nxt & U
-        bad |= ((U + FULL) >> n) & E
+            F = L.successors(F, col) & U
+        bad |= L.nonzero(U)
         if bad == E:
-            return [(None, None)] * count
-        for f, mask in per_source:
-            sig = (sig & mask) + ((sig >> f) & mask)
-        sigmas.append(_to_lanes(sig, code, nbytes))
-        eccs.append(_to_lanes(ecc, code, nbytes))
+            break
+        sigmas.append(L.fold(sig, per_source))
+        eccs.append(ecc)
+    return sigmas, eccs, bad
+
+
+def lane_distance_sums(batch: Sequence[Sequence[int]], n: int) -> List[tuple]:
+    """``digraph.distance_sums`` of many digraphs of order n at once: the row
+    tuples of ``batch`` packed into the columns of ``lane_bfs``, one lane
+    each.  Returns one (sigmas, eccs) pair of lists per row tuple, or
+    (None, None) for a digraph that is not strong.  The set-up and the lane
+    conversions make a one-lane call cost several times a ``distance_sums``
+    call, so single digraphs go there; the scan loop calls ``lane_bfs`` on
+    its blocks' columns directly."""
+    L = Lanes(n, len(batch))
+    if not batch:
+        return []
+    # struct packs the rows a few times faster than array's constructor does
+    flat = array(L.code, struct.pack(f"{len(batch) * n}{L.code}", *chain.from_iterable(batch)))
+    sigmas, eccs, bad = lane_bfs(L, [L.join(flat[v::n]) for v in range(n)])
+    if bad == L.E:
+        return [(None, None)] * len(batch)
     return [
         (None, None) if b else (list(s), list(e))
-        for s, e, b in zip(zip(*sigmas), zip(*eccs), _to_lanes(bad, code, nbytes))
+        for s, e, b in zip(zip(*map(L.lanes, sigmas)), zip(*map(L.lanes, eccs)), L.lanes(bad))
     ]
 
 

@@ -8,7 +8,9 @@ code ranges; any worker count produces the same normalized result set.
 One per-instance loop on raw adjacency rows, ``_scan``, serves search, the
 claim scan and the reference path; each supplies a consumer, and one that
 reads only strong instances never sees one that fails the strongness
-screen.  Digraphs are built only where a consumer needs one.
+screen.  The claim scan also screens each block lane-wise with the claims'
+lane tests, and only the lanes they do not mark clean reach the scalar
+check.  Digraphs are built only where a consumer needs one.
 
 Feasibility ceilings (labeled instances):
 
@@ -25,22 +27,25 @@ from __future__ import annotations
 import math
 import os
 import time
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import compress, repeat
+from heapq import merge
+from itertools import chain, compress
 from multiprocessing import get_context
+from operator import itemgetter
 from random import Random
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .canonical import canonical_form
 from .digraph import Digraph, cached_distance_sums, distance_sums, is_regular, is_tournament
 from .formats import read_digraph6, write_digraph6
-from .metrics import _LANE_CODES, MetricsReport, _lane_width, _to_lanes, lane_distance_sums, metrics_report
+from .metrics import Lanes, MetricsReport, lane_bfs, metrics_report
 
 # distance_layers is bound here for the benchmark's boundary tracer
 # (perfbench/tracer.py), which patches it by name in this module.
 from .metrics import distance_layers  # noqa: F401
-from .verifiers import CLAIMS, THEOREMS, InstanceFacts, bound_check, resolve_theorems
+from .verifiers import CLAIMS, THEOREMS, InstanceFacts, LaneFacts, bound_check, resolve_theorems
 
 
 class _Class(NamedTuple):
@@ -122,21 +127,18 @@ _LANES = 1024
 def _blocks(cls: str, n: Optional[int], parts, start: int, stop: int):
     """The one Gray enumerator: per aligned block of 2**k codes (2**k the
     largest power of two <= ``_LANES``, or the whole class if smaller), the
-    row tuples of its codes in start..stop-1 in order, and a 0/1 array of
-    those that pass the strongness screen (no empty row and no vertex
-    without an in-arc; one vertex counts as strong).  Rows are linear over
-    GF(2) in the Gray code, and Gray(c0 + j) = Gray(c0) ^ Gray(j) for a
-    block's first code c0 and j < 2**k.  So column v, row v of each instance
-    in one w-bit lane, is row v at c0 broadcast to every lane XOR the lanes
-    of Gray(j)'s rows, built once; the screen is a few carry tests
-    ``(x + FULL) >> n & E`` on the columns, as in ``lane_distance_sums``;
-    the tuples come out in C."""
+    columns of its codes in start..stop-1, column v an array of row v of
+    each code in order, and a 0/1 array of the codes that pass the
+    strongness screen (no empty row and no vertex without an in-arc; one
+    vertex counts as strong).  Rows are linear over GF(2) in the Gray code,
+    and Gray(c0 + j) = Gray(c0) ^ Gray(j) for a block's first code c0 and
+    j < 2**k.  So column v, row v of each instance in one w-bit lane, is row
+    v at c0 broadcast to every lane XOR the lanes of Gray(j)'s rows, built
+    once; the screen is a few ``Lanes.nonzero`` tests on the columns."""
     order, nbits, base, flips, _ = _layout(cls, n, parts)
     k = min(_LANES.bit_length() - 1, nbits)
-    w = _lane_width(order)
-    code, nbytes = _LANE_CODES[w], w // 8 << k
-    E = int.from_bytes((1).to_bytes(w // 8, "little") * (1 << k), "little")
-    FULL = ((1 << order) - 1) * E
+    L = Lanes(order, 1 << k)
+    w, E, FULL = L.w, L.E, L.FULL
     low, table = [0] * order, []
     for j in range(1 << k):
         for v, mask in flips[(j & -j).bit_length() - 1] if j else ():
@@ -152,12 +154,11 @@ def _blocks(cls: str, n: Optional[int], parts, start: int, stop: int):
         col = [h * E ^ p for h, p in zip(head, pattern)]
         screen, covered = E, 0
         for c in col:
-            screen &= (c + FULL) >> order
+            screen &= L.nonzero(c)
             covered |= c
-        screen = screen & ~((covered ^ FULL) + FULL >> order) if order > 1 else E
+        screen = screen & (E ^ L.nonzero(covered ^ FULL)) if order > 1 else E
         lo, hi = max(start - c0, 0), min(stop - c0, 1 << k)
-        block = list(zip(*(_to_lanes(c, code, nbytes) for c in col)))
-        yield block[lo:hi], _to_lanes(screen, code, nbytes)[lo:hi]
+        yield [L.lanes(c)[lo:hi] for c in col], L.lanes(screen)[lo:hi]
 
 
 def shard_range(total: int, index: int, count: int) -> Tuple[int, int]:
@@ -176,7 +177,7 @@ def enumerate_class(
     _check_size(cls, n, parts)
     order, nbits, _, _, _ = _layout(cls, n, parts)
     start, stop = shard_range(1 << nbits, *shard) if shard else (0, 1 << nbits)
-    yield from (Digraph(order, rows) for block, _ in _blocks(cls, n, parts, start, stop) for rows in block)
+    yield from (Digraph(order, rows) for cols, _ in _blocks(cls, n, parts, start, stop) for rows in zip(*cols))
 
 
 #: Cap on stored counterexample certificates (counts stay exact).
@@ -198,7 +199,15 @@ class _Consumer(NamedTuple):
     strong or not computed), and returns None, or the (key, info) findings
     of an instance that adds ``weight`` to ``checked``.  The loop keeps
     ``keep(order, rows, key, info)`` for the first ``cap`` findings, cut to
-    the ``trim`` smallest."""
+    the ``trim`` smallest.
+
+    A consumer with a ``screen`` checks every instance it sees that is
+    strong (every one, with ``every``).  ``screen(lanes, cols, strong,
+    sigmas, eccs)`` gets a set of instances as the lanes of ``lanes`` (a
+    ``metrics.Lanes``), their columns, the mask of the strong ones and the
+    kernel's lane ints (empty without a kernel run), and returns the mask of
+    the *clean* ones, on which ``consume`` would find nothing: those add
+    ``weight`` to ``checked`` and never reach ``consume``."""
 
     consume: Callable
     keep: Callable = _cert
@@ -208,33 +217,77 @@ class _Consumer(NamedTuple):
     weight: int = 1
     cap: float = MAX_CERTIFICATES
     trim: Optional[int] = None
+    screen: Optional[Callable] = None
+
+
+def _compact(cols: List[array], keep: Sequence[int]) -> List[array]:
+    """The lanes of each column that ``keep`` (one 0 or 1 per lane) selects,
+    in order.  With one byte per lane, ``bytes`` collects them a few times
+    faster than ``array``'s constructor does."""
+    if cols[0].itemsize == 1:
+        return [array("B", bytes(compress(c, keep))) for c in cols]
+    return [array(c.typecode, compress(c, keep)) for c in cols]
 
 
 def _scan(job) -> Tuple[int, int, Counter, list]:
     """The one per-instance loop over codes start..stop-1, one ``_blocks``
-    block at a time: the screen and the gate (for a consumer without
-    ``every``), one ``lane_distance_sums`` run on the screened instances
-    left (with ``kernel``), then the consumer ``make(order, part_ranges,
-    arg)`` builds on each instance left, in enumeration order.  Returns
-    (strong, checked, findings per key, kept findings)."""
+    block at a time.  The screened lanes are compacted column by column, a
+    gate rules lanes out, and ``lane_bfs`` runs on the columns left (with
+    ``kernel``); a consumer with ``every`` also sees the screened-out lanes,
+    read in place with no kernel run.  A ``screen`` takes the clean lanes
+    out.  Only the lanes left get a row tuple, sigma and ecc lists and a
+    ``consume`` call, in enumeration order, so the findings and the
+    certificates kept are those of every lane.  Returns (strong, checked,
+    findings per key, kept findings)."""
     cls, n, parts, start, stop, make, arg = job
     order, _, _, _, part_ranges = _layout(cls, n, parts)
-    consume, keep, gate, kernel, every, weight, cap, trim = make(order, part_ranges, arg)
+    consume, keep, gate, kernel, every, weight, cap, trim, screen = make(order, part_ranges, arg)
     counts: Counter = Counter()
     kept = []
     strong = checked = 0
-    for block, screened in _blocks(cls, n, parts, start, stop):
-        if not every:
-            block = list(compress(block, screened))
+    for cols, screened in _blocks(cls, n, parts, start, stop):
+        # (selector of the compacted lanes or None for the block, kernel run)
+        sets = [(screened, kernel)] if kernel or not every else []
+        if every:
+            sets.append((None, False))
+        todo = []  # per set, (place in the block, lane) of each lane for consume
+        for chosen, run in sets:
+            sub, place = cols, range(len(screened))
+            if chosen is not None:
+                sub = _compact(sub, chosen)
+                place = list(compress(place, chosen))
             if gate is not None:
-                block = list(filter(gate, block))
-        flags = repeat(False) if not kernel else screened if every else repeat(True)
-        distances = iter(lane_distance_sums(list(compress(block, flags)), order))
-        for rows, flag in zip(block, flags):
-            sigmas, eccs = next(distances) if flag else (None, None)
-            if sigmas is not None:
-                strong += 1
-            found = consume(rows, sigmas, eccs)
+                passed = list(map(gate, zip(*sub)))
+                sub = _compact(sub, passed)
+                place = list(compress(place, passed))
+            if not place:
+                continue
+            L = Lanes(order, len(place))
+            ints = [L.join(c) for c in sub] if run or screen else None
+            sigmas, eccs, bad = lane_bfs(L, ints) if run else ((), (), L.E)
+            strong += (L.E ^ bad).bit_count()
+            seen = L.E ^ L.join(screened) if len(sets) > 1 and chosen is None else L.E
+            if screen is not None:
+                if not every:
+                    seen ^= bad  # a strong-only consumer checks the strong lanes
+                clean = screen(L, ints, L.E ^ bad, sigmas, eccs) & seen
+                checked += weight * clean.bit_count()
+                seen ^= clean
+                if not seen:
+                    continue
+            # a lane: its rows, then sigma(u) and ecc(u) per source, then 1 if not strong
+            arrays = [*sub, *map(L.lanes, sigmas), *map(L.lanes, eccs), L.lanes(bad)]
+            if seen == L.E:
+                todo.append(zip(place, zip(*arrays)))
+            else:  # few lanes: pick them by index
+                picks = list(compress(range(len(place)), L.lanes(seen)))
+                todo.append(zip([place[i] for i in picks], zip(*([a[i] for i in picks] for a in arrays))))
+        for _, lane in merge(*todo, key=itemgetter(0)) if len(todo) > 1 else chain(*todo):
+            rows = lane[:order]
+            if lane[-1]:
+                found = consume(rows, None, None)
+            else:
+                found = consume(rows, list(lane[order : 2 * order]), list(lane[2 * order : 3 * order]))
             if found is not None:
                 checked += weight
                 for key, info in found:
@@ -305,23 +358,26 @@ class SearchResult:
         }
 
 
-#: name -> (needs the distance kernel, predicate over InstanceFacts).  The
-#: kernel predicates hold only on strong instances; the others run first.
-#: ``tournament`` and ``regular`` are the digraph tests, on the record's rows.
-#: ``equality_<claim>`` holds when some equality case of the claim is observed.
+#: name -> (needs the distance kernel, predicate over InstanceFacts, reads
+#: the out-degrees).  The kernel predicates hold only on strong instances;
+#: the others run first.  ``tournament`` and ``regular`` are the digraph
+#: tests, on the record's rows.  ``equality_<claim>`` holds when some
+#: equality case of the claim is observed.
 PREDICATES = {
-    "tournament": (False, is_tournament),
-    "regular": (False, is_regular),
-    "non_regular": (False, lambda f: not is_regular(f)),
-    "good": (False, lambda f: f.witness is None),
-    "bad": (False, lambda f: f.witness is not None),
-    "strong": (True, lambda f: True),
-    "connected": (True, lambda f: True),
-    "pi_eq_rho": (True, lambda f: f.smin == f.smax),
-    "pi_ne_rho": (True, lambda f: f.smin != f.smax),
-    "rho_eq_half_n": (True, lambda f: 2 * f.smax == f.n * (f.n - 1)),
+    "tournament": (False, is_tournament, False),
+    "regular": (False, is_regular, False),
+    "non_regular": (False, lambda f: not is_regular(f), False),
+    "good": (False, lambda f: f.witness is None, False),
+    "bad": (False, lambda f: f.witness is not None, False),
+    "strong": (True, lambda f: True, False),
+    "connected": (True, lambda f: True, False),
+    "pi_eq_rho": (True, lambda f: f.smin == f.smax, False),
+    "pi_ne_rho": (True, lambda f: f.smin != f.smax, False),
+    "rho_eq_half_n": (True, lambda f: 2 * f.smax == f.n * (f.n - 1), False),
     **{
-        "equality_" + c.replace("-", "_").replace(".", "_"): (True, lambda f, c=c: True in bound_check(c, f.n)(f)[1])
+        "equality_" + c.replace("-", "_").replace(".", "_"): (
+            True, lambda f, c=c: True in bound_check(c, f.n)(f)[1], CLAIMS[c].degrees
+        )
         for c in ("thm-2.1-pi", "thm-2.1-rho", "thm-2.2", "thm-3.2-pi", "thm-3.2-rho", "thm-3.3")
     },
 }
@@ -334,7 +390,7 @@ def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
     """Search: the predicates that need no kernel rule an instance out
     before the kernel runs on it."""
     predicates, trim = arg
-    facts = InstanceFacts(order, part_ranges)
+    facts = InstanceFacts(order, part_ranges, degrees=any(PREDICATES[p][2] for p in predicates))
     cheap = [PREDICATES[p][1] for p in predicates if not PREDICATES[p][0]]
     costly = [PREDICATES[p][1] for p in predicates if PREDICATES[p][0]]
 
@@ -444,10 +500,13 @@ class ExhaustiveResult:
 
 
 def _claim_checks(order: int, part_ranges, want) -> _Consumer:
-    """The claim scan: the requested ``CLAIMS`` checks on ``InstanceFacts``."""
-    facts = InstanceFacts(order, part_ranges)
-    checks = [(t, bound_check(t, order), CLAIMS[t].evidence) for t in want if order >= CLAIMS[t].min_n]
-    loose = [check for check in checks if not CLAIMS[check[0]].strong]
+    """The claim scan: the requested ``CLAIMS`` checks on ``InstanceFacts``,
+    on the lanes their lane tests leave (every lane when no check runs)."""
+    claims = {t: CLAIMS[t] for t in want if order >= CLAIMS[t].min_n}
+    facts = InstanceFacts(order, part_ranges, degrees=any(claim.degrees for claim in claims.values()))
+    checks = [(t, bound_check(t, order), claim.evidence) for t, claim in claims.items()]
+    loose = [check for check in checks if not claims[check[0]].strong]
+    pairs = [(u, v) for part in part_ranges or () for u in part for v in part if u != v]
 
     def consume(rows, sigmas, eccs):
         run = checks if sigmas is not None else loose
@@ -460,7 +519,17 @@ def _claim_checks(order: int, part_ranges, want) -> _Consumer:
                     failed.append((t, evidence(facts)))
             return failed
 
-    return _Consumer(consume, every=bool(loose))
+    def screen(lanes, cols, strong, sigmas, eccs):
+        f = LaneFacts(lanes, cols, strong, sigmas, eccs, pairs)
+        clean, others = lanes.E, lanes.E ^ strong
+        for claim in claims.values():
+            if not claim.strong:
+                clean &= claim.lanes(f)
+            elif strong:  # a strong-only claim passes where it does not run
+                clean &= claim.lanes(f) | others
+        return clean
+
+    return _Consumer(consume, every=bool(loose), screen=screen if checks else None)
 
 
 def _reference_reports(order: int, part_ranges, want) -> _Consumer:

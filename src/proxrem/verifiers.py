@@ -17,6 +17,22 @@ the witnesses and details its report carries; ``verify`` builds every
 claim id.  The exhaustive scan in ``proxrem.search`` runs the same checks on
 raw adjacency rows.
 
+Each row also carries a *lane test*: over a ``LaneFacts`` record, which
+holds a set of instances one per lane of a few big integers, it returns
+the mask of lanes on which the check certainly passes.  It checks the
+bound and compares observed and predicted equality case by case with the
+lane primitives of ``metrics.Lanes``.  Where the predicted side is
+structural it uses a necessary condition instead (thm-2.2: an
+eccentricity-(n-1) vertex and a vertex of out-degree n-1; thm-3.2-rho's
+upper case: an eccentricity-(n-1) vertex).  The bipartite lane tests read
+a lane-wise bad test; with all five claims requested, a lane is clean when
+it is bad and its distance sums are not all equal.  The scan counts the
+clean lanes and runs the scalar check only on the others: the lanes where
+a bound fails, a case is observed or predicted to hold on one side only, a
+necessary condition holds, or, in the bipartite class, the instance is
+good.  The check stays the one definition of failure, evidence and
+certificate.
+
 Claim identifiers (the CLI vocabulary):
 
   thm-2.1-pi    1 <= proximity <= n/2; lower equality iff some vertex has
@@ -52,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bipartite as bp
@@ -112,27 +128,30 @@ _UNSEARCHED = object()  # InstanceFacts.thm22 before the certificate search
 class InstanceFacts:
     """Everything the claims read about one instance.
 
-    One record serves a whole scan: the order and the parts are bound once,
-    and ``load`` refills the per-instance fields.  ``sigmas`` and ``eccs``
-    are None on an instance that is not strong; only claims that do not
-    need strong connectivity run on one.
+    One record serves a whole scan: the order, the parts and whether the
+    out-degrees are read are bound once, and ``load`` refills the
+    per-instance fields.  ``sigmas`` and ``eccs`` are None on an instance
+    that is not strong; only claims that do not need strong connectivity
+    run on one.
 
-    The record holds the out-degrees, their sorted ``scores`` and
-    extremes.  With parts it also holds ``witness``, the bad pair of
-    ``bipartite.bad_witness`` (None when good), and on a good instance the
-    class sizes ``mu`` and the class constants ``c``.  ``thm22`` keeps the
-    thm-2.2 certificate once a check or report has looked for it.
+    With ``degrees`` the record holds the out-degrees, their sorted
+    ``scores`` and extremes.  With parts it also holds ``witness``, the bad
+    pair of ``bipartite.bad_witness`` (None when good), and on a good
+    instance the class sizes ``mu`` and the class constants ``c``.
+    ``thm22`` keeps the thm-2.2 certificate once a check or report has
+    looked for it.
     """
 
     __slots__ = (
-        "n", "parts", "part_of", "rows", "sigmas", "eccs", "smin", "smax",
+        "n", "parts", "part_of", "with_degrees", "rows", "sigmas", "eccs", "smin", "smax",
         "degrees", "scores", "max_out", "min_out", "witness", "mu", "c", "thm22",
     )
 
-    def __init__(self, n: int, parts: Optional[Sequence[Sequence[int]]] = None):
+    def __init__(self, n: int, parts: Optional[Sequence[Sequence[int]]] = None, degrees: bool = True):
         self.n = n
         self.parts = parts
         self.part_of = None if parts is None else bp.part_lookup(parts, n)
+        self.with_degrees = degrees
         self.witness = self.mu = self.c = None
 
     def load(self, rows: Sequence[int], sigmas: Optional[List[int]], eccs: Optional[List[int]]):
@@ -147,10 +166,11 @@ class InstanceFacts:
             ordered = sorted(sigmas)
             self.smin = ordered[0]
             self.smax = ordered[-1]
-        self.degrees = [r.bit_count() for r in rows]
-        scores = self.scores = sorted(self.degrees)
-        self.min_out = scores[0]
-        self.max_out = scores[-1]
+        if self.with_degrees:
+            self.degrees = [r.bit_count() for r in rows]
+            scores = self.scores = sorted(self.degrees)
+            self.min_out = scores[0]
+            self.max_out = scores[-1]
         if self.part_of is not None:
             self.witness = bp.bad_witness(rows, self.part_of)
             self.mu = self.c = None
@@ -158,6 +178,61 @@ class InstanceFacts:
                 self.mu = bp.class_sizes(rows, self.parts)
                 self.c = bp.class_constants(rows, self.parts, self.mu)
         return self
+
+
+class LaneFacts:
+    """What the lane tests read about a set of instances of order n, one per
+    lane of the lane ints of ``lanes`` (a ``metrics.Lanes``): the columns
+    ``cols`` (row v of every lane), the mask ``strong`` and, from the lane
+    kernel, the lane ints of sigma(u) and ecc(u) per source u (empty
+    without a kernel run).  ``pairs`` lists the ordered pairs of distinct
+    vertices of one part (empty outside the bipartite class).  The derived
+    lane ints below are computed once, on first use; those of sigma and ecc
+    are meaningful only on the strong lanes.
+    """
+
+    def __init__(self, lanes, cols, strong, sigmas, eccs, pairs=()):
+        self.lanes, self.n, self.cols, self.strong = lanes, lanes.n, cols, strong
+        self.sigmas, self.eccs, self.pairs = sigmas, eccs, pairs
+
+    @cached_property
+    def smin(self) -> int:
+        return self.lanes.minimum(self.sigmas)
+
+    @cached_property
+    def smax(self) -> int:
+        return self.lanes.maximum(self.sigmas)
+
+    @cached_property
+    def equal(self) -> int:
+        """The mask of lanes whose distance sums are all equal."""
+        return self.lanes.E ^ self.lanes.nonzero(self.smax - self.smin)
+
+    @cached_property
+    def max_ecc(self) -> int:
+        return self.lanes.maximum(self.eccs)
+
+    @cached_property
+    def degrees(self) -> List[int]:
+        return [self.lanes.popcount(c) for c in self.cols]
+
+    @cached_property
+    def max_out(self) -> int:
+        return self.lanes.maximum(self.degrees)
+
+    @cached_property
+    def min_out(self) -> int:
+        return self.lanes.minimum(self.degrees)
+
+    @cached_property
+    def bad(self) -> int:
+        """The mask of bad lanes: some pair of one part whose out-neighborhoods
+        nest properly, as in ``bipartite.bad_witness``."""
+        L, cols, bad = self.lanes, self.cols, 0
+        for u, v in self.pairs:
+            nested = L.E ^ L.nonzero(cols[u] & (cols[v] ^ L.FULL))
+            bad |= nested & L.nonzero(cols[u] ^ cols[v])
+        return bad
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +343,22 @@ def _constant_class_size(f: InstanceFacts) -> bool:
 # predicted hold one bool per equality case (lower, upper for the two-sided
 # windows), and the instance fails the claim unless the bound holds and
 # both tuples agree.
+#
+# A claim's lane test returns the mask of lanes of a LaneFacts record on
+# which its check certainly passes: the bound holds and every case agrees.
+# The doubled constants below (n(n-1), the windows' caps) are all even, so
+# 2x <= K, 2x == K and K <= 2x compare x with K // 2.  Where the predicted
+# side is structural, a lane on which its necessary condition holds is not
+# marked, and the scalar check decides it.
 
 Verdict = Tuple[bool, Tuple[bool, ...], Tuple[bool, ...]]
 Check = Callable[[InstanceFacts], Verdict]
+LaneTest = Callable[[LaneFacts], int]
+
+
+def _agree(f: LaneFacts, a: int, b: int) -> int:
+    """The mask of lanes on which the masks a and b agree."""
+    return f.lanes.E ^ a ^ b
 
 
 def _thm_2_1_pi(f: InstanceFacts) -> Verdict:
@@ -284,6 +372,16 @@ def _thm_2_1_pi(f: InstanceFacts) -> Verdict:
     )
 
 
+def _thm_2_1_pi_lanes(f: LaneFacts) -> int:
+    L, n, smin = f.lanes, f.n, f.smin
+    den, half = n - 1, n * (n - 1) // 2
+    return (
+        L.at_least(smin, den) & L.at_most(smin, half)
+        & _agree(f, L.equal(smin, den), L.equal(f.max_out, den))
+        & _agree(f, L.equal(smin, half), L.equal(f.max_out, 1))
+    )
+
+
 def _thm_2_1_rho(f: InstanceFacts) -> Verdict:
     n, smax = f.n, f.smax
     den = n - 1
@@ -291,6 +389,16 @@ def _thm_2_1_rho(f: InstanceFacts) -> Verdict:
         den <= smax and 2 * smax <= n * den,
         (smax == den, 2 * smax == n * den),
         (f.min_out == den, max(f.eccs) == den),
+    )
+
+
+def _thm_2_1_rho_lanes(f: LaneFacts) -> int:
+    L, n, smax = f.lanes, f.n, f.smax
+    den, half = n - 1, n * (n - 1) // 2
+    return (
+        L.at_least(smax, den) & L.at_most(smax, half)
+        & _agree(f, L.equal(smax, den), L.equal(f.min_out, den))
+        & _agree(f, L.equal(smax, half), L.equal(f.max_ecc, den))
     )
 
 
@@ -305,14 +413,37 @@ def _thm_2_2(n: int) -> Check:
     return check
 
 
+def _thm_2_2_lanes(f: LaneFacts) -> int:
+    # below the cap, and no certificate: it needs an eccentricity-(n-1)
+    # vertex and a vertex of out-degree n-1
+    L, n = f.lanes, f.n
+    possible = L.equal(f.max_ecc, n - 1) & L.equal(f.max_out, n - 1)
+    return L.at_most(f.smax - f.smin, (n - 1) * (n - 2) // 2 - 1) & (L.E ^ possible)
+
+
 def _prop_3_1(n: int) -> Check:
     full = (1 << n) - 1
     return lambda f: (not _two_step_violations(f, full), (), ())
 
 
+def _prop_3_1_lanes(f: LaneFacts) -> int:
+    # every maximum-out-degree vertex reaches every vertex within two steps
+    L, cols, ok = f.lanes, f.cols, f.lanes.E
+    for v, c in enumerate(cols):
+        reach = (L.E << v) | c | L.successors(c, cols)
+        ok &= L.E ^ (L.ge(f.degrees[v], f.max_out) & L.nonzero(reach ^ L.FULL))
+    return ok
+
+
+def _thm_3_2_windows(n: int) -> Tuple[int, int]:
+    """(2 * the cap of sigma_min, 2 * the floor of sigma_max) in the
+    tournament windows: 3(n-1) for odd n; 3n-4 and 3n-2 for even n."""
+    return (3 * (n - 1), 3 * (n - 1)) if n % 2 else (3 * n - 4, 3 * n - 2)
+
+
 def _thm_3_2_pi(n: int) -> Check:
-    # sigma_min between n and 3(n-1)/2 (odd) or (3n-4)/2 (even)
-    cap = 3 * (n - 1) if n % 2 else 3 * n - 4
+    # sigma_min between n and the cap
+    cap, _ = _thm_3_2_windows(n)
     lo, hi = _near_regular_window(n)
 
     def check(f: InstanceFacts) -> Verdict:
@@ -326,8 +457,20 @@ def _thm_3_2_pi(n: int) -> Check:
     return check
 
 
+def _thm_3_2_pi_lanes(f: LaneFacts) -> int:
+    L, n, smin = f.lanes, f.n, f.smin
+    half = _thm_3_2_windows(n)[0] // 2
+    lo, hi = _near_regular_window(n)
+    near_regular = L.at_least(f.min_out, lo) & L.at_most(f.max_out, hi)
+    return (
+        L.at_least(smin, n) & L.at_most(smin, half)
+        & _agree(f, L.equal(smin, n), L.equal(f.max_out, n - 2))
+        & _agree(f, L.equal(smin, half), near_regular)
+    )
+
+
 def _thm_3_2_rho(n: int) -> Check:
-    cap = 3 * (n - 1) if n % 2 else 3 * n - 2
+    _, cap = _thm_3_2_windows(n)
     top = n * (n - 1)
     lo, hi = _near_regular_window(n)
     target = _extremal_scores(n)
@@ -346,9 +489,27 @@ def _thm_3_2_rho(n: int) -> Check:
     return check
 
 
+def _thm_3_2_rho_lanes(f: LaneFacts) -> int:
+    # the extremal isomorphism needs an eccentricity-(n-1) vertex
+    L, n, smax = f.lanes, f.n, f.smax
+    low, top = _thm_3_2_windows(n)[1] // 2, n * (n - 1) // 2
+    lo, hi = _near_regular_window(n)
+    near_regular = L.at_least(f.min_out, lo) & L.at_most(f.max_out, hi)
+    return (
+        L.at_least(smax, low) & L.at_most(smax, top - 1)
+        & _agree(f, L.equal(smax, low), near_regular)
+        & (L.E ^ L.equal(f.max_ecc, n - 1))
+    )
+
+
 def _thm_3_3(f: InstanceFacts) -> Verdict:
     # equal out-degrees force equal in-degrees in a tournament
     return True, (f.smin == f.smax,), (f.max_out == f.min_out,)
+
+
+def _thm_3_3_lanes(f: LaneFacts) -> int:
+    L = f.lanes
+    return _agree(f, f.equal, L.E ^ L.nonzero(f.max_out - f.min_out))
 
 
 def _lem_3_4(f: InstanceFacts) -> Verdict:
@@ -356,12 +517,26 @@ def _lem_3_4(f: InstanceFacts) -> Verdict:
     return True, (equal,), (equal and f.witness is None,)
 
 
+def _lem_3_4_lanes(f: LaneFacts) -> int:
+    return f.lanes.E ^ (f.bad & f.equal)
+
+
 def _lem_3_5(f: InstanceFacts) -> Verdict:
     return f.witness is not None or not _four_king_violations(f), (), ()
 
 
+def _lem_3_5_lanes(f: LaneFacts) -> int:
+    return f.bad | f.lanes.at_most(f.max_ecc, 4)
+
+
 def _lem_3_6(f: InstanceFacts) -> Verdict:
     return f.witness is not None or not _formula_mismatches(f), (), ()
+
+
+def _bad_lanes(f: LaneFacts) -> int:
+    """The lane test of lem-3.6 and cor-3.8: both hold on a bad instance; the
+    scalar check decides a good one."""
+    return f.bad
 
 
 def _cor_3_7(f: InstanceFacts) -> Verdict:
@@ -371,6 +546,10 @@ def _cor_3_7(f: InstanceFacts) -> Verdict:
     constant = bp.shared_value(f.c) is not None
     # equality forces the per-part class/degree relations
     return not equal or constant, (equal,), (constant,)
+
+
+def _cor_3_7_lanes(f: LaneFacts) -> int:
+    return f.bad & (f.lanes.E ^ f.equal)
 
 
 def _cor_3_8(f: InstanceFacts) -> Verdict:
@@ -464,32 +643,50 @@ def _bipartite_tournament(D: Digraph) -> Sequence[Sequence[int]]:
 class Claim(NamedTuple):
     """One claim: ``bind(n)`` gives its check at order n; ``evidence`` is
     the certificate payload of a failing instance; ``report`` gives the
-    (witnesses, details) of its ``VerificationReport``.  ``requires`` checks
-    the input class and returns the parts of a bipartite tournament (None
-    otherwise), raising ValueError on other input.  The claim runs only at
-    orders >= ``min_n``, and only on strong instances when ``strong``."""
+    (witnesses, details) of its ``VerificationReport``.  ``lanes`` is its
+    lane test: the mask of the lanes of a ``LaneFacts`` record on which the
+    check certainly passes.  It may leave out a lane that passes, never mark
+    one that fails, and the check stays the one definition of failure,
+    evidence and certificate.  ``requires`` checks the input class and
+    returns the parts of a bipartite tournament (None otherwise), raising
+    ValueError on other input.  The claim runs only at orders >= ``min_n``,
+    and only on strong instances when ``strong``; with ``degrees`` its
+    check or evidence reads the out-degrees of ``InstanceFacts``."""
 
     bind: Callable[[int], Check]
     evidence: Callable[[InstanceFacts], dict]
     report: Callable[[InstanceFacts], Tuple[dict, dict]]
+    lanes: LaneTest
     requires: Callable[[Digraph], Optional[Sequence[Sequence[int]]]] = lambda D: None
     min_n: int = 2
     strong: bool = True
+    degrees: bool = True
 
 
 CLAIMS: Dict[str, Claim] = {
-    "thm-2.1-pi": Claim(lambda n: _thm_2_1_pi, _with_sigmas, _proximity_window, min_n=3),
-    "thm-2.1-rho": Claim(lambda n: _thm_2_1_rho, _with_sigmas, _thm_2_1_rho_report, min_n=3),
-    "thm-2.2": Claim(_thm_2_2, _with_sigmas, _thm_2_2_report),
-    "prop-3.1": Claim(_prop_3_1, lambda f: {}, _prop_3_1_report, _tournament, strong=False),
-    "thm-3.2-pi": Claim(_thm_3_2_pi, _with_degrees, _proximity_window, _tournament, min_n=3),
-    "thm-3.2-rho": Claim(_thm_3_2_rho, _with_degrees, _remoteness_window, _tournament, min_n=3),
-    "thm-3.3": Claim(lambda n: _thm_3_3, _with_degrees, _thm_3_3_report, _tournament, min_n=3),
-    "lem-3.4": Claim(lambda n: _lem_3_4, _with_sigmas, _lem_3_4_report, _bipartite_tournament),
-    "lem-3.5": Claim(lambda n: _lem_3_5, lambda f: {"eccs": f.eccs}, _lem_3_5_report, _bipartite_tournament),
-    "lem-3.6": Claim(lambda n: _lem_3_6, _with_sigmas, _lem_3_6_report, _bipartite_tournament),
-    "cor-3.7": Claim(lambda n: _cor_3_7, _cor_3_7_evidence, _cor_3_7_report, _bipartite_tournament),
-    "cor-3.8": Claim(lambda n: _cor_3_8, _with_sigmas, _cor_3_8_report, _bipartite_tournament),
+    "thm-2.1-pi": Claim(lambda n: _thm_2_1_pi, _with_sigmas, _proximity_window, _thm_2_1_pi_lanes, min_n=3),
+    "thm-2.1-rho": Claim(lambda n: _thm_2_1_rho, _with_sigmas, _thm_2_1_rho_report, _thm_2_1_rho_lanes, min_n=3),
+    "thm-2.2": Claim(_thm_2_2, _with_sigmas, _thm_2_2_report, _thm_2_2_lanes),
+    "prop-3.1": Claim(_prop_3_1, lambda f: {}, _prop_3_1_report, _prop_3_1_lanes, _tournament, strong=False),
+    "thm-3.2-pi": Claim(_thm_3_2_pi, _with_degrees, _proximity_window, _thm_3_2_pi_lanes, _tournament, min_n=3),
+    "thm-3.2-rho": Claim(_thm_3_2_rho, _with_degrees, _remoteness_window, _thm_3_2_rho_lanes, _tournament, min_n=3),
+    "thm-3.3": Claim(lambda n: _thm_3_3, _with_degrees, _thm_3_3_report, _thm_3_3_lanes, _tournament, min_n=3),
+    "lem-3.4": Claim(
+        lambda n: _lem_3_4, _with_sigmas, _lem_3_4_report, _lem_3_4_lanes, _bipartite_tournament, degrees=False
+    ),
+    "lem-3.5": Claim(
+        lambda n: _lem_3_5, lambda f: {"eccs": f.eccs}, _lem_3_5_report, _lem_3_5_lanes, _bipartite_tournament,
+        degrees=False,
+    ),
+    "lem-3.6": Claim(
+        lambda n: _lem_3_6, _with_sigmas, _lem_3_6_report, _bad_lanes, _bipartite_tournament, degrees=False
+    ),
+    "cor-3.7": Claim(
+        lambda n: _cor_3_7, _cor_3_7_evidence, _cor_3_7_report, _cor_3_7_lanes, _bipartite_tournament, degrees=False
+    ),
+    "cor-3.8": Claim(
+        lambda n: _cor_3_8, _with_sigmas, _cor_3_8_report, _bad_lanes, _bipartite_tournament, degrees=False
+    ),
 }
 
 

@@ -278,23 +278,24 @@ class TestSerialization:
 @pytest.fixture
 def kernel_runs(monkeypatch):
     """Records the rows of every distance-kernel run, whichever module calls it;
-    each lane of a ``lane_distance_sums`` batch counts as one run."""
+    each lane of a ``lane_bfs`` run (the core of ``lane_distance_sums``)
+    counts as one run."""
     runs = []
     kernel = digraph_mod.distance_sums
-    lanes = metrics_mod.lane_distance_sums
+    lanes = metrics_mod.lane_bfs
 
     def counted(rows, n):
         runs.append(tuple(rows))
         return kernel(rows, n)
 
-    def lanes_counted(batch, n):
-        runs.extend(tuple(rows) for rows in batch)
-        return lanes(batch, n)
+    def lanes_counted(L, col):
+        runs.extend(zip(*map(L.lanes, col)))
+        return lanes(L, col)
 
     for mod in (digraph_mod, search_mod):
         monkeypatch.setattr(mod, "distance_sums", counted)
     for mod in (metrics_mod, search_mod):
-        monkeypatch.setattr(mod, "lane_distance_sums", lanes_counted)
+        monkeypatch.setattr(mod, "lane_bfs", lanes_counted)
     return runs
 
 

@@ -502,6 +502,14 @@ class TestExhaustiveVerify:
         assert r.checked == 3 * r.strong_count
 
 
+@pytest.fixture
+def no_clean_lanes(monkeypatch):
+    """Every claim's lane test marks no lane clean, so the claim scan sends
+    every instance it checks to the scalar ``CLAIMS`` check."""
+    for t, claim in list(CLAIMS.items()):
+        monkeypatch.setitem(CLAIMS, t, claim._replace(lanes=lambda f: 0))
+
+
 def _passes_screen(rows):
     """No vertex without an out-arc or an in-arc, written as quantifiers."""
     n = len(rows)
@@ -565,7 +573,7 @@ class TestStrongnessScreen:
         assert sorted(kernel_runs) == sorted(D.rows for D in enumerate_class("tournaments", 3) if is_strong(D))
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_scan_loads_no_eccentricities_on_non_strong_instances(self, monkeypatch, n):
+    def test_scan_loads_no_eccentricities_on_non_strong_instances(self, monkeypatch, no_clean_lanes, n):
         loads = []
         load = InstanceFacts.load
 
@@ -717,6 +725,28 @@ def _claim_scans_json(shards):
     for obj in out:
         del obj["elapsed_seconds"]
     return out
+
+
+class TestLaneScreenInvariance:
+    """The lane screen changes no output of ``TestLaneBatchInvariance``: with
+    every lane test patched to mark no lane clean, every instance a claim
+    scan checks reaches the scalar check, and the counts, failures and kept
+    certificates stay the same."""
+
+    @pytest.fixture(scope="class")
+    def screened(self):
+        return _lane_invariance_outputs(1)
+
+    @pytest.mark.parametrize("lanes", [7, search_mod._LANES])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_no_clean_lane_changes_no_output(self, monkeypatch, no_clean_lanes, screened, lanes, shards):
+        monkeypatch.setattr(search_mod, "_LANES", lanes)
+        assert _lane_invariance_outputs(shards) == screened
+
+
+def _lane_invariance_outputs(shards):
+    searches = _search_json(shards, "canonical"), _search_json(shards, "none")
+    return _exhaustive_json(shards), *searches, _claim_scans_json(shards)
 
 
 #: Class sizes from no code bit (order 1) through less than one block to several blocks.
