@@ -33,11 +33,7 @@ from .formats import (
     write_graph6,
 )
 from .metrics import (
-    DistanceProfile,
     MetricsReport,
-    bfs_profile,
-    g_of,
-    is_p_king,
     metrics_report,
     proximity_remoteness,
     radius_diameter,

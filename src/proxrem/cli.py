@@ -33,7 +33,7 @@ from .search import (
     rediscover_sigma_equal_graph,
     search,
 )
-from .verifiers import CLAIMS, THEOREMS, resolve_theorems, verify_sec5_facts
+from .verifiers import CLAIMS, resolve_theorems, verify, verify_sec5_facts
 
 
 def _fail(code: int, message: str, **extra) -> int:
@@ -200,13 +200,13 @@ def cmd_verify(args) -> int:
     all_ok = True
     for label, D in _verify_instances(args, ids):
         for tid in ids:
-            for rep in THEOREMS[tid](D):
-                obj = rep.as_json_dict()
-                obj["instance"] = label
-                print(json.dumps(obj))
-                if not rep.ok:
-                    all_ok = False
-                    print(json.dumps({"counterexample": label, "theorem": tid}), file=sys.stderr)
+            rep = verify(tid, D)
+            obj = rep.as_json_dict()
+            obj["instance"] = label
+            print(json.dumps(obj))
+            if not rep.ok:
+                all_ok = False
+                print(json.dumps({"counterexample": label, "theorem": tid}), file=sys.stderr)
     return 0 if all_ok else 1
 
 

@@ -1,4 +1,4 @@
-"""Exact distance invariants: per-vertex profiles, proximity and remoteness.
+"""Exact distance invariants: per-vertex distance sums, proximity and remoteness.
 
 All whole-digraph quantities are exact: distance sums are integers and the
 averaged invariants are ``fractions.Fraction`` values, so equality tests
@@ -9,7 +9,7 @@ Distance sums and eccentricities come from one of two kernels with the
 same results.  ``digraph.distance_sums`` reads the one scalar BFS,
 ``digraph.bfs_layers``, on one digraph: the ``Digraph`` memo, which
 ``sigma_ecc_vectors`` reads, and the rediscovery search call it, and
-``distance_layers`` and ``bfs_profile`` read the same layers.
+``distance_layers`` reads the same layers.
 ``lane_bfs`` runs the BFS on many digraphs of one order at once, one per
 lane of a few big integers, and returns its results as lane integers: the
 exhaustive scan loop (``search._scan``) calls it on the compacted columns
@@ -26,7 +26,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .digraph import (
     DegreeSummary,
@@ -35,64 +35,15 @@ from .digraph import (
     bfs_layers,
     cached_distance_sums,
     degree_summary,
-    frontier_bits,
     is_regular,
     is_symmetric,
     is_tournament,
-    reach_within,
 )
 
 
 def distance_layers(rows: Sequence[int], n: int, source: int) -> List[int]:
     """BFS layer bitmasks from ``source``; layers[i] holds distance-i vertices."""
     return list(bfs_layers(rows, source))
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """BFS output from one source vertex.
-
-    ``dist`` holds None for unreachable vertices.  ``sigma`` is the total
-    distance to all other vertices and is None (undefined, never a sentinel)
-    unless every vertex is reachable; ``ecc`` is likewise None when the
-    profile is incomplete.  ``distance_degree`` counts vertices per distance
-    over the reachable set.
-    """
-
-    source: int
-    dist: Tuple[Optional[int], ...]
-    ecc: Optional[int]
-    sigma: Optional[int]
-    distance_degree: Tuple[int, ...]
-    complete: bool
-
-
-def bfs_profile(D: Digraph, source: int) -> DistanceProfile:
-    if not 0 <= source < D.n:
-        raise ValueError(f"source {source} outside 0..{D.n - 1}")
-    layers = distance_layers(D.rows, D.n, source)
-    bits = frontier_bits(D.n)
-    dist: List[Optional[int]] = [None] * D.n
-    sigma = 0
-    for d, layer in enumerate(layers):
-        sigma += d * layer.bit_count()
-        for v in bits[layer]:
-            dist[v] = d
-    degree_seq = tuple(layer.bit_count() for layer in layers)
-    complete = sum(degree_seq) == D.n
-    return DistanceProfile(
-        source=source,
-        dist=tuple(dist),
-        ecc=len(layers) - 1 if complete else None,
-        sigma=sigma if complete else None,
-        distance_degree=degree_seq,
-        complete=complete,
-    )
-
-
-def g_of(xs: Sequence[int]) -> int:
-    """Weighted sum of a sequence by position: sum of i * xs[i]."""
-    return sum(i * x for i, x in enumerate(xs))
 
 
 #: An unsigned array typecode per lane width in bits, chosen by item size.
@@ -316,15 +267,6 @@ def radius_diameter(D: Digraph) -> Tuple[int, int]:
     """Minimum and maximum eccentricity; requires a strong digraph."""
     _, eccs = sigma_ecc_vectors(D)
     return min(eccs), max(eccs)
-
-
-def is_p_king(D: Digraph, u: int, p: int) -> bool:
-    """True when every vertex lies within distance p of u."""
-    if not 0 <= u < D.n:
-        raise ValueError(f"vertex {u} outside 0..{D.n - 1}")
-    if p < 0:
-        raise ValueError(f"p must be nonnegative, got {p}")
-    return reach_within(D.rows, u, p) == (1 << D.n) - 1
 
 
 @dataclass(frozen=True)

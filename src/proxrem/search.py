@@ -400,7 +400,7 @@ def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
 
     def consume(rows, sigmas, eccs):
         if not costly:
-            return _MATCH if not cheap or gate(rows) else None
+            return _MATCH  # the gate has passed every instance consume sees
         if sigmas is not None:
             facts.load(rows, sigmas, eccs)
             if all(fn(facts) for fn in costly):

@@ -752,7 +752,8 @@ def verify(claim_id: str, D: Digraph) -> VerificationReport:
     )
 
 
-#: The reference verifiers: one report list per claim on one Digraph.
+#: The reference verifiers: one report list per claim on one Digraph, read
+#: by the reference path of ``search.exhaustive_verify``.
 THEOREMS: Dict[str, Callable[[Digraph], List[VerificationReport]]] = {
     t: (lambda D, t=t: [verify(t, D)]) for t in CLAIMS
 }

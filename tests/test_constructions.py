@@ -28,13 +28,13 @@ from proxrem.digraph import (
     is_tournament,
 )
 from proxrem.metrics import (
-    bfs_profile,
+    distance_layers,
     proximity_remoteness,
     radius_diameter,
     sigma_ecc_vectors,
 )
 
-from oracles import bipartite_facts_oracle, brute_isomorphic
+from oracles import bfs_distances, bipartite_facts_oracle, brute_isomorphic
 from test_metrics import kernel_runs, sweeps  # noqa: F401  (fixtures)
 
 constructions_mod = importlib.import_module("proxrem.constructions")
@@ -67,8 +67,7 @@ class TestExtremalTournament:
         T = extremal_tournament(5)
         _, rho, _ = proximity_remoteness(T)
         assert rho == Fraction(5, 2)
-        p = bfs_profile(T, 0)
-        assert p.distance_degree == (1, 1, 1, 1, 1)
+        assert [layer.bit_count() for layer in distance_layers(T.rows, T.n, 0)] == [1, 1, 1, 1, 1]
 
     def test_n4_sigma_and_degree(self):
         T = extremal_tournament(4)
@@ -203,8 +202,7 @@ class TestFig1:
     def test_blowup_same_vertex_distance(self):
         G = fig1_blowup(2)
         for x in range(9):
-            p = bfs_profile(G, 2 * x)
-            assert p.dist[2 * x + 1] == 2
+            assert bfs_distances(G, 2 * x)[2 * x + 1] == 2
 
 
 class TestSpecRegistry:

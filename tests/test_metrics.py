@@ -5,8 +5,6 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from proxrem.constructions import (
     FIG1_SIGMA,
@@ -23,12 +21,11 @@ from proxrem.digraph import (
     find_unreachable_pair,
     from_edge_list,
     is_strong,
+    reach_within,
 )
 from proxrem.metrics import (
     CSV_HEADER,
-    bfs_profile,
-    g_of,
-    is_p_king,
+    distance_layers,
     metrics_report,
     proximity_remoteness,
     radius_diameter,
@@ -36,7 +33,14 @@ from proxrem.metrics import (
 )
 from proxrem.search import enumerate_class
 
-from oracles import floyd_warshall, fw_metrics, rotational_tournament, sample_strong_digraph, transitive_tournament
+from oracles import (
+    bfs_distances,
+    floyd_warshall,
+    fw_metrics,
+    rotational_tournament,
+    sample_strong_digraph,
+    transitive_tournament,
+)
 from test_digraph import random_digraphs
 
 # the modules, not the functions the package re-exports under the same names
@@ -46,59 +50,47 @@ search_mod = importlib.import_module("proxrem.search")
 verifiers_mod = importlib.import_module("proxrem.verifiers")
 
 
+def _distance_degree(D, u):
+    """The distance-degree sequence of u: the size of each BFS layer from u."""
+    return tuple(layer.bit_count() for layer in distance_layers(D.rows, D.n, u))
+
+
 class TestProfiles:
     def test_dicycle_profile(self):
-        p = bfs_profile(dicycle(5), 0)
-        assert p.distance_degree == (1, 1, 1, 1, 1)
-        assert p.sigma == 10 and p.ecc == 4 and p.complete
+        D = dicycle(5)
+        assert _distance_degree(D, 0) == (1, 1, 1, 1, 1)
+        sigmas, eccs = sigma_ecc_vectors(D)
+        assert sigmas[0] == 10 and eccs[0] == 4
 
     def test_fig1_leaf_profile(self):
-        p = bfs_profile(fig1_graph(), 0)
-        assert p.distance_degree == (1, 3, 4, 1)
-        assert p.sigma == FIG1_SIGMA
+        assert _distance_degree(fig1_graph(), 0) == (1, 3, 4, 1)
+        assert sigma_ecc_vectors(fig1_graph())[0][0] == FIG1_SIGMA
 
     def test_fig1_hub_profile(self):
-        p = bfs_profile(fig1_graph(), 6)
-        assert p.distance_degree == (1, 4, 2, 2)
-        assert p.sigma == FIG1_SIGMA
+        assert _distance_degree(fig1_graph(), 6) == (1, 4, 2, 2)
+        assert sigma_ecc_vectors(fig1_graph())[0][6] == FIG1_SIGMA
 
     def test_incomplete_profile_flags(self):
-        p = bfs_profile(from_edge_list(3, [(0, 1)]), 0)
-        assert not p.complete
-        assert p.sigma is None and p.ecc is None
-        assert p.dist == (0, 1, None)
+        D = from_edge_list(3, [(0, 1)])
+        assert _distance_degree(D, 0) == (1, 1)
+        assert bfs_distances(D, 0) == [0, 1, None]
+        with pytest.raises(NotStrongError):
+            sigma_ecc_vectors(D)
 
     def test_profile_invariants_random(self):
         rng = Random(7)
         for _ in range(100):
             D = sample_strong_digraph(rng.randint(2, 6), rng)
+            sigmas, eccs = sigma_ecc_vectors(D)
             for u in range(D.n):
-                p = bfs_profile(D, u)
-                assert p.distance_degree[0] == 1
-                assert sum(p.distance_degree) == D.n
-                assert all(k >= 1 for k in p.distance_degree)
-                assert p.sigma == g_of(p.distance_degree)
-
-
-class TestGOf:
-    def test_examples(self):
-        assert g_of((1, 3, 4, 1)) == 14
-        assert g_of((1, 1, 1, 1, 1)) == 10
-        assert g_of((1, 9)) == 9
-
-    @settings(max_examples=100)
-    @given(st.lists(st.integers(0, 9), min_size=1, max_size=8), st.data())
-    def test_unit_moved_to_new_tail_increases(self, xs, data):
-        # moving one unit from position i to a fresh final position raises g
-        positions = [i for i, x in enumerate(xs) if x > 0]
-        if not positions:
-            xs = xs + [1]
-            positions = [len(xs) - 1]
-        i = data.draw(st.sampled_from(positions))
-        moved = list(xs)
-        moved[i] -= 1
-        moved.append(1)
-        assert g_of(moved) > g_of(xs)
+                layers = distance_layers(D.rows, D.n, u)
+                dist = bfs_distances(D, u)
+                assert layers == [sum(1 << v for v in range(D.n) if dist[v] == d) for d in range(len(layers))]
+                degree = _distance_degree(D, u)
+                assert degree[0] == 1 and sum(degree) == D.n
+                assert all(k >= 1 for k in degree)
+                assert sigmas[u] == sum(d * k for d, k in enumerate(degree)) == sum(dist)
+                assert eccs[u] == len(layers) - 1 == max(dist)
 
 
 class TestProximityRemoteness:
@@ -169,6 +161,11 @@ class TestRadiusDiameter:
         assert radius_diameter(K) == (1, 1)
 
 
+def _reaches_all_within(D, u, p):
+    """u is a p-king: every vertex lies within distance p of u."""
+    return reach_within(D.rows, u, p) == (1 << D.n) - 1
+
+
 class TestPKing:
     def test_max_out_degree_is_2_king(self):
         rng = Random(11)
@@ -185,19 +182,19 @@ class TestPKing:
             best = max(r.bit_count() for r in T.rows)
             for v in range(n):
                 if T.rows[v].bit_count() == best:
-                    assert is_p_king(T, v, 2)
+                    assert _reaches_all_within(T, v, 2)
 
     def test_good_bipartite_all_4_kings(self):
         for D in (bipartite_T1(), bipartite_blowup(2)):
-            assert all(is_p_king(D, v, 4) for v in range(D.n))
+            assert all(_reaches_all_within(D, v, 4) for v in range(D.n))
 
     def test_dicycle_not_4_king(self):
-        assert not is_p_king(dicycle(6), 0, 4)
+        assert not _reaches_all_within(dicycle(6), 0, 4)
 
     def test_transitive_source(self):
         T = transitive_tournament(5)
-        assert is_p_king(T, 0, 1)
-        assert not is_p_king(T, 4, 4)
+        assert _reaches_all_within(T, 0, 1)
+        assert not _reaches_all_within(T, 4, 4)
 
 
 class TestOracleAgreement:
@@ -310,7 +307,7 @@ def sweeps(monkeypatch):
         runs.append(args)
         return reach(*args)
 
-    for mod in (digraph_mod, metrics_mod, verifiers_mod):
+    for mod in (digraph_mod, verifiers_mod):
         monkeypatch.setattr(mod, "reach_within", counted)
     return runs
 

@@ -572,6 +572,27 @@ class TestStrongnessScreen:
         # Of the 8 tournaments only the two 3-cycles pass the screen.
         assert sorted(kernel_runs) == sorted(D.rows for D in enumerate_class("tournaments", 3) if is_strong(D))
 
+    @pytest.mark.parametrize("predicates", [("tournament",), ("regular",), ("tournament", "regular")])
+    def test_search_without_kernel_predicates_loads_each_instance_once(self, monkeypatch, predicates):
+        # the gate loads every instance; a match is not loaded a second time
+        loads = []
+        load = InstanceFacts.load
+
+        def recorded(self, rows, sigmas, eccs):
+            loads.append(tuple(rows))
+            return load(self, rows, sigmas, eccs)
+
+        monkeypatch.setattr(InstanceFacts, "load", recorded)
+        r = search(SearchQuery(cls="all_digraphs", n=3, predicates=predicates, limit=0))
+        expected = [
+            D for D in enumerate_class("all_digraphs", 3)
+            if ("tournament" not in predicates or is_tournament_oracle(D))
+            and ("regular" not in predicates or is_regular_oracle(D))
+        ]
+        assert r.dedup_stats["labeled_matches"] == len(expected) > 0
+        assert len(loads) == r.scanned == 64
+        assert sorted(loads) == sorted(D.rows for D in enumerate_class("all_digraphs", 3))
+
     @pytest.mark.parametrize("n", [4, 6])
     def test_scan_loads_no_eccentricities_on_non_strong_instances(self, monkeypatch, no_clean_lanes, n):
         loads = []
