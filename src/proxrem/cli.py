@@ -33,7 +33,7 @@ from .search import (
     rediscover_sigma_equal_graph,
     search,
 )
-from .verifiers import CLAIMS, resolve_theorems, verify, verify_sec5_facts
+from .verifiers import CLAIMS, require_domain, resolve_theorems, verify, verify_sec5_facts
 
 
 def _fail(code: int, message: str, **extra) -> int:
@@ -174,6 +174,7 @@ def _verify_instances(args, ids):
     elif args.enumerate:
         cls, _, size_text = args.enumerate.partition(",")
         n, parts = _class_size(cls, size_text)
+        require_domain(ids, cls)
         strong = any(CLAIMS[t].strong for t in ids)
         for D in enumerate_class(cls, n=n, parts=parts):
             # the one kernel run, memoised on D for the verifier to read back

@@ -10,7 +10,8 @@ claim scan and the reference path; each supplies a consumer, and one that
 reads only strong instances never sees one that fails the strongness
 screen.  The claim scan also screens each block lane-wise with the claims'
 lane tests, and only the lanes they do not mark clean reach the scalar
-check.  Digraphs are built only where a consumer needs one.
+check.  The claim scan serves claims stated on the scanned class, the
+reference path the other ones.  Digraphs are built only where needed.
 
 Feasibility ceilings (labeled instances):
 
@@ -45,26 +46,23 @@ from .metrics import Lanes, MetricsReport, lane_bfs, metrics_report
 # distance_layers is bound here for the benchmark's boundary tracer
 # (perfbench/tracer.py), which patches it by name in this module.
 from .metrics import distance_layers  # noqa: F401
-from .verifiers import CLAIMS, THEOREMS, InstanceFacts, LaneFacts, bound_check, resolve_theorems
+from .verifiers import CLAIMS, THEOREMS, InstanceFacts, LaneFacts, require_domain, resolve_theorems
 
 
 class _Class(NamedTuple):
-    """An enumeration class: its size ceiling, how a Gray-code bit changes
-    the rows, and the claims the table-driven scan serves."""
+    """An enumeration class: its size ceiling and how a Gray-code bit
+    changes the rows."""
 
     ceiling: int  # largest n, or largest a*b for a class sized by its parts
     sized_by_parts: bool
     flip: str  # "arc": toggle u->v; "edge": toggle both arcs; "orient": reverse u->v
-    scan_claims: frozenset
 
 
 _CLASSES: Dict[str, _Class] = {
-    "all_digraphs": _Class(5, False, "arc", frozenset({"thm-2.1-pi", "thm-2.1-rho", "thm-2.2"})),
-    "tournaments": _Class(8, False, "orient", frozenset({"thm-3.2-pi", "thm-3.2-rho", "thm-3.3", "prop-3.1"})),
-    "bipartite_tournaments": _Class(
-        26, True, "orient", frozenset({"lem-3.4", "lem-3.5", "lem-3.6", "cor-3.7", "cor-3.8"})
-    ),
-    "symmetric_digraphs": _Class(8, False, "edge", frozenset()),
+    "all_digraphs": _Class(5, False, "arc"),
+    "tournaments": _Class(8, False, "orient"),
+    "bipartite_tournaments": _Class(26, True, "orient"),
+    "symmetric_digraphs": _Class(8, False, "edge"),
 }
 
 CLASS_NAMES = tuple(_CLASSES)
@@ -376,7 +374,7 @@ PREDICATES = {
     "rho_eq_half_n": (True, lambda f: 2 * f.smax == f.n * (f.n - 1), False),
     **{
         "equality_" + c.replace("-", "_").replace(".", "_"): (
-            True, lambda f, c=c: True in bound_check(c, f.n)(f)[1], CLAIMS[c].degrees
+            True, lambda f, c=c: True in CLAIMS[c].check(f)[1], True
         )
         for c in ("thm-2.1-pi", "thm-2.1-rho", "thm-2.2", "thm-3.2-pi", "thm-3.2-rho", "thm-3.3")
     },
@@ -466,8 +464,8 @@ def search(query: SearchQuery) -> SearchResult:
 class ExhaustiveResult:
     """Counts of one exhaustive run of the scan loop.
 
-    ``checked`` depends on the path: the table-driven scan (a class whose
-    requested claims it serves) counts instances on which at least one
+    ``checked`` depends on the path: the table-driven scan (each requested
+    claim stated on the class) counts instances on which at least one
     requested claim ran; the reference path counts (claim, strong instance)
     pairs, one per ``THEOREMS`` call.
     """
@@ -503,8 +501,8 @@ def _claim_checks(order: int, part_ranges, want) -> _Consumer:
     """The claim scan: the requested ``CLAIMS`` checks on ``InstanceFacts``,
     on the lanes their lane tests leave (every lane when no check runs)."""
     claims = {t: CLAIMS[t] for t in want if order >= CLAIMS[t].min_n}
-    facts = InstanceFacts(order, part_ranges, degrees=any(claim.degrees for claim in claims.values()))
-    checks = [(t, bound_check(t, order), claim.evidence) for t, claim in claims.items()]
+    facts = InstanceFacts(order, part_ranges)
+    checks = [(t, claim.check, claim.evidence) for t, claim in claims.items()]
     loose = [check for check in checks if not claims[check[0]].strong]
     pairs = [(u, v) for part in part_ranges or () for u in part for v in part if u != v]
 
@@ -555,19 +553,21 @@ def exhaustive_verify(
 ) -> ExhaustiveResult:
     """Run claim verifiers over every strong member of an enumeration class.
 
-    When the class's scan serves every requested claim, the table-driven
-    scan runs the claim checks on raw rows; otherwise each claim's reference
-    verifier runs on a Digraph.  Both evaluate the same definitions in
-    ``verifiers.CLAIMS``.  Certificates are the first ``MAX_CERTIFICATES``
-    failures in enumeration order, sorted by (claim, digraph6), so they do
-    not depend on the shard count.
+    A claim outside its domain raises ValueError before the scan, at every
+    order (``verifiers.require_domain``).  When every requested claim's
+    domain is the class, the table-driven scan runs the claim checks on raw
+    rows; otherwise each claim's reference verifier runs on a Digraph.  Both
+    evaluate the same definitions in ``verifiers.CLAIMS``.  Certificates are
+    the first ``MAX_CERTIFICATES`` failures in enumeration order, sorted by
+    (claim, digraph6), so they do not depend on the shard count.
     """
     if isinstance(theorem_ids, str):
         theorem_ids = [theorem_ids]
     ids = resolve_theorems(theorem_ids)
     _check_size(cls, n, parts, shards)
+    require_domain(ids, cls)
     t0 = time.perf_counter()
-    make = _claim_checks if set(ids) <= _CLASSES[cls].scan_claims else _reference_reports
+    make = _claim_checks if all(CLAIMS[t].domain == cls for t in ids) else _reference_reports
     scanned, strong_count, checked, fails, certs = _run_shards(cls, n, parts, shards, make, ids)
     return ExhaustiveResult(
         theorems=ids,

@@ -10,12 +10,12 @@ inconsistent verdict rather than a silently agreeing one.  The predicted
 side is defined only in these checks; a caller reads it from the report of
 ``verify``: ``equality_predicted``, or ``details["lower"]["predicted"]``
 and ``details["upper"]["predicted"]`` for two cases.  A claim's row
-also names its input class (any digraph, tournament or bipartite
-tournament), its minimum order, whether it needs strong connectivity, and
-the witnesses and details its report carries; ``verify`` builds every
-``VerificationReport`` from the row, and ``THEOREMS`` is ``verify`` per
-claim id.  The exhaustive scan in ``proxrem.search`` runs the same checks on
-raw adjacency rows.
+also names its *domain*, the class it is stated on (see ``DOMAINS`` and
+``require_domain``), its minimum order, whether it needs strong
+connectivity, and the witnesses and details its report carries; ``verify``
+builds every ``VerificationReport`` from the row, and ``THEOREMS`` is
+``verify`` per claim id.  The exhaustive scan in ``proxrem.search`` runs
+the same checks on raw adjacency rows.
 
 Each row also carries a *lane test*: over a ``LaneFacts`` record, which
 holds a set of instances one per lane of a few big integers, it returns
@@ -134,12 +134,12 @@ class InstanceFacts:
     that is not strong; only claims that do not need strong connectivity
     run on one.
 
-    With ``degrees`` the record holds the out-degrees, their sorted
-    ``scores`` and extremes.  With parts it also holds ``witness``, the bad
-    pair of ``bipartite.bad_witness`` (None when good), and on a good
-    instance the class sizes ``mu`` and the class constants ``c``.
-    ``thm22`` keeps the thm-2.2 certificate once a check or report has
-    looked for it.
+    With ``degrees`` (off only in a search whose predicates do not read
+    them) the record holds the out-degrees, their sorted ``scores`` and
+    extremes.  With parts it also holds ``witness``, the bad pair of
+    ``bipartite.bad_witness`` (None when good), and on a good instance the
+    class sizes ``mu`` and the class constants ``c``.  ``thm22`` keeps the
+    thm-2.2 certificate once a check or report has looked for it.
     """
 
     __slots__ = (
@@ -259,29 +259,31 @@ def _long_starts(eccs: Sequence[int], n: int) -> List[int]:
     return [u for u, e in enumerate(eccs) if e == n - 1]
 
 
+@cache
 def _extremal_scores(n: int) -> List[int]:
-    """Sorted score sequence of the remoteness-extremal tournament."""
+    """Sorted score sequence of the remoteness-extremal tournament; one list
+    per order, which no caller mutates."""
     return sorted([1, 1] + list(range(2, n - 1)) + [n - 2])
 
 
-def _is_extremal(rows: Sequence[int], n: int, scores: List[int], target: List[int], eccs) -> bool:
+def _is_extremal(f: InstanceFacts) -> bool:
     """Isomorphism onto the remoteness-extremal tournament: the sorted
-    ``scores`` equal the ``target`` from ``_extremal_scores(n)``, and along
-    the first spanning-path ordering every v_i beats exactly v_{i+1} and
-    v_0..v_{i-2} (an explicit isomorphism).  The ordering starts at the
-    first vertex of eccentricity n-1 in ``eccs``.  Any ordering of an
-    isomorphic copy shows it, since its eccentricity-(n-1) starts are images
-    of one another."""
-    if scores != target:
+    scores equal ``_extremal_scores(n)``, and along the first spanning-path
+    ordering every v_i beats exactly v_{i+1} and v_0..v_{i-2} (an explicit
+    isomorphism).  The ordering starts at the first vertex of eccentricity
+    n-1.  Any ordering of an isomorphic copy shows it, since its
+    eccentricity-(n-1) starts are images of one another."""
+    n = f.n
+    if f.scores != _extremal_scores(n):
         return False
-    order = next(_spanning_orders(rows, n, _long_starts(eccs, n)), None)
+    order = next(_spanning_orders(f.rows, n, _long_starts(f.eccs, n)), None)
     if order is None:
         return False
     for i, v in enumerate(order):
         want = 1 << order[i + 1] if i + 1 < n else 0
         for j in range(i - 1):
             want |= 1 << order[j]
-        if rows[v] != want:
+        if f.rows[v] != want:
             return False
     return True
 
@@ -317,11 +319,11 @@ def _formula_mismatches(f: InstanceFacts) -> List[dict]:
     return [{"vertex": v, "formula": formula[v], "bfs": s} for v, s in enumerate(f.sigmas) if formula[v] != s]
 
 
-def _two_step_violations(f: InstanceFacts, full: int) -> List[int]:
-    """Maximum-out-degree vertices that miss some vertex of ``full`` (the
-    mask of all n vertices) within two steps: eccentricity above 2 when the
-    kernel has run, a 2-step reach short of ``full`` otherwise."""
-    top, rows, eccs = f.max_out, f.rows, f.eccs
+def _two_step_violations(f: InstanceFacts) -> List[int]:
+    """Maximum-out-degree vertices that miss some vertex within two steps:
+    eccentricity above 2 when the kernel has run, a 2-step reach short of
+    all n vertices otherwise."""
+    top, rows, eccs, full = f.max_out, f.rows, f.eccs, (1 << f.n) - 1
     missed = []  # a loop, not a comprehension: it runs on every scanned tournament
     for v, d in enumerate(f.degrees):
         if d == top and (reach_within(rows, v, 2) != full if eccs is None else eccs[v] > 2):
@@ -337,12 +339,12 @@ def _constant_class_size(f: InstanceFacts) -> bool:
 # The claims
 # ---------------------------------------------------------------------------
 #
-# A claim binds its per-order constants once, giving a check over one
-# InstanceFacts record; a claim without such constants is its own check.
-# A check returns (bound_holds, observed, predicted): observed and
-# predicted hold one bool per equality case (lower, upper for the two-sided
-# windows), and the instance fails the claim unless the bound holds and
-# both tuples agree.
+# A claim's check reads one InstanceFacts record, the order f.n included,
+# and works out its per-order constants on each call; only the extremal
+# score list is cached per order.  A check returns (bound_holds, observed,
+# predicted): observed and predicted hold one bool per equality case
+# (lower, upper for the two-sided windows), and the instance fails the
+# claim unless the bound holds and both tuples agree.
 #
 # A claim's lane test returns the mask of lanes of a LaneFacts record on
 # which its check certainly passes: the bound holds and every case agrees.
@@ -402,15 +404,11 @@ def _thm_2_1_rho_lanes(f: LaneFacts) -> int:
     )
 
 
-def _thm_2_2(n: int) -> Check:
+def _thm_2_2(f: InstanceFacts) -> Verdict:
     # rho - pi <= n/2 - 1 at denominator n-1: 2*spread <= (n-1)(n-2)
-    cap = (n - 1) * (n - 2)
-
-    def check(f: InstanceFacts) -> Verdict:
-        spread2 = 2 * (f.smax - f.smin)
-        return spread2 <= cap, (spread2 == cap,), (_thm22_certificate(f) is not None,)
-
-    return check
+    cap = (f.n - 1) * (f.n - 2)
+    spread2 = 2 * (f.smax - f.smin)
+    return spread2 <= cap, (spread2 == cap,), (_thm22_certificate(f) is not None,)
 
 
 def _thm_2_2_lanes(f: LaneFacts) -> int:
@@ -421,9 +419,8 @@ def _thm_2_2_lanes(f: LaneFacts) -> int:
     return L.at_most(f.smax - f.smin, (n - 1) * (n - 2) // 2 - 1) & (L.E ^ possible)
 
 
-def _prop_3_1(n: int) -> Check:
-    full = (1 << n) - 1
-    return lambda f: (not _two_step_violations(f, full), (), ())
+def _prop_3_1(f: InstanceFacts) -> Verdict:
+    return not _two_step_violations(f), (), ()
 
 
 def _prop_3_1_lanes(f: LaneFacts) -> int:
@@ -441,20 +438,16 @@ def _thm_3_2_windows(n: int) -> Tuple[int, int]:
     return (3 * (n - 1), 3 * (n - 1)) if n % 2 else (3 * n - 4, 3 * n - 2)
 
 
-def _thm_3_2_pi(n: int) -> Check:
+def _thm_3_2_pi(f: InstanceFacts) -> Verdict:
     # sigma_min between n and the cap
+    n, smin = f.n, f.smin
     cap, _ = _thm_3_2_windows(n)
     lo, hi = _near_regular_window(n)
-
-    def check(f: InstanceFacts) -> Verdict:
-        smin = f.smin
-        return (
-            n <= smin and 2 * smin <= cap,
-            (smin == n, 2 * smin == cap),
-            (f.max_out == n - 2, lo <= f.min_out and f.max_out <= hi),
-        )
-
-    return check
+    return (
+        n <= smin and 2 * smin <= cap,
+        (smin == n, 2 * smin == cap),
+        (f.max_out == n - 2, lo <= f.min_out and f.max_out <= hi),
+    )
 
 
 def _thm_3_2_pi_lanes(f: LaneFacts) -> int:
@@ -469,24 +462,16 @@ def _thm_3_2_pi_lanes(f: LaneFacts) -> int:
     )
 
 
-def _thm_3_2_rho(n: int) -> Check:
+def _thm_3_2_rho(f: InstanceFacts) -> Verdict:
+    n, smax2 = f.n, 2 * f.smax
     _, cap = _thm_3_2_windows(n)
     top = n * (n - 1)
     lo, hi = _near_regular_window(n)
-    target = _extremal_scores(n)
-
-    def check(f: InstanceFacts) -> Verdict:
-        smax2 = 2 * f.smax
-        return (
-            cap <= smax2 <= top,
-            (smax2 == cap, smax2 == top),
-            (
-                lo <= f.min_out and f.max_out <= hi,
-                _is_extremal(f.rows, n, f.scores, target, f.eccs),
-            ),
-        )
-
-    return check
+    return (
+        cap <= smax2 <= top,
+        (smax2 == cap, smax2 == top),
+        (lo <= f.min_out and f.max_out <= hi, _is_extremal(f)),
+    )
 
 
 def _thm_3_2_rho_lanes(f: LaneFacts) -> int:
@@ -594,7 +579,7 @@ def _thm_2_2_report(f: InstanceFacts) -> Tuple[dict, dict]:
 
 def _prop_3_1_report(f: InstanceFacts) -> Tuple[dict, dict]:
     leaders = [v for v, d in enumerate(f.degrees) if d == f.max_out]
-    witnesses = {"max_out_degree_vertices": leaders, "violations": _two_step_violations(f, (1 << f.n) - 1)}
+    witnesses = {"max_out_degree_vertices": leaders, "violations": _two_step_violations(f)}
     return witnesses, {"max_out_degree": f.max_out}
 
 
@@ -631,69 +616,67 @@ def _cor_3_8_report(f: InstanceFacts) -> Tuple[dict, dict]:
     return {}, {"applicable": _constant_class_size(f)}
 
 
+class Claim(NamedTuple):
+    """One claim, stated on the enumeration class ``domain``
+    (``all_digraphs``, ``tournaments`` or ``bipartite_tournaments``; see
+    ``DOMAINS`` and ``require_domain``).  ``check`` gives its verdict on one
+    ``InstanceFacts`` record; ``evidence`` is the certificate payload of a
+    failing instance; ``report`` gives the (witnesses, details) of its
+    ``VerificationReport``.  ``lanes`` is its lane test: the mask of the
+    lanes of a ``LaneFacts`` record on which the check certainly passes.  It
+    may leave out a lane that passes, never mark one that fails, and the
+    check stays the one definition of failure, evidence and certificate.
+    The claim runs only at orders >= ``min_n``, and only on strong instances
+    when ``strong``."""
+
+    check: Check
+    evidence: Callable[[InstanceFacts], dict]
+    report: Callable[[InstanceFacts], Tuple[dict, dict]]
+    lanes: LaneTest
+    domain: str = "all_digraphs"
+    min_n: int = 2
+    strong: bool = True
+
+
+CLAIMS: Dict[str, Claim] = {
+    "thm-2.1-pi": Claim(_thm_2_1_pi, _with_sigmas, _proximity_window, _thm_2_1_pi_lanes, min_n=3),
+    "thm-2.1-rho": Claim(_thm_2_1_rho, _with_sigmas, _thm_2_1_rho_report, _thm_2_1_rho_lanes, min_n=3),
+    "thm-2.2": Claim(_thm_2_2, _with_sigmas, _thm_2_2_report, _thm_2_2_lanes),
+    "prop-3.1": Claim(_prop_3_1, lambda f: {}, _prop_3_1_report, _prop_3_1_lanes, "tournaments", strong=False),
+    "thm-3.2-pi": Claim(_thm_3_2_pi, _with_degrees, _proximity_window, _thm_3_2_pi_lanes, "tournaments", min_n=3),
+    "thm-3.2-rho": Claim(_thm_3_2_rho, _with_degrees, _remoteness_window, _thm_3_2_rho_lanes, "tournaments", min_n=3),
+    "thm-3.3": Claim(_thm_3_3, _with_degrees, _thm_3_3_report, _thm_3_3_lanes, "tournaments", min_n=3),
+    "lem-3.4": Claim(_lem_3_4, _with_sigmas, _lem_3_4_report, _lem_3_4_lanes, "bipartite_tournaments"),
+    "lem-3.5": Claim(_lem_3_5, lambda f: {"eccs": f.eccs}, _lem_3_5_report, _lem_3_5_lanes, "bipartite_tournaments"),
+    "lem-3.6": Claim(_lem_3_6, _with_sigmas, _lem_3_6_report, _bad_lanes, "bipartite_tournaments"),
+    "cor-3.7": Claim(_cor_3_7, _cor_3_7_evidence, _cor_3_7_report, _cor_3_7_lanes, "bipartite_tournaments"),
+    "cor-3.8": Claim(_cor_3_8, _with_sigmas, _cor_3_8_report, _bad_lanes, "bipartite_tournaments"),
+}
+
+
 def _tournament(D: Digraph) -> None:
     if not is_tournament(D):
         raise ValueError("claim applies to tournaments")
 
 
-def _bipartite_tournament(D: Digraph) -> Sequence[Sequence[int]]:
-    return bp.require_bipartite_tournament(D).parts
-
-
-class Claim(NamedTuple):
-    """One claim: ``bind(n)`` gives its check at order n; ``evidence`` is
-    the certificate payload of a failing instance; ``report`` gives the
-    (witnesses, details) of its ``VerificationReport``.  ``lanes`` is its
-    lane test: the mask of the lanes of a ``LaneFacts`` record on which the
-    check certainly passes.  It may leave out a lane that passes, never mark
-    one that fails, and the check stays the one definition of failure,
-    evidence and certificate.  ``requires`` checks the input class and
-    returns the parts of a bipartite tournament (None otherwise), raising
-    ValueError on other input.  The claim runs only at orders >= ``min_n``,
-    and only on strong instances when ``strong``; with ``degrees`` its
-    check or evidence reads the out-degrees of ``InstanceFacts``."""
-
-    bind: Callable[[int], Check]
-    evidence: Callable[[InstanceFacts], dict]
-    report: Callable[[InstanceFacts], Tuple[dict, dict]]
-    lanes: LaneTest
-    requires: Callable[[Digraph], Optional[Sequence[Sequence[int]]]] = lambda D: None
-    min_n: int = 2
-    strong: bool = True
-    degrees: bool = True
-
-
-CLAIMS: Dict[str, Claim] = {
-    "thm-2.1-pi": Claim(lambda n: _thm_2_1_pi, _with_sigmas, _proximity_window, _thm_2_1_pi_lanes, min_n=3),
-    "thm-2.1-rho": Claim(lambda n: _thm_2_1_rho, _with_sigmas, _thm_2_1_rho_report, _thm_2_1_rho_lanes, min_n=3),
-    "thm-2.2": Claim(_thm_2_2, _with_sigmas, _thm_2_2_report, _thm_2_2_lanes),
-    "prop-3.1": Claim(_prop_3_1, lambda f: {}, _prop_3_1_report, _prop_3_1_lanes, _tournament, strong=False),
-    "thm-3.2-pi": Claim(_thm_3_2_pi, _with_degrees, _proximity_window, _thm_3_2_pi_lanes, _tournament, min_n=3),
-    "thm-3.2-rho": Claim(_thm_3_2_rho, _with_degrees, _remoteness_window, _thm_3_2_rho_lanes, _tournament, min_n=3),
-    "thm-3.3": Claim(lambda n: _thm_3_3, _with_degrees, _thm_3_3_report, _thm_3_3_lanes, _tournament, min_n=3),
-    "lem-3.4": Claim(
-        lambda n: _lem_3_4, _with_sigmas, _lem_3_4_report, _lem_3_4_lanes, _bipartite_tournament, degrees=False
-    ),
-    "lem-3.5": Claim(
-        lambda n: _lem_3_5, lambda f: {"eccs": f.eccs}, _lem_3_5_report, _lem_3_5_lanes, _bipartite_tournament,
-        degrees=False,
-    ),
-    "lem-3.6": Claim(
-        lambda n: _lem_3_6, _with_sigmas, _lem_3_6_report, _bad_lanes, _bipartite_tournament, degrees=False
-    ),
-    "cor-3.7": Claim(
-        lambda n: _cor_3_7, _cor_3_7_evidence, _cor_3_7_report, _cor_3_7_lanes, _bipartite_tournament, degrees=False
-    ),
-    "cor-3.8": Claim(
-        lambda n: _cor_3_8, _with_sigmas, _cor_3_8_report, _bad_lanes, _bipartite_tournament, degrees=False
-    ),
+#: The input test of each claim domain, run by ``verify``: it returns the
+#: parts of a bipartite tournament (None in the other domains) and raises
+#: ValueError on a digraph outside the domain.
+DOMAINS: Dict[str, Callable[[Digraph], Optional[Sequence[Sequence[int]]]]] = {
+    "all_digraphs": lambda D: None,
+    "tournaments": _tournament,
+    "bipartite_tournaments": lambda D: bp.require_bipartite_tournament(D).parts,
 }
 
 
-@cache
-def bound_check(claim_id: str, n: int) -> Check:
-    """The claim's check at order n, bound once per order for the process."""
-    return CLAIMS[claim_id].bind(n)
+def require_domain(ids: Sequence[str], cls: str) -> None:
+    """Raise ValueError unless every claim in ``ids`` applies to the
+    enumeration class ``cls``: a claim on all digraphs applies to every
+    class, any other claim only to its own domain."""
+    for t in ids:
+        domain = CLAIMS[t].domain
+        if domain not in ("all_digraphs", cls):
+            raise ValueError(f"claim {t} applies to {domain}, not {cls}")
 
 
 #: Claim ids that name two claims at once.
@@ -728,7 +711,7 @@ def verify(claim_id: str, D: Digraph) -> VerificationReport:
     minimum order (ValueError).
     """
     claim = CLAIMS[claim_id]
-    parts = claim.requires(D)
+    parts = DOMAINS[claim.domain](D)
     pair = find_unreachable_pair(D) if claim.strong else None
     if pair is not None:
         raise NotStrongError(pair)
@@ -736,7 +719,7 @@ def verify(claim_id: str, D: Digraph) -> VerificationReport:
         raise ValueError(f"claim needs n >= {claim.min_n}, got {D.n}")
     sigmas, eccs = sigma_ecc_vectors(D) if claim.strong else (None, None)
     f = InstanceFacts(D.n, parts).load(D.rows, sigmas, eccs)
-    bound, observed, predicted = bound_check(claim_id, D.n)(f)
+    bound, observed, predicted = claim.check(f)
     witnesses, details = claim.report(f)
     if len(observed) == 2:
         details["lower"] = {"observed": observed[0], "predicted": predicted[0]}

@@ -145,15 +145,20 @@ class TestVerify:
         assert sweeps == []
         assert len(kernel_runs) <= 1024
 
-    def test_enumerate_binds_the_claim_once_per_order(self, capsys, monkeypatch):
-        scores = verifiers._extremal_scores
-        calls = []
-        monkeypatch.setattr(verifiers, "_extremal_scores", lambda n: calls.append(n) or scores(n))
-        verifiers.bound_check.cache_clear()
+    def test_enumerate_binds_the_claim_once_per_order(self, capsys):
+        verifiers._extremal_scores.cache_clear()
         code, out, _ = run(capsys, ["verify", "thm-3.2-rho", "--enumerate", "tournaments,5"])
         assert code == 0
         assert len(out.splitlines()) == 544
-        assert calls == [5]
+        assert verifiers._extremal_scores.cache_info().misses == 1
+
+    @pytest.mark.parametrize("size", ["2", "3"])
+    def test_enumerate_rejects_a_class_outside_the_claims_domain(self, capsys, size):
+        # at order 3 a strong tournament comes before the first strong
+        # non-tournament, so the check must run before any report
+        code, out, err = run(capsys, ["verify", "thm-3.3", "--enumerate", f"all_digraphs,{size}"])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "claim thm-3.3 applies to tournaments, not all_digraphs"
 
     def test_enumerate_keeps_non_strong_instances_for_a_claim_without_strongness(self, capsys):
         code, out, _ = run(capsys, ["verify", "prop-3.1", "--enumerate", "tournaments,5"])

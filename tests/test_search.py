@@ -23,7 +23,7 @@ from proxrem.search import (
     shard_range,
     total_count,
 )
-from proxrem.verifiers import CLAIMS, THEOREMS, InstanceFacts
+from proxrem.verifiers import CLAIMS, THEOREM_ALIASES, THEOREMS, InstanceFacts
 
 from oracles import (
     bipartite_facts_oracle,
@@ -332,13 +332,10 @@ class TestSearch:
         with pytest.raises(ValueError, match="unknown dedup 'canonicl'"):
             search(q)
 
-    def test_equality_predicate_binds_its_check_once_per_order(self, monkeypatch):
-        scores = verifiers_mod._extremal_scores
-        calls = []
-        monkeypatch.setattr(verifiers_mod, "_extremal_scores", lambda n: calls.append(n) or scores(n))
-        verifiers_mod.bound_check.cache_clear()
+    def test_equality_predicate_binds_its_check_once_per_order(self):
+        verifiers_mod._extremal_scores.cache_clear()
         result = search(SearchQuery("tournaments", 6, predicates=("strong", "equality_thm_3_2_rho")))
-        assert calls == [6]
+        assert verifiers_mod._extremal_scores.cache_info().misses == 1
         assert result.dedup_stats == {"labeled_matches": 2640} and len(result.matches) == 2640
 
     def test_degree_predicates_build_no_digraph_per_instance(self, monkeypatch):
@@ -469,9 +466,51 @@ class TestExhaustiveVerify:
     @pytest.mark.parametrize("claims", [["thm-2.1", "thm-2.2"], ["thm-3.2", "thm-3.3", "prop-3.1"]])
     def test_order_one_is_one_strong_instance(self, cls, claims):
         # A single vertex counts as strong on the table-driven scan and on the
-        # reference path, and every claim needs at least two vertices.
+        # reference path, and every claim needs at least two vertices.  The
+        # tournament claims apply to no other class.
+        if cls != "tournaments" and "thm-3.2" in claims:
+            with pytest.raises(ValueError, match="applies to tournaments"):
+                exhaustive_verify(claims, cls, n=1)
+            return
         r = exhaustive_verify(claims, cls, n=1)
         assert (r.scanned, r.strong_count, r.checked) == (1, 1, 0)
+
+    @pytest.mark.parametrize(
+        "cls, size",
+        [
+            ("all_digraphs", 1), ("all_digraphs", 3), ("tournaments", 1), ("tournaments", 4),
+            ("symmetric_digraphs", 1), ("symmetric_digraphs", 4),
+            ("bipartite_tournaments", (1, 1)), ("bipartite_tournaments", (2, 3)),
+        ],
+        ids=lambda v: str(v).replace(" ", ""),
+    )
+    @pytest.mark.parametrize("claim", sorted(CLAIMS) + sorted(THEOREM_ALIASES))
+    def test_a_claim_applies_to_all_digraphs_or_to_its_own_domain(self, claim, cls, size):
+        """A claim on all digraphs runs on every class, on the table-driven
+        scan in all_digraphs and on the reference path elsewhere; any other
+        claim runs only on its own domain, on the table-driven scan, and is
+        rejected up front on every other class, whatever the order."""
+        # the class the paper states the claim on
+        domain = (
+            "all_digraphs" if claim.startswith("thm-2.")
+            else "tournaments" if claim.startswith(("thm-3.", "prop-3."))
+            else "bipartite_tournaments"
+        )
+        n, parts = (None, size) if cls == "bipartite_tournaments" else (size, None)
+        if domain not in ("all_digraphs", cls):
+            with pytest.raises(ValueError, match=f"claim {claim}.* applies to {domain}, not {cls}"):
+                exhaustive_verify(claim, cls, n=n, parts=parts)
+            return
+        r = exhaustive_verify(claim, cls, n=n, parts=parts)
+        members = list(enumerate_class(cls, n=n, parts=parts))
+        assert (r.scanned, r.strong_count) == (len(members), sum(map(is_strong, members)))
+        runs = [t for t in resolve_theorems([claim]) if members[0].n >= CLAIMS[t].min_n]
+        if domain != cls:  # the reference path: one check per claim and strong instance
+            assert r.checked == len(runs) * r.strong_count
+        elif runs:  # the table-driven scan: one per instance a check runs on
+            assert r.checked == (r.scanned if claim == "prop-3.1" else r.strong_count)
+        else:
+            assert r.checked == 0
 
     @pytest.mark.parametrize("claim", sorted(CLAIMS))
     def test_reference_and_scan_agree_on_minimum_order(self, claim):
