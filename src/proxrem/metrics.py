@@ -12,10 +12,10 @@ same results.  ``digraph.distance_sums`` reads the one scalar BFS,
 ``distance_layers`` reads the same layers.
 ``lane_bfs`` runs the BFS on many digraphs of one order at once, one per
 lane of a few big integers, and returns its results as lane integers: the
-exhaustive scan loop (``search._scan``) calls it on the compacted columns
-of each block's screened instances, and the claims' lane tests
-(``verifiers.LaneFacts``) read its lanes.  ``lane_distance_sums`` is its
-row-tuple form.  Both are built on ``Lanes``, the lane primitives.
+exhaustive scan loop (``search._scan``) calls it on each block's columns
+cut to the screened instances by ``Lanes.select``, and the claims' lane
+tests (``verifiers.LaneFacts``) read its lanes.  It is built on ``Lanes``,
+the lane primitives.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import compress
 from typing import List, Sequence, Tuple
 
 from .digraph import (
@@ -59,7 +59,7 @@ def _lane_width(n: int) -> int:
         for w in (8, 16, 32, 64):
             if n < w and n * n < 1 << w:
                 return w
-    raise ValueError(f"lane_distance_sums needs 1 <= n < 64, got n={n}")
+    raise ValueError(f"lanes need 1 <= n < 64, got n={n}")
 
 
 class Lanes:
@@ -69,7 +69,8 @@ class Lanes:
     is below 2**(w-1), so the top bit of each lane is a guard bit and no
     carry or borrow below crosses into the next lane.  A *mask* holds 0 or 1
     in each lane; ``E`` is the mask of every lane and ``FULL`` the vertex set
-    in every lane.  ``lanes``/``join`` convert to and from an array."""
+    in every lane.  ``lanes``/``join`` convert to and from an array, and
+    ``select`` keeps some of the lanes of a list of lane ints."""
 
     __slots__ = (
         "n", "count", "w", "code", "nbytes", "E", "FULL", "m1", "m2", "m4", "fields", "_guard", "_below",
@@ -107,6 +108,27 @@ class Lanes:
             lanes = array(lanes.typecode, lanes)
             lanes.byteswap()
         return int.from_bytes(lanes, "little")
+
+    def select(self, xs: Sequence[int], keep: int) -> List[int]:
+        """Each lane int of ``xs`` cut to the lanes the mask ``keep`` selects,
+        in order: one transpose into a record per lane, one ``compress`` and
+        one transpose back, moving lanes as raw bytes.  Up to 8 ints of 1-byte
+        lanes go as one 64-bit item per record, which ``compress`` moves faster."""
+        if keep == self.E:
+            return list(xs)
+        size, nbytes, m = self.w // 8, self.nbytes, len(xs)
+        chosen = keep.to_bytes(nbytes, "little")[::size]
+        if size == 1 and m <= 8:
+            records = bytearray(8 * self.count)
+            for j, x in enumerate(xs):
+                records[j::8] = x.to_bytes(nbytes, "little")
+            kept = struct.pack(f"{keep.bit_count()}Q", *compress(array("Q", records), chosen))
+            return [int.from_bytes(kept[j::8], "little") for j in range(m)]
+        records = array(self.code, bytes(m * nbytes))
+        for j, x in enumerate(xs):
+            records[j::m] = array(self.code, x.to_bytes(nbytes, "little"))
+        kept = array(self.code, b"".join([r for r, in compress(struct.iter_unpack(f"{m * size}s", records), chosen)]))
+        return [int.from_bytes(kept[j::m], "little") for j in range(m)]
 
     def at_least(self, x: int, k: int) -> int:
         """The mask of lanes with x >= k: the guard bit of x + 2**(w-1) - k."""
@@ -210,28 +232,6 @@ def lane_bfs(L: Lanes, col: Sequence[int]) -> Tuple[List[int], List[int], int]:
         sigmas.append(L.fold(sig, per_source))
         eccs.append(ecc)
     return sigmas, eccs, bad
-
-
-def lane_distance_sums(batch: Sequence[Sequence[int]], n: int) -> List[tuple]:
-    """``digraph.distance_sums`` of many digraphs of order n at once: the row
-    tuples of ``batch`` packed into the columns of ``lane_bfs``, one lane
-    each.  Returns one (sigmas, eccs) pair of lists per row tuple, or
-    (None, None) for a digraph that is not strong.  The set-up and the lane
-    conversions make a one-lane call cost several times a ``distance_sums``
-    call, so single digraphs go there; the scan loop calls ``lane_bfs`` on
-    its blocks' columns directly."""
-    L = Lanes(n, len(batch))
-    if not batch:
-        return []
-    # struct packs the rows a few times faster than array's constructor does
-    flat = array(L.code, struct.pack(f"{len(batch) * n}{L.code}", *chain.from_iterable(batch)))
-    sigmas, eccs, bad = lane_bfs(L, [L.join(flat[v::n]) for v in range(n)])
-    if bad == L.E:
-        return [(None, None)] * len(batch)
-    return [
-        (None, None) if b else (list(s), list(e))
-        for s, e, b in zip(zip(*map(L.lanes, sigmas)), zip(*map(L.lanes, eccs)), L.lanes(bad))
-    ]
 
 
 def sigma_ecc_vectors(D: Digraph) -> Tuple[List[int], List[int]]:

@@ -2,11 +2,11 @@
 
 Enumeration walks labeled arc-subset codes in Gray-code order, so advancing
 from one instance to the next toggles a single arc (or reorients a single
-pair); ``_blocks`` builds each aligned block of codes at once, one lane per
-instance, from Gray(c0 + j) = Gray(c0) ^ Gray(j).  Shards are contiguous
-code ranges; any worker count produces the same normalized result set.
-One per-instance loop on raw adjacency rows, ``_scan``, serves search, the
-claim scan and the reference path; each supplies a consumer, and one that
+pair); ``_blocks`` builds each aligned block of codes at once as lane ints,
+one lane per instance.  Shards are contiguous code ranges; any worker
+count produces the same normalized result set.  One per-instance loop,
+``_scan``, serves search, the claim scan and the reference path on those
+lane ints; each supplies a consumer of raw adjacency rows, and one that
 reads only strong instances never sees one that fails the strongness
 screen.  The claim scan also screens each block lane-wise with the claims'
 lane tests, and only the lanes they do not mark clean reach the scalar
@@ -119,30 +119,31 @@ def total_count(cls: str, n: Optional[int] = None, parts: Optional[Tuple[int, in
 
 
 #: The scan loop's block size is the largest power of two at most this.
-_LANES = 1024
+_LANES = 4096
 
 
 def _blocks(cls: str, n: Optional[int], parts, start: int, stop: int):
-    """The one Gray enumerator: per aligned block of 2**k codes (2**k the
-    largest power of two <= ``_LANES``, or the whole class if smaller), the
-    columns of its codes in start..stop-1, column v an array of row v of
-    each code in order, and a 0/1 array of the codes that pass the
-    strongness screen (no empty row and no vertex without an in-arc; one
-    vertex counts as strong).  Rows are linear over GF(2) in the Gray code,
-    and Gray(c0 + j) = Gray(c0) ^ Gray(j) for a block's first code c0 and
-    j < 2**k.  So column v, row v of each instance in one w-bit lane, is row
-    v at c0 broadcast to every lane XOR the lanes of Gray(j)'s rows, built
-    once; the screen is a few ``Lanes.nonzero`` tests on the columns."""
+    """The one Gray enumerator: per aligned block of 2**k codes c0 + j (2**k
+    the largest power of two <= ``_LANES``, or the whole class if smaller),
+    its ``Lanes``, its columns (column v holds row v of code c0 + j in lane
+    j), the mask of the codes in start..stop-1 and the mask of those that
+    pass the strongness screen (no empty row and no vertex without an
+    in-arc; one vertex counts as strong).  Rows are linear over GF(2) in the
+    Gray code, and Gray(c0 + j) = Gray(c0) ^ Gray(j) for j < 2**k.  So
+    column v is row v at c0 in every lane XOR a pattern built once, by
+    doubling from Gray(2**b + j) = Gray(2**b) ^ Gray(j).  The screen is a
+    few ``Lanes.nonzero`` tests on the columns."""
     order, nbits, base, flips, _ = _layout(cls, n, parts)
     k = min(_LANES.bit_length() - 1, nbits)
     L = Lanes(order, 1 << k)
     w, E, FULL = L.w, L.E, L.FULL
-    low, table = [0] * order, []
-    for j in range(1 << k):
-        for v, mask in flips[(j & -j).bit_length() - 1] if j else ():
-            low[v] ^= mask
-        table.append(tuple(low))
-    pattern = [int.from_bytes(b"".join(r[v].to_bytes(w // 8, "little") for r in table), "little") for v in range(order)]
+    pattern, ones = [0] * order, 1  # the lanes of the first 2**b codes
+    for b in range(k):
+        toggle = [0] * order  # Gray(2**b) sets code bits b and b-1
+        for v, mask in chain(flips[b], flips[b - 1] if b else ()):
+            toggle[v] ^= mask
+        pattern = [p | (p ^ t * ones) << (w << b) for p, t in zip(pattern, toggle)]
+        ones |= ones << (w << b)
     head, gray = list(base), 0
     for c0 in range(start >> k << k, stop, 1 << k):
         toggled, gray = gray ^ c0 ^ (c0 >> 1), c0 ^ (c0 >> 1)
@@ -155,8 +156,8 @@ def _blocks(cls: str, n: Optional[int], parts, start: int, stop: int):
             screen &= L.nonzero(c)
             covered |= c
         screen = screen & (E ^ L.nonzero(covered ^ FULL)) if order > 1 else E
-        lo, hi = max(start - c0, 0), min(stop - c0, 1 << k)
-        yield [L.lanes(c)[lo:hi] for c in col], L.lanes(screen)[lo:hi]
+        inside = ((1 << w * min(stop - c0, 1 << k)) - (1 << w * max(start - c0, 0))) & E
+        yield L, col, inside, screen & inside
 
 
 def shard_range(total: int, index: int, count: int) -> Tuple[int, int]:
@@ -175,7 +176,8 @@ def enumerate_class(
     _check_size(cls, n, parts)
     order, nbits, _, _, _ = _layout(cls, n, parts)
     start, stop = shard_range(1 << nbits, *shard) if shard else (0, 1 << nbits)
-    yield from (Digraph(order, rows) for cols, _ in _blocks(cls, n, parts, start, stop) for rows in zip(*cols))
+    for L, cols, inside, _ in _blocks(cls, n, parts, start, stop):
+        yield from (Digraph(order, rows) for rows in compress(zip(*map(L.lanes, cols)), L.lanes(inside)))
 
 
 #: Cap on stored counterexample certificates (counts stay exact).
@@ -202,10 +204,11 @@ class _Consumer(NamedTuple):
     A consumer with a ``screen`` checks every instance it sees that is
     strong (every one, with ``every``).  ``screen(lanes, cols, strong,
     sigmas, eccs)`` gets a set of instances as the lanes of ``lanes`` (a
-    ``metrics.Lanes``), their columns, the mask of the strong ones and the
-    kernel's lane ints (empty without a kernel run), and returns the mask of
-    the *clean* ones, on which ``consume`` would find nothing: those add
-    ``weight`` to ``checked`` and never reach ``consume``."""
+    ``metrics.Lanes``), their columns (the block's, cut to the set by
+    ``Lanes.select``), the mask of the strong ones and the kernel's lane ints
+    (empty without a kernel run), and returns the mask of the *clean* ones,
+    on which ``consume`` would find nothing: those add ``weight`` to
+    ``checked`` and never reach ``consume``."""
 
     consume: Callable
     keep: Callable = _cert
@@ -218,69 +221,64 @@ class _Consumer(NamedTuple):
     screen: Optional[Callable] = None
 
 
-def _compact(cols: List[array], keep: Sequence[int]) -> List[array]:
-    """The lanes of each column that ``keep`` (one 0 or 1 per lane) selects,
-    in order.  With one byte per lane, ``bytes`` collects them a few times
-    faster than ``array``'s constructor does."""
-    if cols[0].itemsize == 1:
-        return [array("B", bytes(compress(c, keep))) for c in cols]
-    return [array(c.typecode, compress(c, keep)) for c in cols]
-
-
 def _scan(job) -> Tuple[int, int, Counter, list]:
     """The one per-instance loop over codes start..stop-1, one ``_blocks``
-    block at a time.  The screened lanes are compacted column by column, a
-    gate rules lanes out, and ``lane_bfs`` runs on the columns left (with
-    ``kernel``); a consumer with ``every`` also sees the screened-out lanes,
-    read in place with no kernel run.  A ``screen`` takes the clean lanes
-    out.  Only the lanes left get a row tuple, sigma and ecc lists and a
-    ``consume`` call, in enumeration order, so the findings and the
-    certificates kept are those of every lane.  Returns (strong, checked,
-    findings per key, kept findings)."""
+    block at a time, on lane ints.  ``Lanes.select`` cuts the columns to the
+    screened lanes (with ``every``, also to the other lanes in the shard,
+    which never reach the kernel), a gate rules lanes out, and ``lane_bfs``
+    runs on the columns left (with ``kernel``).  A ``screen`` takes the
+    clean lanes out.  Only the lanes left are unpacked to a row tuple, sigma
+    and ecc lists and a ``consume`` call, in enumeration order, so findings
+    and kept certificates are those of every lane.  Returns (strong,
+    checked, findings per key, kept findings)."""
     cls, n, parts, start, stop, make, arg = job
     order, _, _, _, part_ranges = _layout(cls, n, parts)
     consume, keep, gate, kernel, every, weight, cap, trim, screen = make(order, part_ranges, arg)
     counts: Counter = Counter()
     kept = []
     strong = checked = 0
-    for cols, screened in _blocks(cls, n, parts, start, stop):
-        # (selector of the compacted lanes or None for the block, kernel run)
+    for block, cols, inside, screened in _blocks(cls, n, parts, start, stop):
+        # (mask of the set's lanes in the block, kernel run)
         sets = [(screened, kernel)] if kernel or not every else []
         if every:
-            sets.append((None, False))
+            sets.append((inside ^ screened if sets else inside, False))
+        merging = len(sets) > 1
         todo = []  # per set, (place in the block, lane) of each lane for consume
         for chosen, run in sets:
-            sub, place = cols, range(len(screened))
-            if chosen is not None:
-                sub = _compact(sub, chosen)
-                place = list(compress(place, chosen))
-            if gate is not None:
-                passed = list(map(gate, zip(*sub)))
-                sub = _compact(sub, passed)
-                place = list(compress(place, passed))
-            if not place:
+            if not chosen:
                 continue
-            L = Lanes(order, len(place))
-            ints = [L.join(c) for c in sub] if run or screen else None
-            sigmas, eccs, bad = lane_bfs(L, ints) if run else ((), (), L.E)
+            L, sub = Lanes(order, chosen.bit_count()), block.select(cols, chosen)
+            # the block places of the set's lanes, needed only to merge two sets
+            place = list(compress(range(block.count), block.lanes(chosen))) if merging else None
+            if gate is not None:
+                passed = list(map(gate, zip(*map(L.lanes, sub))))
+                if merging:
+                    place = list(compress(place, passed))
+                if not any(passed):
+                    continue
+                sub, L = L.select(sub, L.join(array(L.code, passed))), Lanes(order, sum(passed))
+            sigmas, eccs, bad = lane_bfs(L, sub) if run else ((), (), L.E)
             strong += (L.E ^ bad).bit_count()
-            seen = L.E ^ L.join(screened) if len(sets) > 1 and chosen is None else L.E
+            seen = L.E
             if screen is not None:
                 if not every:
                     seen ^= bad  # a strong-only consumer checks the strong lanes
-                clean = screen(L, ints, L.E ^ bad, sigmas, eccs) & seen
+                clean = screen(L, sub, L.E ^ bad, sigmas, eccs) & seen
                 checked += weight * clean.bit_count()
                 seen ^= clean
                 if not seen:
                     continue
             # a lane: its rows, then sigma(u) and ecc(u) per source, then 1 if not strong
-            arrays = [*sub, *map(L.lanes, sigmas), *map(L.lanes, eccs), L.lanes(bad)]
-            if seen == L.E:
-                todo.append(zip(place, zip(*arrays)))
-            else:  # few lanes: pick them by index
-                picks = list(compress(range(len(place)), L.lanes(seen)))
-                todo.append(zip([place[i] for i in picks], zip(*([a[i] for i in picks] for a in arrays))))
-        for _, lane in merge(*todo, key=itemgetter(0)) if len(todo) > 1 else chain(*todo):
+            arrays = [*map(L.lanes, sub), *map(L.lanes, sigmas), *map(L.lanes, eccs), L.lanes(bad)]
+            if seen != L.E:  # few lanes: pick them by index
+                picks = list(compress(range(L.count), L.lanes(seen)))
+                arrays = [[a[i] for i in picks] for a in arrays]
+                if merging:
+                    place = [place[i] for i in picks]
+            todo.append(zip(place, zip(*arrays)) if merging else zip(*arrays))
+        for lane in merge(*todo, key=itemgetter(0)) if len(todo) > 1 else chain(*todo):
+            if merging:
+                lane = lane[1]
             rows = lane[:order]
             if lane[-1]:
                 found = consume(rows, None, None)

@@ -424,11 +424,13 @@ def _prop_3_1(f: InstanceFacts) -> Verdict:
 
 
 def _prop_3_1_lanes(f: LaneFacts) -> int:
-    # every maximum-out-degree vertex reaches every vertex within two steps
-    L, cols, ok = f.lanes, f.cols, f.lanes.E
+    # every maximum-out-degree vertex reaches every vertex within two steps:
+    # its eccentricity is at most 2 on the strong lanes (the others go to the
+    # scalar check), or with no strong lane, its two-step reach is every vertex
+    L, cols, ok = f.lanes, f.cols, f.strong or f.lanes.E
     for v, c in enumerate(cols):
-        reach = (L.E << v) | c | L.successors(c, cols)
-        ok &= L.E ^ (L.ge(f.degrees[v], f.max_out) & L.nonzero(reach ^ L.FULL))
+        far = L.at_least(f.eccs[v], 3) if f.strong else L.nonzero(((L.E << v) | c | L.successors(c, cols)) ^ L.FULL)
+        ok &= L.E ^ (L.ge(f.degrees[v], f.max_out) & far)
     return ok
 
 

@@ -5,8 +5,8 @@ one scalar BFS, ``bfs_layers``, which expands frontiers through
 ``frontier_bits``, a table up to FRONTIER_TABLE_CAP and a decoding mapping
 above it, so every order from 1 to 27 is checked on both sides of the cap
 against Floyd-Warshall and a plain queue BFS.  The lane
-kernel ``lane_distance_sums`` must equal ``distance_sums`` lane for lane,
-on both sides of each lane-width boundary.
+kernel ``lane_bfs`` must equal ``distance_sums`` lane for lane, on both
+sides of each lane-width boundary.
 """
 
 import importlib
@@ -23,7 +23,7 @@ from proxrem.digraph import (
     frontier_bits,
     reach_within,
 )
-from proxrem.metrics import distance_layers, lane_distance_sums
+from proxrem.metrics import Lanes, distance_layers, lane_bfs
 from proxrem.search import enumerate_class
 
 from oracles import bfs_distances, floyd_warshall, unreachable_pair_oracle
@@ -125,6 +125,19 @@ def test_frontier_bits_lists_the_set_vertices():
             assert list(bits[mask]) == [v for v in range(n) if mask >> v & 1]
     assert len(frontier_bits(FRONTIER_TABLE_CAP)) == 2 ** FRONTIER_TABLE_CAP
     assert frontier_bits(FRONTIER_TABLE_CAP) is frontier_bits(FRONTIER_TABLE_CAP)
+
+
+def lane_distance_sums(batch, n):
+    """``lane_bfs`` on row tuples, one lane each, packed with plain shifts:
+    per row tuple its (sigmas, eccs) lists, or (None, None) if not strong."""
+    L = Lanes(n, len(batch))
+    sigmas, eccs, bad = lane_bfs(L, [sum(rows[v] << (L.w * i) for i, rows in enumerate(batch)) for v in range(n)])
+    if bad == L.E:
+        return [(None, None)] * len(batch)
+    return [
+        (None, None) if b else (list(s), list(e))
+        for s, e, b in zip(zip(*map(L.lanes, sigmas)), zip(*map(L.lanes, eccs)), L.lanes(bad))
+    ]
 
 
 def per_digraph(batch, n):

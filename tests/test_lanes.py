@@ -1,15 +1,18 @@
 """The lane-wise claim screen against the scalar claim checks.
 
 ``metrics.Lanes`` holds the lane primitives (compare with a constant,
-compare two lanes, lane min/max, popcount), checked here against plain
-integers at every lane width.  ``verifiers.LaneFacts`` derives the facts
-the lane tests read, checked lane for lane against ``InstanceFacts``.  Each
-``CLAIMS`` row's lane test must be *sound*: a lane it marks clean passes
-the scalar check.  It must also be *exactly* the test it states, so a
-scalar restatement below, on plain Python values, must give the same mask
-on every instance: a screen that marks too few lanes clean costs time and
-one that marks too many hides a failure.
+compare two lanes, lane min/max, popcount, select), checked here against
+plain integers and lists at every lane width.  ``verifiers.LaneFacts``
+derives the facts the lane tests read, checked lane for lane against
+``InstanceFacts``.  Each ``CLAIMS`` row's lane test must be *sound*: a
+lane it marks clean passes the scalar check.  It must also be *exactly*
+the test it states, so a scalar restatement below, on plain Python values,
+must give the same mask on every instance: a screen that marks too few
+lanes clean costs time and one that marks too many hides a failure.
 """
+
+from itertools import compress
+from random import Random
 
 import pytest
 
@@ -40,9 +43,11 @@ def _parts(n, parts):
     return None if parts is None else (range(parts[0]), range(parts[0], n))
 
 
-def _lane_sets(cls, n, parts, size=1000):
+def _lane_sets(cls, n, parts, size=1000, kernel=True):
     """(order, rows of each lane, LaneFacts) per set of ``size`` instances;
-    the columns are packed here with plain shifts."""
+    the columns are packed here with plain shifts.  Without ``kernel`` the
+    facts hold no kernel run and no strong lane, as for the scan loop's
+    screened-out lanes."""
     everything = [D.rows for D in enumerate_class(cls, n, parts)]
     order = len(everything[0])
     ranges = _parts(order, parts)
@@ -51,7 +56,7 @@ def _lane_sets(cls, n, parts, size=1000):
         batch = everything[at : at + size]
         L = Lanes(order, len(batch))
         cols = [sum(rows[v] << (L.w * i) for i, rows in enumerate(batch)) for v in range(order)]
-        sigmas, eccs, bad = lane_bfs(L, cols)
+        sigmas, eccs, bad = lane_bfs(L, cols) if kernel else ((), (), L.E)
         yield order, batch, LaneFacts(L, cols, L.E ^ bad, sigmas, eccs, pairs)
 
 
@@ -61,6 +66,10 @@ def _bits(L, mask):
 
 def _lane_values(L, x):
     return [x >> (L.w * i) & ((1 << L.w) - 1) for i in range(L.count)]
+
+
+def _pack(w, values):
+    return sum(v << (w * i) for i, v in enumerate(values))
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +101,36 @@ def test_lane_primitives_against_plain_integers(w):
     assert _lane_values(L, L.maximum(ints)) == [max(t) for t in zip(*xs)]
     assert _lane_values(L, L.popcount(x)) == [v.bit_count() for v in values]
     assert L.every(top) == sum(top << (w * i) for i in range(len(values)))
+
+
+def _select_keeps(count, rnd):
+    """0/1 per lane: none, every, each single lane, the two alternations and
+    random ones, dense and sparse."""
+    yield [0] * count
+    yield [1] * count
+    for i in range(count):
+        yield [int(j == i) for j in range(count)]
+    yield [j % 2 for j in range(count)]
+    yield [1 - j % 2 for j in range(count)]
+    for p in (0.1, 0.5, 0.9):
+        for _ in range(5):
+            yield [int(rnd.random() < p) for _ in range(count)]
+
+
+@pytest.mark.parametrize("columns", [1, 3, 9])
+@pytest.mark.parametrize("w", sorted(WIDTH_ORDERS))
+def test_select_against_a_list_oracle(w, columns):
+    """``Lanes.select`` keeps the lanes a mask selects, in order, in each lane
+    int, for records of up to 8 bytes and wider ones.  Lane values use all w
+    bits: select moves lanes and never reads them."""
+    rnd = Random(100 * w + columns)
+    for count in (1, 2, 7, 33):
+        L = Lanes(WIDTH_ORDERS[w], count)
+        lanes = [[rnd.getrandbits(w) for _ in range(count)] for _ in range(columns)]
+        xs = [_pack(w, values) for values in lanes]
+        for keep in _select_keeps(count, rnd):
+            want = [_pack(w, list(compress(values, keep))) for values in lanes]
+            assert L.select(xs, _pack(w, keep)) == want, keep
 
 
 def test_lane_width_leaves_the_guard_bit_free():
@@ -149,12 +188,15 @@ def test_lane_facts_match_instance_facts(cls, n, parts):
 # Soundness and exactness of each claim's lane test
 # ---------------------------------------------------------------------------
 
-def _scalar_restatement(t, n, rows, sigmas, eccs, bad):
+def _scalar_restatement(t, n, rows, sigmas, eccs, bad, some_strong):
     """What the lane test of claim t states, on plain values: the lanes it
-    marks clean.  ``sigmas`` is None on an instance that is not strong."""
+    marks clean.  ``sigmas`` is None on an instance that is not strong, and
+    ``some_strong`` says whether the kernel found a strong lane in the set."""
     degrees = [r.bit_count() for r in rows]
     top, low = max(degrees), min(degrees)
     if t == "prop-3.1":
+        if some_strong and sigmas is None:
+            return False  # left to the scalar check
         full = (1 << n) - 1
         for v in range(n):
             reach = 1 << v | rows[v]
@@ -206,7 +248,18 @@ def test_clean_lanes_pass_the_scalar_check(cls, n, parts, claims):
     """A lane a claim's lane test marks clean passes that claim's scalar
     check, non-strong lanes included for prop-3.1, and the mask is exactly
     the scalar restatement of the lane test."""
-    for order, batch, f in _lane_sets(cls, n, parts):
+    _assert_clean_lanes(cls, n, parts, claims, kernel=True)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_clean_lanes_without_a_kernel_run(n):
+    """On a set of lanes the kernel did not run on, as the scan loop's
+    screened-out lanes, prop-3.1's lane test reads the two-step reach."""
+    _assert_clean_lanes("tournaments", n, None, ("prop-3.1",), kernel=False)
+
+
+def _assert_clean_lanes(cls, n, parts, claims, kernel):
+    for order, batch, f in _lane_sets(cls, n, parts, kernel=kernel):
         ranges = _parts(order, parts)
         facts = InstanceFacts(order, ranges)
         run = [t for t in claims if order >= CLAIMS[t].min_n]
@@ -219,9 +272,10 @@ def test_clean_lanes_pass_the_scalar_check(cls, n, parts, claims):
             facts.load(rows, sigmas, eccs)
             bad = ranges is not None and _is_bad(rows, ranges)
             for t in run:
-                if sigmas is None and CLAIMS[t].strong:
+                if t not in clean or sigmas is None and CLAIMS[t].strong:
                     continue
-                assert clean[t][i] == _scalar_restatement(t, order, rows, sigmas, eccs, bad), (t, rows)
+                restated = _scalar_restatement(t, order, rows, sigmas, eccs, bad, f.strong != 0)
+                assert clean[t][i] == restated, (t, rows)
                 if clean[t][i]:
                     bound, observed, predicted = CLAIMS[t].check(facts)
                     assert bound and observed == predicted, (t, rows)
@@ -275,3 +329,17 @@ def test_a_structural_condition_sends_the_lane_to_the_scalar_check(t, cls, n):
                     assert not clean[i], rows
                     held += 1
     assert held
+
+
+def test_prop_3_1_reads_the_eccentricities_on_strong_lanes():
+    """Every maximum-out-degree vertex of a tournament has eccentricity at
+    most 2, so on real lanes the kernel's eccentricities never decide
+    prop-3.1's lane test.  Overwritten, they must: with every eccentricity
+    3 no lane is clean, and with every one 2 exactly the strong lanes are
+    (a lane that is not strong goes to the scalar check)."""
+    (order, _, f), = _lane_sets("tournaments", 5, None, size=1024)
+    assert 0 < f.strong != f.lanes.E
+    f.eccs = [f.lanes.every(3)] * order
+    assert CLAIMS["prop-3.1"].lanes(f) == 0
+    f.eccs = [f.lanes.every(2)] * order
+    assert CLAIMS["prop-3.1"].lanes(f) == f.strong

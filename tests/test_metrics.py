@@ -275,8 +275,7 @@ class TestSerialization:
 @pytest.fixture
 def kernel_runs(monkeypatch):
     """Records the rows of every distance-kernel run, whichever module calls it;
-    each lane of a ``lane_bfs`` run (the core of ``lane_distance_sums``)
-    counts as one run."""
+    each lane of a ``lane_bfs`` run counts as one run."""
     runs = []
     kernel = digraph_mod.distance_sums
     lanes = metrics_mod.lane_bfs

@@ -1,6 +1,7 @@
 import importlib
 import math
 import time
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
@@ -11,7 +12,7 @@ from proxrem.canonical import are_isomorphic, canonical_form
 from proxrem.constructions import bipartite_T1, dicycle, extremal_tournament, fig1_graph
 from proxrem.digraph import Digraph, is_regular, is_strong, permute
 from proxrem.formats import read_digraph6, write_digraph6
-from proxrem.metrics import sigma_ecc_vectors
+from proxrem.metrics import Lanes, sigma_ecc_vectors
 from proxrem.search import (
     SearchQuery,
     enumerate_class,
@@ -835,7 +836,7 @@ class TestGrayOrder:
     no code bit, below one block, to several blocks) and for shards whose
     boundaries fall inside a block, whatever the block size."""
 
-    @pytest.mark.parametrize("lanes", [1, 7, 1024])
+    @pytest.mark.parametrize("lanes", [1, 7, search_mod._LANES])
     @pytest.mark.parametrize("cls, n, parts", GRAY_ORDER_CASES, ids=lambda v: str(v).replace(" ", ""))
     def test_enumeration_follows_the_gray_code(self, monkeypatch, lanes, cls, n, parts):
         want = _gray_order(cls, n, parts)
@@ -845,6 +846,44 @@ class TestGrayOrder:
             for index in range(count):
                 start, stop = shard_range(len(want), index, count)
                 assert [D.rows for D in enumerate_class(cls, n, parts, shard=(index, count))] == want[start:stop]
+
+
+class TestBlocks:
+    """``_blocks`` yields each block as lane ints with the mask of the lanes
+    inside the shard and the mask of those that pass the strongness screen;
+    ``Lanes.select`` on the in-shard mask gives the shard's rows."""
+
+    @pytest.mark.parametrize(
+        "cls, n, parts, cuts",
+        [
+            ("tournaments", 5, None, [(3, 700), (0, 1), (1023, 1024)]),  # one block of 1-byte lanes
+            ("bipartite_tournaments", None, (3, 5), [(5, 4000), (4095, 4097), (1000, 30000)]),  # 16-bit lanes
+        ],
+    )
+    def test_in_shard_mask_cuts_a_block(self, cls, n, parts, cuts):
+        want = _gray_order(cls, n, parts)
+        for start, stop in cuts:
+            rows, screened = [], []
+            for L, cols, inside, passed in search_mod._blocks(cls, n, parts, start, stop):
+                assert passed & inside == passed
+                picked = [Lanes(L.n, mask.bit_count()) for mask in (inside, passed)]
+                rows += zip(*map(picked[0].lanes, L.select(cols, inside)))
+                screened += zip(*map(picked[1].lanes, L.select(cols, passed)))
+            assert rows == want[start:stop]
+            assert screened == [r for r in want[start:stop] if _passes_screen(r)]
+
+    def test_first_block_peak_memory(self):
+        """The lane pattern is built by doubling, so a block of the bipartite
+        (4,5) class, 4,096 lanes of 16 bits, costs a few copies of its nine
+        columns, not a table of row tuples per code."""
+        total = total_count("bipartite_tournaments", parts=(4, 5))
+        tracemalloc.start()
+        try:
+            next(search_mod._blocks("bipartite_tournaments", None, (4, 5), 0, total))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024, peak
 
 
 def _slow_failing_d6():
