@@ -22,16 +22,16 @@ holds a set of instances one per lane of a few big integers, it returns
 the mask of lanes on which the check certainly passes.  It checks the
 bound and compares observed and predicted equality case by case with the
 lane primitives of ``metrics.Lanes``.  Where the predicted side is
-structural it uses a necessary condition instead (thm-2.2: an
-eccentricity-(n-1) vertex and a vertex of out-degree n-1; thm-3.2-rho's
-upper case: an eccentricity-(n-1) vertex).  The bipartite lane tests read
-a lane-wise bad test; with all five claims requested, a lane is clean when
-it is bad and its distance sums are not all equal.  The scan counts the
-clean lanes and runs the scalar check only on the others: the lanes where
-a bound fails, a case is observed or predicted to hold on one side only, a
-necessary condition holds, or, in the bipartite class, the instance is
-good.  The check stays the one definition of failure, evidence and
-certificate.
+structural, a lemma makes it a lane test (thm-2.2's certificate exists iff
+some vertex has eccentricity n-1 and some out-degree n-1; thm-3.2-rho's
+extremal isomorphism iff some vertex has eccentricity n-1; see their lane
+tests).  The bipartite lane tests read a lane-wise bad test; with all five
+claims requested, a lane is clean when it is bad and its distance sums are
+not all equal.  The scan counts the clean lanes and runs the scalar check
+only on the others: the lanes where a bound fails or a case is observed or
+predicted to hold on one side only, prop-3.1's lanes that the kernel found
+not strong, and, in the bipartite class, the good instances.  The check
+stays the one definition of failure, evidence and certificate.
 
 Claim identifiers (the CLI vocabulary):
 
@@ -350,8 +350,8 @@ def _constant_class_size(f: InstanceFacts) -> bool:
 # which its check certainly passes: the bound holds and every case agrees.
 # The doubled constants below (n(n-1), the windows' caps) are all even, so
 # 2x <= K, 2x == K and K <= 2x compare x with K // 2.  Where the predicted
-# side is structural, a lane on which its necessary condition holds is not
-# marked, and the scalar check decides it.
+# side is structural, the lemmas in the lane tests of thm-2.2 and
+# thm-3.2-rho restate it exactly on the lane facts (max ecc and max out).
 
 Verdict = Tuple[bool, Tuple[bool, ...], Tuple[bool, ...]]
 Check = Callable[[InstanceFacts], Verdict]
@@ -412,11 +412,24 @@ def _thm_2_2(f: InstanceFacts) -> Verdict:
 
 
 def _thm_2_2_lanes(f: LaneFacts) -> int:
-    # below the cap, and no certificate: it needs an eccentricity-(n-1)
-    # vertex and a vertex of out-degree n-1
+    """The bound, and the equality case against the certificate, exactly.
+
+    L1: in a strong digraph, sigma(u) <= 1 + ... + (n-1) = n(n-1)/2, with
+    equality iff every BFS layer from u is a single vertex, i.e. iff
+    ecc(u) = n-1; and sigma(v) = n-1 iff d+(v) = n-1.
+
+    L2: let ecc(u) = n-1, with layers v_0..v_{n-1}, and d+(v) = n-1 with
+    v = v_i.  Then v reaches everything in one step, so n-1 = ecc(u) <= i+1
+    and v is one of the last two vertices.  So the certificate exists iff
+    max ecc = n-1 and max out = n-1: ``possible`` is the predicted side.
+    By L1 the spread reaches the cap under the same condition, so on a
+    strong lane the bound holds and the case agrees.
+    """
     L, n = f.lanes, f.n
+    cap = (n - 1) * (n - 2) // 2
+    spread = f.smax - f.smin
     possible = L.equal(f.max_ecc, n - 1) & L.equal(f.max_out, n - 1)
-    return L.at_most(f.smax - f.smin, (n - 1) * (n - 2) // 2 - 1) & (L.E ^ possible)
+    return L.at_most(spread, cap) & _agree(f, L.equal(spread, cap), possible)
 
 
 def _prop_3_1(f: InstanceFacts) -> Verdict:
@@ -477,15 +490,24 @@ def _thm_3_2_rho(f: InstanceFacts) -> Verdict:
 
 
 def _thm_3_2_rho_lanes(f: LaneFacts) -> int:
-    # the extremal isomorphism needs an eccentricity-(n-1) vertex
+    """The window, and both equality cases against their predicted sides,
+    exactly.
+
+    L3: in a tournament with ecc(u) = n-1 and layers v_0..v_{n-1}, v_i -> v_{i+1}
+    (v_{i+1} has an in-neighbor in layer i) and v_j -> v_i for every j >= i+2
+    (an arc v_i -> v_j would put v_j at distance i+1 or less).  That is
+    ``_is_extremal``'s pattern, whose scores are ``_extremal_scores(n)``, so
+    the predicted upper case is max ecc = n-1, which by L1 (see
+    ``_thm_2_2_lanes``) is also the observed one.
+    """
     L, n, smax = f.lanes, f.n, f.smax
     low, top = _thm_3_2_windows(n)[1] // 2, n * (n - 1) // 2
     lo, hi = _near_regular_window(n)
     near_regular = L.at_least(f.min_out, lo) & L.at_most(f.max_out, hi)
     return (
-        L.at_least(smax, low) & L.at_most(smax, top - 1)
+        L.at_least(smax, low) & L.at_most(smax, top)
         & _agree(f, L.equal(smax, low), near_regular)
-        & (L.E ^ L.equal(f.max_ecc, n - 1))
+        & _agree(f, L.equal(smax, top), L.equal(f.max_ecc, n - 1))
     )
 
 

@@ -3,16 +3,22 @@
 The scan and the reference verifiers share one definition per claim, so
 comparing them checks plumbing only.  These tests compare the counts with
 ``oracles.py``, which transcribes each statement on Floyd-Warshall
-distances and shares no code with the library.
+distances and shares no code with the library.  They also check, on the
+oracle's BFS distances, the three lemmas that make the lane tests of
+thm-2.2 and thm-3.2-rho exact (see ``verifiers._thm_2_2_lanes`` and
+``verifiers._thm_3_2_rho_lanes``).
 """
+
+from functools import lru_cache
 
 import pytest
 
 from proxrem.digraph import is_strong
 from proxrem.search import enumerate_class, exhaustive_verify
-from proxrem.verifiers import verify
+from proxrem.verifiers import InstanceFacts, _is_extremal, _thm22_certificate, verify
 
 from oracles import (
+    bfs_distances,
     bipartite_claims,
     general_claims,
     is_iso_to_extremal_oracle,
@@ -67,3 +73,66 @@ def test_pattern_certificate_matches_brute_isomorphism(n):
         if is_strong(D):
             assert extremal_predicted(D) == is_iso_to_extremal_oracle(D)
 
+
+# ---------------------------------------------------------------------------
+# The lemmas behind the exact structural lane tests
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _strong_instances(cls, n=None, parts=None):
+    """(rows, sigma per vertex, ecc per vertex, out-degree per vertex) of
+    every strong instance of a class, from the oracle's BFS."""
+    out = []
+    for D in enumerate_class(cls, n, parts):
+        dist = [bfs_distances(D, u) for u in range(D.n)]
+        if all(d is not None for row in dist for d in row):
+            degrees = [sum(D.has_arc(u, v) for v in range(D.n)) for u in range(D.n)]
+            out.append((D.rows, [sum(row) for row in dist], [max(row) for row in dist], degrees))
+    return out
+
+
+ALL_DIGRAPHS = [("all_digraphs", n, None) for n in (1, 2, 3, 4)]
+TOURNAMENTS = [("tournaments", n, None) for n in (3, 4, 5, 6)]
+SYMMETRIC = [("symmetric_digraphs", n, None) for n in range(1, 7)]
+#: a part of one vertex leaves no strong instance
+BIPARTITE_PARTS = [("bipartite_tournaments", None, (a, b)) for a in range(2, 4) for b in range(a, 7) if a * b <= 12]
+
+
+def _ids(v):
+    return str(v).replace(" ", "")
+
+
+@pytest.mark.parametrize("cls, n, parts", ALL_DIGRAPHS + TOURNAMENTS, ids=_ids)
+def test_l1_sigma_reaches_its_cap_exactly_on_a_spanning_path(cls, n, parts):
+    """L1: sigma(u) <= n(n-1)/2, with equality iff ecc(u) = n-1; and
+    sigma(v) = n-1 iff d+(v) = n-1."""
+    instances = _strong_instances(cls, n, parts)
+    assert instances
+    for rows, sigmas, eccs, degrees in instances:
+        order = len(rows)
+        cap = order * (order - 1) // 2
+        for s, e, d in zip(sigmas, eccs, degrees):
+            assert s <= cap and (s == cap) == (e == order - 1), rows
+            assert (s == order - 1) == (d == order - 1), rows
+
+
+@pytest.mark.parametrize("cls, n, parts", ALL_DIGRAPHS + SYMMETRIC + TOURNAMENTS + BIPARTITE_PARTS, ids=_ids)
+def test_l2_thm22_certificate_iff_long_and_dominant_vertices(cls, n, parts):
+    """L2: thm-2.2's certificate exists iff max ecc = n-1 and max out = n-1."""
+    instances = _strong_instances(cls, n, parts)
+    assert instances
+    for rows, sigmas, eccs, degrees in instances:
+        order = len(rows)
+        found = _thm22_certificate(InstanceFacts(order).load(rows, sigmas, eccs)) is not None
+        assert found == (max(eccs) == order - 1 and max(degrees) == order - 1), rows
+
+
+@pytest.mark.parametrize("cls, n, parts", TOURNAMENTS, ids=_ids)
+def test_l3_extremal_iff_a_vertex_of_eccentricity_n_minus_1(cls, n, parts):
+    """L3: a strong tournament is the extremal one iff max ecc = n-1."""
+    held = 0
+    for rows, sigmas, eccs, _ in _strong_instances(cls, n, parts):
+        extremal = _is_extremal(InstanceFacts(n).load(rows, sigmas, eccs))
+        assert extremal == (max(eccs) == n - 1), rows
+        held += extremal
+    assert held

@@ -220,13 +220,17 @@ def _scalar_restatement(t, n, rows, sigmas, eccs, bad, some_strong):
             and (smax == den) == (low == den) and (2 * smax == n * den) == (max_ecc == den)
         )
     if t == "thm-2.2":
-        return 2 * (smax - smin) < (n - 1) * (n - 2) and not (max_ecc == den and top == den)
+        cap = (n - 1) * (n - 2)
+        return 2 * (smax - smin) <= cap and (2 * (smax - smin) == cap) == (max_ecc == den and top == den)
     if t == "thm-3.2-pi":
         cap = 3 * (n - 1) if n % 2 else 3 * n - 4
         return n <= smin and 2 * smin <= cap and (smin == n) == (top == n - 2) and (2 * smin == cap) == near_regular
     if t == "thm-3.2-rho":
         cap = 3 * (n - 1) if n % 2 else 3 * n - 2
-        return cap <= 2 * smax < n * (n - 1) and (2 * smax == cap) == near_regular and max_ecc != den
+        return (
+            cap <= 2 * smax <= n * (n - 1)
+            and (2 * smax == cap) == near_regular and (2 * smax == n * (n - 1)) == (max_ecc == den)
+        )
     if t == "thm-3.3":
         return (smin == smax) == (top == low)
     equal = smin == smax
@@ -308,12 +312,14 @@ def test_every_table_claim_has_a_lane_test():
     "t, cls, n", [("thm-2.2", "all_digraphs", 3), ("thm-2.2", "all_digraphs", 4), ("thm-3.2-rho", "tournaments", 6)]
 )
 def test_a_structural_condition_sends_the_lane_to_the_scalar_check(t, cls, n):
-    """Whatever its distance sums, a lane on which the necessary condition of
-    a structural predicted side holds is not clean, so the screen does not
-    lean on the claim being true.  On a real instance the condition forces
-    the observed equality (a vertex of eccentricity n-1 has sigma n(n-1)/2),
-    so the sums are overwritten here with ones inside the bound and off
-    every equality case."""
+    """A structural predicted side is compared with the observed case, not
+    assumed to match it: a lane on which the predicted side holds (thm-2.2:
+    max ecc and max out n-1; thm-3.2-rho's upper case: max ecc n-1) is not
+    clean when its distance sums miss the equality, so the screen does not
+    lean on the claim being true.  On a real instance the predicted side
+    forces the observed equality (a vertex of eccentricity n-1 has sigma
+    n(n-1)/2), so the sums are overwritten here with ones inside the bound
+    and off every equality case."""
     held = 0
     for order, batch, f in _lane_sets(cls, n, None):
         L = f.lanes

@@ -10,7 +10,7 @@ import pytest
 
 from proxrem.canonical import are_isomorphic, canonical_form
 from proxrem.constructions import bipartite_T1, dicycle, extremal_tournament, fig1_graph
-from proxrem.digraph import Digraph, is_regular, is_strong, permute
+from proxrem.digraph import Digraph, distance_sums, is_regular, is_strong, permute
 from proxrem.formats import read_digraph6, write_digraph6
 from proxrem.metrics import Lanes, sigma_ecc_vectors
 from proxrem.search import (
@@ -540,6 +540,36 @@ class TestExhaustiveVerify:
         # The reference path counts one per (claim, instance) pair.
         r = exhaustive_verify(["thm-2.1", "thm-2.2"], "symmetric_digraphs", n=4)
         assert r.checked == 3 * r.strong_count
+
+    @pytest.mark.parametrize(
+        "claims, cls, n, failing",
+        [
+            (["thm-2.1", "thm-2.2"], "all_digraphs", 3, 0),
+            (["thm-2.1", "thm-2.2"], "all_digraphs", 4, 0),
+            (["thm-3.2", "thm-3.3"], "tournaments", 5, 0),
+            (["thm-3.2", "thm-3.3"], "tournaments", 6, 3600),
+        ],
+    )
+    def test_claim_scan_loads_only_failing_instances(self, monkeypatch, claims, cls, n, failing):
+        # Every lane test of these claims is exact on strong lanes (thm-2.2's
+        # and thm-3.2-rho's structural sides included), so the scalar check
+        # loads exactly the instances that fail some claim.
+        loads = []
+        load = InstanceFacts.load
+
+        def recorded(self, rows, sigmas, eccs):
+            loads.append(tuple(rows))
+            return load(self, rows, sigmas, eccs)
+
+        monkeypatch.setattr(InstanceFacts, "load", recorded)
+        r = exhaustive_verify(claims, cls, n=n)
+        monkeypatch.undo()
+        assert len(loads) == len(set(loads)) == sum(r.failure_counts.values()) == failing
+        facts = InstanceFacts(n)
+        for rows in loads:
+            facts.load(rows, *distance_sums(rows, n))
+            verdicts = [CLAIMS[t].check(facts) for t in r.theorems]
+            assert not all(bound and observed == predicted for bound, observed, predicted in verdicts), rows
 
 
 @pytest.fixture
