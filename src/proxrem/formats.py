@@ -122,43 +122,40 @@ def _decode_size(data: str, pos: int) -> Tuple[int, int]:
     return n, start + chunk
 
 
-def _encode_bits(bits: list) -> str:
-    out = []
-    for i in range(0, len(bits), 6):
-        group = bits[i : i + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+#: A data byte per 6-bit group written as text, and the inverse table for
+#: ``str.translate``: the codec packs and unpacks whole groups, never
+#: single bits.
+_GROUP_BYTE = {format(k, "06b"): chr(k + 63) for k in range(64)}
+_BYTE_GROUP = str.maketrans({c: g for g, c in _GROUP_BYTE.items()})
 
 
-def _decode_bits(data: str, pos: int, count: int) -> list:
+def _encode_bits(bits: str) -> str:
+    """Pack a string of 0s and 1s, 6 bits per printable byte, zero-padded."""
+    bits += "0" * (-len(bits) % 6)
+    return "".join([_GROUP_BYTE[bits[i : i + 6]] for i in range(0, len(bits), 6)])
+
+
+def _decode_bits(data: str, pos: int, count: int) -> str:
+    """The first ``count`` bits of the data bytes from ``pos`` on, as a string
+    of 0s and 1s.  An error names the first bad byte; it is looked for only
+    once a whole-string test has failed."""
     need = (count + 5) // 6
     if pos + need > len(data):
         raise ValueError(f"byte {pos}: expected {need} data bytes, found {len(data) - pos}")
-    bits = []
-    for i in range(need):
-        c = ord(data[pos + i])
-        if not 63 <= c <= 126:
-            raise ValueError(f"byte {pos + i}: invalid data byte {data[pos + i]!r}")
-        val = c - 63
-        bits.extend(((val >> s) & 1) for s in (5, 4, 3, 2, 1, 0))
-    for i in range(count, len(bits)):
-        if bits[i]:
-            raise ValueError(f"byte {pos + i // 6}: nonzero padding bit")
+    chunk = data[pos : pos + need]
+    if chunk and (min(chunk) < "?" or max(chunk) > "~"):
+        i = next(i for i, c in enumerate(chunk) if not "?" <= c <= "~")
+        raise ValueError(f"byte {pos + i}: invalid data byte {chunk[i]!r}")
+    bits = chunk.translate(_BYTE_GROUP)
+    if "1" in bits[count:]:
+        raise ValueError(f"byte {pos + bits.index('1', count) // 6}: nonzero padding bit")
     return bits[:count]
 
 
 def write_digraph6(D: Digraph) -> str:
     """Encode as digraph6: '&', the size, then the full matrix row-major."""
     n = D.n
-    bits = []
-    for u in range(n):
-        r = D.rows[u]
-        bits.extend(((r >> v) & 1) for v in range(n))
-    return "&" + _encode_size(n) + _encode_bits(bits)
+    return "&" + _encode_size(n) + _encode_bits("".join([format(r, f"0{n}b")[::-1] for r in D.rows]))
 
 
 def read_digraph6(s: str) -> Digraph:
@@ -171,29 +168,18 @@ def read_digraph6(s: str) -> Digraph:
     if n < 1:
         raise ValueError("digraph6 string encodes an empty vertex set")
     bits = _decode_bits(data, pos, n * n)
-    rows = []
-    for u in range(n):
-        r = 0
-        base = u * n
-        for v in range(n):
-            if bits[base + v]:
-                if u == v:
-                    raise ValueError(f"matrix has a loop at vertex {u}")
-                r |= 1 << v
-        rows.append(r)
-    return Digraph(n, rows)
+    diagonal = bits[:: n + 1]
+    if "1" in diagonal:
+        raise ValueError(f"matrix has a loop at vertex {diagonal.index('1')}")
+    return Digraph(n, [int(bits[u * n : u * n + n][::-1], 2) for u in range(n)])
 
 
 def write_graph6(D: Digraph) -> str:
     """Encode a symmetric digraph as graph6 (upper triangle, column-major)."""
     if not is_symmetric(D):
         raise ValueError("graph6 output requires a symmetric digraph")
-    n = D.n
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append((D.rows[i] >> j) & 1)
-    return _encode_size(n) + _encode_bits(bits)
+    n, rows = D.n, D.rows
+    return _encode_size(n) + _encode_bits("".join([str(rows[i] >> j & 1) for j in range(1, n) for i in range(j)]))
 
 
 def read_graph6(s: str) -> Digraph:
@@ -208,7 +194,7 @@ def read_graph6(s: str) -> Digraph:
     k = 0
     for j in range(1, n):
         for i in range(j):
-            if bits[k]:
+            if bits[k] == "1":
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             k += 1

@@ -8,10 +8,13 @@ count produces the same normalized result set.  One per-instance loop,
 ``_scan``, serves search, the claim scan and the reference path on those
 lane ints; each supplies a consumer of raw adjacency rows, and one that
 reads only strong instances never sees one that fails the strongness
-screen.  The claim scan also screens each block lane-wise with the claims'
-lane tests, and only the lanes they do not mark clean reach the scalar
-check.  The claim scan serves claims stated on the scanned class, the
-reference path the other ones.  Digraphs are built only where needed.
+screen.  Search and the claim scan decide on lanes: search's predicates
+are lane masks over ``verifiers.LaneFacts`` (a gate before the kernel,
+the kernel predicates after it), and the claim scan screens each block
+with the claims' lane verdicts.  Only the lanes that match, or that the
+lane verdicts do not mark clean, are unpacked to row tuples.  The claim
+scan serves claims stated on the scanned class, the reference path the
+other ones.  Digraphs are built only where needed.
 
 Feasibility ceilings (labeled instances):
 
@@ -28,25 +31,25 @@ from __future__ import annotations
 import math
 import os
 import time
-from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from heapq import merge
 from itertools import chain, compress
 from multiprocessing import get_context
-from operator import itemgetter
+from operator import itemgetter, or_
 from random import Random
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .canonical import canonical_form
-from .digraph import Digraph, cached_distance_sums, distance_sums, is_regular, is_tournament
+from .digraph import Digraph, cached_distance_sums, distance_sums
 from .formats import read_digraph6, write_digraph6
 from .metrics import Lanes, MetricsReport, lane_bfs, metrics_report
 
 # distance_layers is bound here for the benchmark's boundary tracer
 # (perfbench/tracer.py), which patches it by name in this module.
 from .metrics import distance_layers  # noqa: F401
-from .verifiers import CLAIMS, THEOREMS, InstanceFacts, LaneFacts, require_domain, resolve_theorems
+from .verifiers import CLAIMS, THEOREMS, InstanceFacts, LaneFacts, agree, require_domain, resolve_theorems
 
 
 class _Class(NamedTuple):
@@ -191,10 +194,12 @@ def _cert(order: int, rows: Sequence[int], theorem: str, info: dict) -> dict:
 class _Consumer(NamedTuple):
     """One path's part in the scan loop.  Without ``every`` the consumer
     reads only strong instances: it never sees one that fails the
-    strongness screen, and ``gate(rows)``, if set, rules a screened one out
-    before the kernel.  With ``every`` it sees every instance.  With
-    ``kernel`` the lane kernel runs once per block on the screened instances
-    it sees.  ``consume(rows, sigmas, eccs)`` gets each instance it sees in
+    strongness screen.  With ``every`` it sees every instance.
+    ``gate(lanes, cols)``, if set, gets a block as its ``metrics.Lanes`` and
+    columns and returns the mask of the lanes the consumer sees at all; the
+    loop applies it before the kernel.  With ``kernel`` the lane kernel runs
+    once per block on the screened instances the consumer sees.
+    ``consume(rows, sigmas, eccs)`` gets each instance it sees in
     enumeration order, its rows as a tuple (sigmas and eccs None if not
     strong or not computed), and returns None, or the (key, info) findings
     of an instance that adds ``weight`` to ``checked``.  The loop keeps
@@ -204,11 +209,11 @@ class _Consumer(NamedTuple):
     A consumer with a ``screen`` checks every instance it sees that is
     strong (every one, with ``every``).  ``screen(lanes, cols, strong,
     sigmas, eccs)`` gets a set of instances as the lanes of ``lanes`` (a
-    ``metrics.Lanes``), their columns (the block's, cut to the set by
-    ``Lanes.select``), the mask of the strong ones and the kernel's lane ints
-    (empty without a kernel run), and returns the mask of the *clean* ones,
-    on which ``consume`` would find nothing: those add ``weight`` to
-    ``checked`` and never reach ``consume``."""
+    ``metrics.Lanes``), their columns, the mask of the strong ones and the
+    kernel's lane ints (empty without a kernel run), and returns the mask of
+    the *clean* ones, on which ``consume`` would find nothing: those add
+    ``weight`` to ``checked`` and never reach ``consume``.  The columns are
+    the block's, cut to the set by ``Lanes.select``."""
 
     consume: Callable
     keep: Callable = _cert
@@ -223,14 +228,14 @@ class _Consumer(NamedTuple):
 
 def _scan(job) -> Tuple[int, int, Counter, list]:
     """The one per-instance loop over codes start..stop-1, one ``_blocks``
-    block at a time, on lane ints.  ``Lanes.select`` cuts the columns to the
-    screened lanes (with ``every``, also to the other lanes in the shard,
-    which never reach the kernel), a gate rules lanes out, and ``lane_bfs``
-    runs on the columns left (with ``kernel``).  A ``screen`` takes the
-    clean lanes out.  Only the lanes left are unpacked to a row tuple, sigma
-    and ecc lists and a ``consume`` call, in enumeration order, so findings
-    and kept certificates are those of every lane.  Returns (strong,
-    checked, findings per key, kept findings)."""
+    block at a time, on lane ints.  The gate's mask rules lanes out, then
+    ``Lanes.select`` cuts the columns to the screened lanes left (with
+    ``every``, also to the other lanes in the shard, which never reach the
+    kernel) and ``lane_bfs`` runs on the screened ones (with ``kernel``).  A
+    ``screen`` takes the clean lanes out.  Only the lanes left are unpacked
+    to a row tuple, sigma and ecc lists and a ``consume`` call, in
+    enumeration order, so findings and kept certificates are those of every
+    lane.  Returns (strong, checked, findings per key, kept findings)."""
     cls, n, parts, start, stop, make, arg = job
     order, _, _, _, part_ranges = _layout(cls, n, parts)
     consume, keep, gate, kernel, every, weight, cap, trim, screen = make(order, part_ranges, arg)
@@ -238,6 +243,9 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
     kept = []
     strong = checked = 0
     for block, cols, inside, screened in _blocks(cls, n, parts, start, stop):
+        if gate is not None:
+            passed = gate(block, cols)
+            inside, screened = inside & passed, screened & passed
         # (mask of the set's lanes in the block, kernel run)
         sets = [(screened, kernel)] if kernel or not every else []
         if every:
@@ -250,13 +258,6 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
             L, sub = Lanes(order, chosen.bit_count()), block.select(cols, chosen)
             # the block places of the set's lanes, needed only to merge two sets
             place = list(compress(range(block.count), block.lanes(chosen))) if merging else None
-            if gate is not None:
-                passed = list(map(gate, zip(*map(L.lanes, sub))))
-                if merging:
-                    place = list(compress(place, passed))
-                if not any(passed):
-                    continue
-                sub, L = L.select(sub, L.join(array(L.code, passed))), Lanes(order, sum(passed))
             sigmas, eccs, bad = lane_bfs(L, sub) if run else ((), (), L.E)
             strong += (L.E ^ bad).bit_count()
             seen = L.E
@@ -354,25 +355,45 @@ class SearchResult:
         }
 
 
-#: name -> (needs the distance kernel, predicate over InstanceFacts, reads
-#: the out-degrees).  The kernel predicates hold only on strong instances;
-#: the others run first.  ``tournament`` and ``regular`` are the digraph
-#: tests, on the record's rows.  ``equality_<claim>`` holds when some
-#: equality case of the claim is observed.
-PREDICATES = {
-    "tournament": (False, is_tournament, False),
-    "regular": (False, is_regular, False),
-    "non_regular": (False, lambda f: not is_regular(f), False),
-    "good": (False, lambda f: f.witness is None, False),
-    "bad": (False, lambda f: f.witness is not None, False),
-    "strong": (True, lambda f: True, False),
-    "connected": (True, lambda f: True, False),
-    "pi_eq_rho": (True, lambda f: f.smin == f.smax, False),
-    "pi_ne_rho": (True, lambda f: f.smin != f.smax, False),
-    "rho_eq_half_n": (True, lambda f: 2 * f.smax == f.n * (f.n - 1), False),
+def _tournament_lanes(f: LaneFacts) -> int:
+    """``digraph.is_tournament`` on lanes: n(n-1)/2 arcs and no 2-cycle."""
+    L, cols, n = f.lanes, f.cols, f.n
+    two_cycles = 0
+    for u, c in enumerate(cols):
+        for v in range(u + 1, n):
+            two_cycles |= (c >> v) & (cols[v] >> u)
+    return L.equal(sum(f.degrees), n * (n - 1) // 2) & (L.E ^ (two_cycles & L.E))
+
+
+def _regular_lanes(f: LaneFacts) -> int:
+    """``digraph.is_regular`` on lanes: every out-degree and every in-degree
+    equals vertex 0's out-degree."""
+    d, uneven = f.degrees[0], 0
+    for x in chain(f.degrees, f.in_degrees):
+        uneven |= x ^ d
+    return f.lanes.E ^ f.lanes.nonzero(uneven)
+
+
+#: name -> (needs the distance kernel, lane test over a LaneFacts record):
+#: the mask of the lanes on which the predicate holds.  The kernel
+#: predicates are read only on strong lanes, where sigma and ecc are
+#: meaningful; the others run first, on the whole block.
+#: ``equality_<claim>`` holds when some equality case of the claim is
+#: observed: the OR of the observed masks of its lane verdict.
+PREDICATES: Dict[str, Tuple[bool, Callable[[LaneFacts], int]]] = {
+    "tournament": (False, _tournament_lanes),
+    "regular": (False, _regular_lanes),
+    "non_regular": (False, lambda f: f.lanes.E ^ _regular_lanes(f)),
+    "good": (False, lambda f: f.lanes.E ^ f.bad),
+    "bad": (False, lambda f: f.bad),
+    "strong": (True, lambda f: f.strong),
+    "connected": (True, lambda f: f.strong),
+    "pi_eq_rho": (True, lambda f: f.equal),
+    "pi_ne_rho": (True, lambda f: f.lanes.E ^ f.equal),
+    "rho_eq_half_n": (True, lambda f: f.lanes.equal(f.smax, f.n * (f.n - 1) // 2)),
     **{
         "equality_" + c.replace("-", "_").replace(".", "_"): (
-            True, lambda f, c=c: True in CLAIMS[c].check(f)[1], True
+            True, lambda f, c=c: reduce(or_, CLAIMS[c].lanes(f)[1])
         )
         for c in ("thm-2.1-pi", "thm-2.1-rho", "thm-2.2", "thm-3.2-pi", "thm-3.2-rho", "thm-3.3")
     },
@@ -382,34 +403,48 @@ PREDICATES = {
 _MATCH = (("matches", None),)  # the one finding of a matching instance
 
 
+def _part_pairs(part_ranges) -> List[Tuple[int, int]]:
+    """The ordered pairs of distinct vertices of one part (none outside the
+    bipartite class), which ``LaneFacts.bad`` reads."""
+    return [(u, v) for part in part_ranges or () for u in part for v in part if u != v]
+
+
 def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
-    """Search: the predicates that need no kernel rule an instance out
-    before the kernel runs on it."""
+    """Search: a lane matches when every predicate's mask holds on it.  The
+    predicates that need no kernel are the gate, so a lane they rule out
+    never reaches the kernel; the others are the screen, on the strong
+    lanes, whose clean lanes are the ones that do not match.  Only matching
+    lanes reach ``consume``."""
     predicates, trim = arg
-    facts = InstanceFacts(order, part_ranges, degrees=any(PREDICATES[p][2] for p in predicates))
+    pairs = _part_pairs(part_ranges)
     cheap = [PREDICATES[p][1] for p in predicates if not PREDICATES[p][0]]
     costly = [PREDICATES[p][1] for p in predicates if PREDICATES[p][0]]
 
-    def gate(rows) -> bool:
-        facts.load(rows, None, None)
-        return all(fn(facts) for fn in cheap)
+    def holds(tests, f: LaneFacts) -> int:
+        mask = f.lanes.E
+        for test in tests:
+            mask &= test(f)
+            if not mask:
+                break
+        return mask
 
-    def consume(rows, sigmas, eccs):
-        if not costly:
-            return _MATCH  # the gate has passed every instance consume sees
-        if sigmas is not None:
-            facts.load(rows, sigmas, eccs)
-            if all(fn(facts) for fn in costly):
-                return _MATCH
+    def gate(lanes, cols):
+        return holds(cheap, LaneFacts(lanes, cols, 0, (), (), pairs))
+
+    def screen(lanes, cols, strong, sigmas, eccs):
+        if not strong:
+            return lanes.E
+        return lanes.E ^ (strong & holds(costly, LaneFacts(lanes, cols, strong, sigmas, eccs, pairs)))
 
     return _Consumer(
-        consume,
+        lambda rows, sigmas, eccs: _MATCH,
         lambda order, rows, key, info: write_digraph6(Digraph(order, rows)),
         gate=gate if cheap else None,
         kernel=bool(costly),
         every=not costly,  # with a kernel predicate every match is strong
         cap=math.inf,
         trim=trim,
+        screen=screen if costly else None,
     )
 
 
@@ -502,7 +537,7 @@ def _claim_checks(order: int, part_ranges, want) -> _Consumer:
     facts = InstanceFacts(order, part_ranges)
     checks = [(t, claim.check, claim.evidence) for t, claim in claims.items()]
     loose = [check for check in checks if not claims[check[0]].strong]
-    pairs = [(u, v) for part in part_ranges or () for u in part for v in part if u != v]
+    pairs = _part_pairs(part_ranges)
 
     def consume(rows, sigmas, eccs):
         run = checks if sigmas is not None else loose
@@ -519,10 +554,12 @@ def _claim_checks(order: int, part_ranges, want) -> _Consumer:
         f = LaneFacts(lanes, cols, strong, sigmas, eccs, pairs)
         clean, others = lanes.E, lanes.E ^ strong
         for claim in claims.values():
-            if not claim.strong:
-                clean &= claim.lanes(f)
-            elif strong:  # a strong-only claim passes where it does not run
-                clean &= claim.lanes(f) | others
+            if claim.strong and not strong:
+                continue
+            sure, observed, predicted = claim.lanes(f)
+            passes = sure & agree(lanes, observed, predicted)
+            # a strong-only claim passes where it does not run
+            clean &= (passes | others) if claim.strong else passes
         return clean
 
     return _Consumer(consume, every=bool(loose), screen=screen if checks else None)

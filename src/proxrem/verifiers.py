@@ -19,19 +19,25 @@ the same checks on raw adjacency rows.
 
 Each row also carries a *lane test*: over a ``LaneFacts`` record, which
 holds a set of instances one per lane of a few big integers, it returns
-the mask of lanes on which the check certainly passes.  It checks the
-bound and compares observed and predicted equality case by case with the
-lane primitives of ``metrics.Lanes``.  Where the predicted side is
-structural, a lemma makes it a lane test (thm-2.2's certificate exists iff
-some vertex has eccentricity n-1 and some out-degree n-1; thm-3.2-rho's
-extremal isomorphism iff some vertex has eccentricity n-1; see their lane
-tests).  The bipartite lane tests read a lane-wise bad test; with all five
-claims requested, a lane is clean when it is bad and its distance sums are
-not all equal.  The scan counts the clean lanes and runs the scalar check
-only on the others: the lanes where a bound fails or a case is observed or
-predicted to hold on one side only, prop-3.1's lanes that the kernel found
-not strong, and, in the bipartite class, the good instances.  The check
-stays the one definition of failure, evidence and certificate.
+the lane form of the check's verdict, masks ``(sure, observed,
+predicted)`` built with the lane primitives of ``metrics.Lanes``.
+``observed`` and ``predicted`` hold one mask per equality case, as the
+check's tuples hold one bool.  The observed masks are plain sigma
+comparisons, exact on every strong lane at every order, so search's
+``equality_<claim>`` predicates read them.  ``sure`` marks the lanes on
+which the bound certainly holds and the predicted masks are exact; on a
+lane of ``sure`` on which every case agrees (``agree``) the check
+passes.  Where the predicted side is structural, a lemma makes it a lane
+test (thm-2.2's certificate exists iff some vertex has eccentricity n-1
+and some out-degree n-1; thm-3.2-rho's extremal isomorphism iff some
+vertex has eccentricity n-1; see their lane tests).  The bipartite lane
+tests read a lane-wise bad test and leave the good lanes out of ``sure``.
+The claim scan counts the clean lanes, ``sure & agree(observed,
+predicted)`` over every requested claim, and runs the scalar check only
+on the others: the lanes where a bound fails or a case is observed or
+predicted to hold on one side only, prop-3.1's lanes that the kernel
+found not strong, and, in the bipartite class, the good instances.  The
+check stays the one definition of failure, evidence and certificate.
 
 Claim identifiers (the CLI vocabulary):
 
@@ -128,30 +134,27 @@ _UNSEARCHED = object()  # InstanceFacts.thm22 before the certificate search
 class InstanceFacts:
     """Everything the claims read about one instance.
 
-    One record serves a whole scan: the order, the parts and whether the
-    out-degrees are read are bound once, and ``load`` refills the
-    per-instance fields.  ``sigmas`` and ``eccs`` are None on an instance
-    that is not strong; only claims that do not need strong connectivity
-    run on one.
+    One record serves a whole scan: the order and the parts are bound once,
+    and ``load`` refills the per-instance fields.  ``sigmas`` and ``eccs``
+    are None on an instance that is not strong; only claims that do not
+    need strong connectivity run on one.
 
-    With ``degrees`` (off only in a search whose predicates do not read
-    them) the record holds the out-degrees, their sorted ``scores`` and
-    extremes.  With parts it also holds ``witness``, the bad pair of
+    The record holds the out-degrees, their sorted ``scores`` and extremes.
+    With parts it also holds ``witness``, the bad pair of
     ``bipartite.bad_witness`` (None when good), and on a good instance the
     class sizes ``mu`` and the class constants ``c``.  ``thm22`` keeps the
     thm-2.2 certificate once a check or report has looked for it.
     """
 
     __slots__ = (
-        "n", "parts", "part_of", "with_degrees", "rows", "sigmas", "eccs", "smin", "smax",
+        "n", "parts", "part_of", "rows", "sigmas", "eccs", "smin", "smax",
         "degrees", "scores", "max_out", "min_out", "witness", "mu", "c", "thm22",
     )
 
-    def __init__(self, n: int, parts: Optional[Sequence[Sequence[int]]] = None, degrees: bool = True):
+    def __init__(self, n: int, parts: Optional[Sequence[Sequence[int]]] = None):
         self.n = n
         self.parts = parts
         self.part_of = None if parts is None else bp.part_lookup(parts, n)
-        self.with_degrees = degrees
         self.witness = self.mu = self.c = None
 
     def load(self, rows: Sequence[int], sigmas: Optional[List[int]], eccs: Optional[List[int]]):
@@ -166,11 +169,10 @@ class InstanceFacts:
             ordered = sorted(sigmas)
             self.smin = ordered[0]
             self.smax = ordered[-1]
-        if self.with_degrees:
-            self.degrees = [r.bit_count() for r in rows]
-            scores = self.scores = sorted(self.degrees)
-            self.min_out = scores[0]
-            self.max_out = scores[-1]
+        self.degrees = [r.bit_count() for r in rows]
+        scores = self.scores = sorted(self.degrees)
+        self.min_out = scores[0]
+        self.max_out = scores[-1]
         if self.part_of is not None:
             self.witness = bp.bad_witness(rows, self.part_of)
             self.mu = self.c = None
@@ -215,6 +217,11 @@ class LaneFacts:
     @cached_property
     def degrees(self) -> List[int]:
         return [self.lanes.popcount(c) for c in self.cols]
+
+    @cached_property
+    def in_degrees(self) -> List[int]:
+        E = self.lanes.E
+        return [sum((c >> v) & E for c in self.cols) for v in range(self.n)]
 
     @cached_property
     def max_out(self) -> int:
@@ -346,21 +353,30 @@ def _constant_class_size(f: InstanceFacts) -> bool:
 # (lower, upper for the two-sided windows), and the instance fails the
 # claim unless the bound holds and both tuples agree.
 #
-# A claim's lane test returns the mask of lanes of a LaneFacts record on
-# which its check certainly passes: the bound holds and every case agrees.
-# The doubled constants below (n(n-1), the windows' caps) are all even, so
+# A claim's lane test returns its lane verdict over a LaneFacts record,
+# masks (sure, observed, predicted) in the shape of the check's Verdict.
+# The observed masks are the check's sigma comparisons, exact on every
+# strong lane at every order, below min_n too.  On the lanes of sure the
+# bound holds and the predicted masks are exact, so there the check passes
+# iff every case agrees: clean = sure & agree(observed, predicted).  The
+# doubled constants below (n(n-1), the windows' caps) are all even, so
 # 2x <= K, 2x == K and K <= 2x compare x with K // 2.  Where the predicted
 # side is structural, the lemmas in the lane tests of thm-2.2 and
 # thm-3.2-rho restate it exactly on the lane facts (max ecc and max out).
 
 Verdict = Tuple[bool, Tuple[bool, ...], Tuple[bool, ...]]
 Check = Callable[[InstanceFacts], Verdict]
-LaneTest = Callable[[LaneFacts], int]
+LaneVerdict = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+LaneTest = Callable[[LaneFacts], LaneVerdict]
 
 
-def _agree(f: LaneFacts, a: int, b: int) -> int:
-    """The mask of lanes on which the masks a and b agree."""
-    return f.lanes.E ^ a ^ b
+def agree(lanes, observed: Sequence[int], predicted: Sequence[int]) -> int:
+    """The mask of the lanes of ``lanes`` (a ``metrics.Lanes``) on which
+    every observed case mask equals its predicted case mask."""
+    same = lanes.E
+    for o, p in zip(observed, predicted):
+        same &= lanes.E ^ o ^ p
+    return same
 
 
 def _thm_2_1_pi(f: InstanceFacts) -> Verdict:
@@ -374,13 +390,13 @@ def _thm_2_1_pi(f: InstanceFacts) -> Verdict:
     )
 
 
-def _thm_2_1_pi_lanes(f: LaneFacts) -> int:
+def _thm_2_1_pi_lanes(f: LaneFacts) -> LaneVerdict:
     L, n, smin = f.lanes, f.n, f.smin
     den, half = n - 1, n * (n - 1) // 2
     return (
-        L.at_least(smin, den) & L.at_most(smin, half)
-        & _agree(f, L.equal(smin, den), L.equal(f.max_out, den))
-        & _agree(f, L.equal(smin, half), L.equal(f.max_out, 1))
+        L.at_least(smin, den) & L.at_most(smin, half),
+        (L.equal(smin, den), L.equal(smin, half)),
+        (L.equal(f.max_out, den), L.equal(f.max_out, 1)),
     )
 
 
@@ -394,13 +410,13 @@ def _thm_2_1_rho(f: InstanceFacts) -> Verdict:
     )
 
 
-def _thm_2_1_rho_lanes(f: LaneFacts) -> int:
+def _thm_2_1_rho_lanes(f: LaneFacts) -> LaneVerdict:
     L, n, smax = f.lanes, f.n, f.smax
     den, half = n - 1, n * (n - 1) // 2
     return (
-        L.at_least(smax, den) & L.at_most(smax, half)
-        & _agree(f, L.equal(smax, den), L.equal(f.min_out, den))
-        & _agree(f, L.equal(smax, half), L.equal(f.max_ecc, den))
+        L.at_least(smax, den) & L.at_most(smax, half),
+        (L.equal(smax, den), L.equal(smax, half)),
+        (L.equal(f.min_out, den), L.equal(f.max_ecc, den)),
     )
 
 
@@ -411,7 +427,7 @@ def _thm_2_2(f: InstanceFacts) -> Verdict:
     return spread2 <= cap, (spread2 == cap,), (_thm22_certificate(f) is not None,)
 
 
-def _thm_2_2_lanes(f: LaneFacts) -> int:
+def _thm_2_2_lanes(f: LaneFacts) -> LaneVerdict:
     """The bound, and the equality case against the certificate, exactly.
 
     L1: in a strong digraph, sigma(u) <= 1 + ... + (n-1) = n(n-1)/2, with
@@ -429,14 +445,14 @@ def _thm_2_2_lanes(f: LaneFacts) -> int:
     cap = (n - 1) * (n - 2) // 2
     spread = f.smax - f.smin
     possible = L.equal(f.max_ecc, n - 1) & L.equal(f.max_out, n - 1)
-    return L.at_most(spread, cap) & _agree(f, L.equal(spread, cap), possible)
+    return L.at_most(spread, cap), (L.equal(spread, cap),), (possible,)
 
 
 def _prop_3_1(f: InstanceFacts) -> Verdict:
     return not _two_step_violations(f), (), ()
 
 
-def _prop_3_1_lanes(f: LaneFacts) -> int:
+def _prop_3_1_lanes(f: LaneFacts) -> LaneVerdict:
     # every maximum-out-degree vertex reaches every vertex within two steps:
     # its eccentricity is at most 2 on the strong lanes (the others go to the
     # scalar check), or with no strong lane, its two-step reach is every vertex
@@ -444,7 +460,7 @@ def _prop_3_1_lanes(f: LaneFacts) -> int:
     for v, c in enumerate(cols):
         far = L.at_least(f.eccs[v], 3) if f.strong else L.nonzero(((L.E << v) | c | L.successors(c, cols)) ^ L.FULL)
         ok &= L.E ^ (L.ge(f.degrees[v], f.max_out) & far)
-    return ok
+    return ok, (), ()
 
 
 def _thm_3_2_windows(n: int) -> Tuple[int, int]:
@@ -465,15 +481,15 @@ def _thm_3_2_pi(f: InstanceFacts) -> Verdict:
     )
 
 
-def _thm_3_2_pi_lanes(f: LaneFacts) -> int:
+def _thm_3_2_pi_lanes(f: LaneFacts) -> LaneVerdict:
     L, n, smin = f.lanes, f.n, f.smin
     half = _thm_3_2_windows(n)[0] // 2
     lo, hi = _near_regular_window(n)
     near_regular = L.at_least(f.min_out, lo) & L.at_most(f.max_out, hi)
     return (
-        L.at_least(smin, n) & L.at_most(smin, half)
-        & _agree(f, L.equal(smin, n), L.equal(f.max_out, n - 2))
-        & _agree(f, L.equal(smin, half), near_regular)
+        L.at_least(smin, n) & L.at_most(smin, half),
+        (L.equal(smin, n), L.equal(smin, half)),
+        (L.equal(f.max_out, n - 2), near_regular),
     )
 
 
@@ -489,7 +505,7 @@ def _thm_3_2_rho(f: InstanceFacts) -> Verdict:
     )
 
 
-def _thm_3_2_rho_lanes(f: LaneFacts) -> int:
+def _thm_3_2_rho_lanes(f: LaneFacts) -> LaneVerdict:
     """The window, and both equality cases against their predicted sides,
     exactly.
 
@@ -505,9 +521,9 @@ def _thm_3_2_rho_lanes(f: LaneFacts) -> int:
     lo, hi = _near_regular_window(n)
     near_regular = L.at_least(f.min_out, lo) & L.at_most(f.max_out, hi)
     return (
-        L.at_least(smax, low) & L.at_most(smax, top)
-        & _agree(f, L.equal(smax, low), near_regular)
-        & _agree(f, L.equal(smax, top), L.equal(f.max_ecc, n - 1))
+        L.at_least(smax, low) & L.at_most(smax, top),
+        (L.equal(smax, low), L.equal(smax, top)),
+        (near_regular, L.equal(f.max_ecc, n - 1)),
     )
 
 
@@ -516,9 +532,9 @@ def _thm_3_3(f: InstanceFacts) -> Verdict:
     return True, (f.smin == f.smax,), (f.max_out == f.min_out,)
 
 
-def _thm_3_3_lanes(f: LaneFacts) -> int:
+def _thm_3_3_lanes(f: LaneFacts) -> LaneVerdict:
     L = f.lanes
-    return _agree(f, f.equal, L.E ^ L.nonzero(f.max_out - f.min_out))
+    return L.E, (f.equal,), (L.E ^ L.nonzero(f.max_out - f.min_out),)
 
 
 def _lem_3_4(f: InstanceFacts) -> Verdict:
@@ -526,26 +542,25 @@ def _lem_3_4(f: InstanceFacts) -> Verdict:
     return True, (equal,), (equal and f.witness is None,)
 
 
-def _lem_3_4_lanes(f: LaneFacts) -> int:
-    return f.lanes.E ^ (f.bad & f.equal)
+def _lem_3_4_lanes(f: LaneFacts) -> LaneVerdict:
+    return f.lanes.E, (f.equal,), (f.equal & (f.lanes.E ^ f.bad),)
 
 
 def _lem_3_5(f: InstanceFacts) -> Verdict:
     return f.witness is not None or not _four_king_violations(f), (), ()
 
 
-def _lem_3_5_lanes(f: LaneFacts) -> int:
-    return f.bad | f.lanes.at_most(f.max_ecc, 4)
+def _lem_3_5_lanes(f: LaneFacts) -> LaneVerdict:
+    return f.bad | f.lanes.at_most(f.max_ecc, 4), (), ()
 
 
 def _lem_3_6(f: InstanceFacts) -> Verdict:
     return f.witness is not None or not _formula_mismatches(f), (), ()
 
 
-def _bad_lanes(f: LaneFacts) -> int:
-    """The lane test of lem-3.6 and cor-3.8: both hold on a bad instance; the
-    scalar check decides a good one."""
-    return f.bad
+def _lem_3_6_lanes(f: LaneFacts) -> LaneVerdict:
+    # the closed form is checked on good instances only; the scalar check decides those
+    return f.bad, (), ()
 
 
 def _cor_3_7(f: InstanceFacts) -> Verdict:
@@ -557,8 +572,9 @@ def _cor_3_7(f: InstanceFacts) -> Verdict:
     return not equal or constant, (equal,), (constant,)
 
 
-def _cor_3_7_lanes(f: LaneFacts) -> int:
-    return f.bad & (f.lanes.E ^ f.equal)
+def _cor_3_7_lanes(f: LaneFacts) -> LaneVerdict:
+    # a bad instance is predicted unequal; the scalar check decides a good one
+    return f.bad, (f.equal,), (0,)
 
 
 def _cor_3_8(f: InstanceFacts) -> Verdict:
@@ -566,6 +582,12 @@ def _cor_3_8(f: InstanceFacts) -> Verdict:
     if _constant_class_size(f):
         return True, (equal,), (bp.beats_half(f.rows, f.parts),)
     return True, (equal,), (equal,)
+
+
+def _cor_3_8_lanes(f: LaneFacts) -> LaneVerdict:
+    # a bad instance has no constant class size, so its predicted side is the
+    # observed one; the scalar check decides a good one
+    return f.bad, (f.equal,), (f.equal,)
 
 
 def _with_sigmas(f: InstanceFacts) -> dict:
@@ -646,10 +668,11 @@ class Claim(NamedTuple):
     ``DOMAINS`` and ``require_domain``).  ``check`` gives its verdict on one
     ``InstanceFacts`` record; ``evidence`` is the certificate payload of a
     failing instance; ``report`` gives the (witnesses, details) of its
-    ``VerificationReport``.  ``lanes`` is its lane test: the mask of the
-    lanes of a ``LaneFacts`` record on which the check certainly passes.  It
-    may leave out a lane that passes, never mark one that fails, and the
-    check stays the one definition of failure, evidence and certificate.
+    ``VerificationReport``.  ``lanes`` is its lane test: its lane verdict
+    (sure, observed, predicted) on a ``LaneFacts`` record.  The clean lanes
+    ``sure & agree(observed, predicted)`` may leave out a lane that passes,
+    never one that fails, and the check stays the one definition of
+    failure, evidence and certificate.
     The claim runs only at orders >= ``min_n``, and only on strong instances
     when ``strong``."""
 
@@ -672,9 +695,9 @@ CLAIMS: Dict[str, Claim] = {
     "thm-3.3": Claim(_thm_3_3, _with_degrees, _thm_3_3_report, _thm_3_3_lanes, "tournaments", min_n=3),
     "lem-3.4": Claim(_lem_3_4, _with_sigmas, _lem_3_4_report, _lem_3_4_lanes, "bipartite_tournaments"),
     "lem-3.5": Claim(_lem_3_5, lambda f: {"eccs": f.eccs}, _lem_3_5_report, _lem_3_5_lanes, "bipartite_tournaments"),
-    "lem-3.6": Claim(_lem_3_6, _with_sigmas, _lem_3_6_report, _bad_lanes, "bipartite_tournaments"),
+    "lem-3.6": Claim(_lem_3_6, _with_sigmas, _lem_3_6_report, _lem_3_6_lanes, "bipartite_tournaments"),
     "cor-3.7": Claim(_cor_3_7, _cor_3_7_evidence, _cor_3_7_report, _cor_3_7_lanes, "bipartite_tournaments"),
-    "cor-3.8": Claim(_cor_3_8, _with_sigmas, _cor_3_8_report, _bad_lanes, "bipartite_tournaments"),
+    "cor-3.8": Claim(_cor_3_8, _with_sigmas, _cor_3_8_report, _cor_3_8_lanes, "bipartite_tournaments"),
 }
 
 

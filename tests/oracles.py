@@ -294,6 +294,11 @@ def _distance_facts(D: Digraph):
     return dist, sigma, ecc
 
 
+def fw_distance_sums(D: Digraph) -> Optional[List[int]]:
+    """sigma(u) per vertex by the matrix oracle; None when D is not strong."""
+    return _distance_facts(D)[1]
+
+
 def _out_degree(D: Digraph, u: int) -> int:
     return sum(1 for v in range(D.n) if v != u and D.has_arc(u, v))
 

@@ -4,13 +4,18 @@
 compare two lanes, lane min/max, popcount, select), checked here against
 plain integers and lists at every lane width.  ``verifiers.LaneFacts``
 derives the facts the lane tests read, checked lane for lane against
-``InstanceFacts``.  Each ``CLAIMS`` row's lane test must be *sound*: a
-lane it marks clean passes the scalar check.  It must also be *exactly*
-the test it states, so a scalar restatement below, on plain Python values,
-must give the same mask on every instance: a screen that marks too few
-lanes clean costs time and one that marks too many hides a failure.
+``InstanceFacts``.  Each ``CLAIMS`` row's lane test returns a lane verdict
+(sure, observed, predicted), and the lanes it marks clean, ``sure &
+agree(observed, predicted)``, must be *sound*: a clean lane passes the
+scalar check.  They must also be *exactly* the test it states, so a scalar
+restatement below, on plain Python values, must give the same mask on
+every instance: a screen that marks too few lanes clean costs time and one
+that marks too many hides a failure.  The observed masks are the scalar
+check's observed cases, and each of search's ``PREDICATES`` masks holds on
+exactly the instances the oracles in ``tests/oracles.py`` say it should.
 """
 
+from functools import lru_cache
 from itertools import compress
 from random import Random
 
@@ -18,8 +23,10 @@ import pytest
 
 from proxrem.digraph import distance_sums
 from proxrem.metrics import Lanes, _lane_width, lane_bfs
-from proxrem.search import enumerate_class
-from proxrem.verifiers import CLAIMS, InstanceFacts, LaneFacts
+from proxrem.search import PREDICATES, enumerate_class
+from proxrem.verifiers import CLAIMS, InstanceFacts, LaneFacts, agree
+
+from oracles import bipartite_facts_oracle, fw_distance_sums, is_regular_oracle, is_tournament_oracle
 
 GENERAL = ("thm-2.1-pi", "thm-2.1-rho", "thm-2.2")
 TOURNAMENT = ("thm-3.2-pi", "thm-3.2-rho", "thm-3.3", "prop-3.1")
@@ -58,6 +65,12 @@ def _lane_sets(cls, n, parts, size=1000, kernel=True):
         cols = [sum(rows[v] << (L.w * i) for i, rows in enumerate(batch)) for v in range(order)]
         sigmas, eccs, bad = lane_bfs(L, cols) if kernel else ((), (), L.E)
         yield order, batch, LaneFacts(L, cols, L.E ^ bad, sigmas, eccs, pairs)
+
+
+def _clean(t, f):
+    """The lanes claim t's lane verdict marks clean: sure, and every case agrees."""
+    sure, observed, predicted = CLAIMS[t].lanes(f)
+    return sure & agree(f.lanes, observed, predicted)
 
 
 def _bits(L, mask):
@@ -268,7 +281,7 @@ def _assert_clean_lanes(cls, n, parts, claims, kernel):
         facts = InstanceFacts(order, ranges)
         run = [t for t in claims if order >= CLAIMS[t].min_n]
         # a claim on strong instances only reads the kernel's lanes where one is strong
-        clean = {t: _bits(f.lanes, CLAIMS[t].lanes(f)) for t in run if f.strong or not CLAIMS[t].strong}
+        clean = {t: _bits(f.lanes, _clean(t, f)) for t in run if f.strong or not CLAIMS[t].strong}
         for i, rows in enumerate(batch):
             sigmas, eccs = distance_sums(rows, order)
             if sigmas is None:
@@ -299,7 +312,7 @@ def test_every_claim_marks_most_strong_lanes_clean(cls, n, parts, claims):
     for _, _, f in _lane_sets(cls, n, parts):
         strong += f.strong.bit_count()
         for t in claims:
-            marked[t] += (CLAIMS[t].lanes(f) & f.strong).bit_count()
+            marked[t] += (_clean(t, f) & f.strong).bit_count()
     assert all(2 * m > strong for m in marked.values()), (marked, strong)
 
 
@@ -327,7 +340,7 @@ def test_a_structural_condition_sends_the_lane_to_the_scalar_check(t, cls, n):
             f.smin = f.smax = L.every(order - 1)
         else:
             f.smax = L.every((3 * order - 2) // 2 + 1)  # above the even-order floor, below n(n-1)/2
-        clean = _bits(L, CLAIMS[t].lanes(f) & f.strong)
+        clean = _bits(L, _clean(t, f) & f.strong)
         for i, rows in enumerate(batch):
             sigmas, eccs = distance_sums(rows, order)
             if sigmas is not None and max(eccs) == order - 1:
@@ -346,6 +359,117 @@ def test_prop_3_1_reads_the_eccentricities_on_strong_lanes():
     (order, _, f), = _lane_sets("tournaments", 5, None, size=1024)
     assert 0 < f.strong != f.lanes.E
     f.eccs = [f.lanes.every(3)] * order
-    assert CLAIMS["prop-3.1"].lanes(f) == 0
+    assert _clean("prop-3.1", f) == 0
     f.eccs = [f.lanes.every(2)] * order
-    assert CLAIMS["prop-3.1"].lanes(f) == f.strong
+    assert _clean("prop-3.1", f) == f.strong
+
+
+# ---------------------------------------------------------------------------
+# Search's lane predicates and the claims' observed masks
+# ---------------------------------------------------------------------------
+
+#: (class, n, parts) from order 1: all digraphs n <= 4, tournaments and
+#: symmetric digraphs n <= 6, bipartite tournaments a*b <= 12.
+EVERY_CLASS = (
+    [("all_digraphs", n, None) for n in (1, 2, 3, 4)]
+    + [("tournaments", n, None) for n in range(1, 7)]
+    + [("symmetric_digraphs", n, None) for n in range(1, 7)]
+    + [("bipartite_tournaments", None, (a, b)) for a in range(1, 13) for b in range(a, 13) if a * b <= 12]
+)
+
+
+@lru_cache(maxsize=None)
+def _oracle_table(cls, n, parts):
+    """Per instance of the class, in enumeration order: (Digraph, its
+    Floyd-Warshall distance sums or None, its nested-pair test or None
+    outside the bipartite class)."""
+    table = []
+    for D in enumerate_class(cls, n, parts):
+        bad = None if parts is None else bipartite_facts_oracle(D).bad is not None
+        table.append((D, fw_distance_sums(D), bad))
+    return table
+
+
+def _predicate_oracle(p, D, sigmas, bad):
+    """Whether search's predicate p holds on D, from the oracles alone."""
+    if p in ("tournament", "regular", "non_regular"):
+        return {"tournament": is_tournament_oracle, "regular": is_regular_oracle}.get(
+            p, lambda D: not is_regular_oracle(D)
+        )(D)
+    if p in ("good", "bad"):
+        return bad == (p == "bad")
+    if sigmas is None:
+        return False  # a kernel predicate holds only on strong instances
+    n, smin, smax = D.n, min(sigmas), max(sigmas)
+    pi_cap = 3 * (n - 1) if n % 2 else 3 * n - 4  # twice the windows' ends
+    rho_floor = 3 * (n - 1) if n % 2 else 3 * n - 2
+    return {
+        "strong": True,
+        "connected": True,
+        "pi_eq_rho": smin == smax,
+        "pi_ne_rho": smin != smax,
+        "rho_eq_half_n": 2 * smax == n * (n - 1),
+        "equality_thm_2_1_pi": smin == n - 1 or 2 * smin == n * (n - 1),
+        "equality_thm_2_1_rho": smax == n - 1 or 2 * smax == n * (n - 1),
+        "equality_thm_2_2": 2 * (smax - smin) == (n - 1) * (n - 2),
+        "equality_thm_3_2_pi": smin == n or 2 * smin == pi_cap,
+        "equality_thm_3_2_rho": 2 * smax == rho_floor or 2 * smax == n * (n - 1),
+        "equality_thm_3_3": smin == smax,
+    }[p]
+
+
+def _class_lane_sets(cls, n, parts, size=1000):
+    """(lane facts without a kernel run, with one, oracle rows) per set of
+    ``size`` instances of the class."""
+    table = _oracle_table(cls, n, parts)
+    batches = (table[at : at + size] for at in range(0, len(table), size))
+    gates, kernels = _lane_sets(cls, n, parts, size, kernel=False), _lane_sets(cls, n, parts, size)
+    for (_, _, gate), (_, _, f), batch in zip(gates, kernels, batches):
+        yield gate, f, batch
+
+
+@pytest.mark.parametrize("p", sorted(PREDICATES))
+def test_lane_predicate_against_the_oracles(p):
+    """Each ``PREDICATES`` row's lane mask, as the scan loop reads it (the
+    gate's without a kernel run, a kernel predicate's on the strong lanes),
+    holds on exactly the instances where the oracles say the predicate
+    holds: Floyd-Warshall sigma, the tournament and regularity quantifiers,
+    and the brute-force nested-neighbourhood test for good and bad."""
+    kernel, test = PREDICATES[p]
+    cases = [c for c in EVERY_CLASS if c[0] == "bipartite_tournaments" or p not in ("good", "bad")]
+    held = 0
+    for cls, n, parts in cases:
+        for gate, f, batch in _class_lane_sets(cls, n, parts):
+            L = f.lanes
+            mask = (f.strong and f.strong & test(f)) if kernel else test(gate)
+            assert mask | L.E == L.E, (cls, n, parts)  # a mask holds 0 or 1 per lane
+            want = [int(_predicate_oracle(p, D, sigmas, bad)) for D, sigmas, bad in batch]
+            assert _bits(L, mask) == want, (cls, n, parts)
+            held += sum(want)
+    assert held
+
+
+@pytest.mark.parametrize("t", sorted(CLAIMS))
+def test_observed_masks_are_the_checks_observed_cases(t):
+    """On every strong lane, at every order from 1 (below a claim's minimum
+    order too), each observed mask of a claim's lane verdict is its scalar
+    check's observed case.  Search's ``equality_<claim>`` predicates read
+    these masks on every class, so the claims stated on all digraphs or on
+    tournaments run here on every class."""
+    bipartite = CLAIMS[t].domain == "bipartite_tournaments"
+    cases = [c for c in EVERY_CLASS if not bipartite or c[0] == "bipartite_tournaments"]
+    strong = 0
+    for cls, n, parts in cases:
+        for _, f, batch in _class_lane_sets(cls, n, parts):
+            if not f.strong:
+                continue
+            L = f.lanes
+            facts = InstanceFacts(L.n, _parts(L.n, parts))
+            observed = [_bits(L, o) for o in CLAIMS[t].lanes(f)[1]]
+            for i, (D, _, _) in enumerate(batch):
+                sigmas, eccs = distance_sums(D.rows, D.n)
+                if sigmas is not None:
+                    want = CLAIMS[t].check(facts.load(D.rows, sigmas, eccs))[1]
+                    assert tuple(bool(o[i]) for o in observed) == want, (t, D.rows)
+                    strong += 1
+    assert strong

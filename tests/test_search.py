@@ -333,12 +333,6 @@ class TestSearch:
         with pytest.raises(ValueError, match="unknown dedup 'canonicl'"):
             search(q)
 
-    def test_equality_predicate_binds_its_check_once_per_order(self):
-        verifiers_mod._extremal_scores.cache_clear()
-        result = search(SearchQuery("tournaments", 6, predicates=("strong", "equality_thm_3_2_rho")))
-        assert verifiers_mod._extremal_scores.cache_info().misses == 1
-        assert result.dedup_stats == {"labeled_matches": 2640} and len(result.matches) == 2640
-
     def test_degree_predicates_build_no_digraph_per_instance(self, monkeypatch):
         built = []
 
@@ -574,10 +568,11 @@ class TestExhaustiveVerify:
 
 @pytest.fixture
 def no_clean_lanes(monkeypatch):
-    """Every claim's lane test marks no lane clean, so the claim scan sends
-    every instance it checks to the scalar ``CLAIMS`` check."""
+    """Every claim's lane verdict marks no lane sure, so the claim scan sends
+    every instance it checks to the scalar ``CLAIMS`` check.  The observed
+    masks stay, for search's equality predicates."""
     for t, claim in list(CLAIMS.items()):
-        monkeypatch.setitem(CLAIMS, t, claim._replace(lanes=lambda f: 0))
+        monkeypatch.setitem(CLAIMS, t, claim._replace(lanes=lambda f, lanes=claim.lanes: (0, *lanes(f)[1:])))
 
 
 def _passes_screen(rows):
@@ -642,27 +637,6 @@ class TestStrongnessScreen:
         # Of the 8 tournaments only the two 3-cycles pass the screen.
         assert sorted(kernel_runs) == sorted(D.rows for D in enumerate_class("tournaments", 3) if is_strong(D))
 
-    @pytest.mark.parametrize("predicates", [("tournament",), ("regular",), ("tournament", "regular")])
-    def test_search_without_kernel_predicates_loads_each_instance_once(self, monkeypatch, predicates):
-        # the gate loads every instance; a match is not loaded a second time
-        loads = []
-        load = InstanceFacts.load
-
-        def recorded(self, rows, sigmas, eccs):
-            loads.append(tuple(rows))
-            return load(self, rows, sigmas, eccs)
-
-        monkeypatch.setattr(InstanceFacts, "load", recorded)
-        r = search(SearchQuery(cls="all_digraphs", n=3, predicates=predicates, limit=0))
-        expected = [
-            D for D in enumerate_class("all_digraphs", 3)
-            if ("tournament" not in predicates or is_tournament_oracle(D))
-            and ("regular" not in predicates or is_regular_oracle(D))
-        ]
-        assert r.dedup_stats["labeled_matches"] == len(expected) > 0
-        assert len(loads) == r.scanned == 64
-        assert sorted(loads) == sorted(D.rows for D in enumerate_class("all_digraphs", 3))
-
     @pytest.mark.parametrize("n", [4, 6])
     def test_scan_loads_no_eccentricities_on_non_strong_instances(self, monkeypatch, no_clean_lanes, n):
         loads = []
@@ -682,19 +656,107 @@ class TestStrongnessScreen:
         # a 3-cycle beating another 3-cycle passes it and reaches the kernel.
         assert any(_passes_screen(rows) for rows in not_strong) == (n == 6)
 
-    def test_strong_only_search_gates_only_screened_instances(self, monkeypatch):
+
+#: Searches that together use every predicate: alone, as a gate before the
+#: kernel, and as kernel predicates on every class.
+SEARCH_PINS = [
+    ("all_digraphs", 3, None, ("tournament",)),
+    ("all_digraphs", 3, None, ("regular",)),
+    ("all_digraphs", 3, None, ("tournament", "regular")),
+    ("all_digraphs", 4, None, ("strong", "pi_eq_rho", "non_regular")),
+    ("all_digraphs", 4, None, ("regular", "strong")),
+    ("all_digraphs", 4, None, ("equality_thm_2_1_pi", "pi_ne_rho")),
+    ("all_digraphs", 4, None, ("non_regular", "equality_thm_2_2")),
+    ("tournaments", 6, None, ("strong", "equality_thm_3_2_rho")),
+    ("tournaments", 5, None, ("tournament", "equality_thm_3_2_pi")),
+    ("tournaments", 5, None, ("equality_thm_3_3", "regular")),
+    ("symmetric_digraphs", 5, None, ("connected", "rho_eq_half_n")),
+    ("symmetric_digraphs", 5, None, ("equality_thm_2_1_rho",)),
+    ("symmetric_digraphs", 5, None, ("non_regular", "equality_thm_2_1_pi")),
+    ("bipartite_tournaments", None, (3, 3), ("strong", "good")),
+    ("bipartite_tournaments", None, (3, 3), ("bad", "pi_ne_rho")),
+    ("bipartite_tournaments", None, (2, 3), ("good",)),
+]
+
+#: The predicates that need no kernel, by the oracles.
+GATE_ORACLES = {
+    "tournament": is_tournament_oracle,
+    "regular": is_regular_oracle,
+    "non_regular": lambda D: not is_regular_oracle(D),
+    "good": lambda D: bipartite_facts_oracle(D).bad is None,
+    "bad": lambda D: bipartite_facts_oracle(D).bad is not None,
+}
+
+
+def _pin_id(pin):
+    cls, n, parts, predicates = pin
+    return f"{cls}-{n or parts}-{'+'.join(predicates)}".replace(" ", "")
+
+
+class TestLaneSearch:
+    """Search decides on lanes: no per-instance facts, the kernel only on the
+    screened lanes its gate passes, one Digraph per match, and the same
+    output for every shard count."""
+
+    def test_the_pins_use_every_predicate(self):
+        assert {p for *_, predicates in SEARCH_PINS for p in predicates} == set(search_mod.PREDICATES)
+        assert set(GATE_ORACLES) == {p for p, (kernel, _) in search_mod.PREDICATES.items() if not kernel}
+
+    @pytest.mark.parametrize("pin", SEARCH_PINS, ids=_pin_id)
+    def test_search_loads_no_instance_facts(self, monkeypatch, pin):
+        """No ``InstanceFacts.load`` and no ``_extremal_scores`` miss: the
+        predicates, ``equality_<claim>`` included, read lane masks only."""
+        cls, n, parts, predicates = pin
         loads = []
-        load = InstanceFacts.load
-
-        def recorded(self, rows, sigmas, eccs):
-            loads.append(tuple(rows))
-            return load(self, rows, sigmas, eccs)
-
-        monkeypatch.setattr(InstanceFacts, "load", recorded)
-        r = search(SearchQuery(cls="bipartite_tournaments", parts=(3, 3), predicates=("strong", "good")))
+        monkeypatch.setattr(InstanceFacts, "load", lambda self, *args: loads.append(args))
+        verifiers_mod._extremal_scores.cache_clear()
+        r = search(SearchQuery(cls, n, parts, predicates=predicates, dedup="canonical"))
         assert r.dedup_stats["labeled_matches"] > 0
-        assert len(set(loads)) < r.scanned == 512
-        assert all(_passes_screen(rows) for rows in loads)
+        assert loads == []
+        assert verifiers_mod._extremal_scores.cache_info().misses == 0
+
+    @pytest.mark.parametrize("pin", SEARCH_PINS, ids=_pin_id)
+    def test_kernel_runs_on_the_screened_lanes_the_gate_passes(self, kernel_runs, pin):
+        """limit=0: no match report, which runs the kernel of its own."""
+        cls, n, parts, predicates = pin
+        r = search(SearchQuery(cls, n, parts, predicates=predicates, limit=0))
+        gates = [GATE_ORACLES[p] for p in predicates if p in GATE_ORACLES]
+        passed = [D for D in enumerate_class(cls, n, parts) if all(g(D) for g in gates)]
+        if len(gates) == len(predicates):
+            assert kernel_runs == [] and r.dedup_stats["labeled_matches"] == len(passed)
+        else:
+            assert sorted(kernel_runs) == sorted(D.rows for D in passed if _passes_screen(D.rows))
+
+    @pytest.mark.parametrize("pin", SEARCH_PINS, ids=_pin_id)
+    def test_one_digraph_per_match(self, monkeypatch, pin):
+        cls, n, parts, predicates = pin
+        built = []
+
+        class Counted(Digraph):
+            __slots__ = ()
+
+            def __init__(self, n, rows):
+                built.append(rows)
+                super().__init__(n, rows)
+
+        monkeypatch.setattr(search_mod, "Digraph", Counted)
+        r = search(SearchQuery(cls, n, parts, predicates=predicates, limit=0))
+        assert len(built) == r.dedup_stats["labeled_matches"] > 0
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("pin", [pin for pin in SEARCH_PINS if pin[1] != 6], ids=_pin_id)
+    def test_shard_count_changes_no_output(self, pin, shards):
+        """Matches and ``dedup_stats`` for 2 and 3 shards equal those for one,
+        with and without a limit and with and without dedup."""
+        cls, n, parts, predicates = pin
+        for dedup in ("none", "canonical"):
+            for limit in (None, 3):
+                one, more = (
+                    search(SearchQuery(cls, n, parts, predicates, dedup=dedup, limit=limit, shards=k))
+                    for k in (1, shards)
+                )
+                assert more.matches == one.matches and more.dedup_stats == one.dedup_stats, (dedup, limit)
+                assert 0 < len(one.matches) <= (limit or math.inf)
 
 
 def _exhaustive_json(shards):
