@@ -69,8 +69,8 @@ class Lanes:
     is below 2**(w-1), so the top bit of each lane is a guard bit and no
     carry or borrow below crosses into the next lane.  A *mask* holds 0 or 1
     in each lane; ``E`` is the mask of every lane and ``FULL`` the vertex set
-    in every lane.  ``lanes``/``join`` convert to and from an array, and
-    ``select`` keeps some of the lanes of a list of lane ints."""
+    in every lane.  ``lanes`` converts to an array, and ``select`` keeps
+    some of the lanes of a list of lane ints."""
 
     __slots__ = (
         "n", "count", "w", "code", "nbytes", "E", "FULL", "m1", "m2", "m4", "fields", "_guard", "_below",
@@ -101,13 +101,6 @@ class Lanes:
         if sys.byteorder == "big":
             lanes.byteswap()
         return lanes
-
-    def join(self, lanes: array) -> int:
-        """The integer whose lanes are ``lanes``: the inverse of ``lanes``."""
-        if sys.byteorder == "big":
-            lanes = array(lanes.typecode, lanes)
-            lanes.byteswap()
-        return int.from_bytes(lanes, "little")
 
     def select(self, xs: Sequence[int], keep: int) -> List[int]:
         """Each lane int of ``xs`` cut to the lanes the mask ``keep`` selects,

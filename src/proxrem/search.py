@@ -6,15 +6,17 @@ pair); ``_blocks`` builds each aligned block of codes at once as lane ints,
 one lane per instance.  Shards are contiguous code ranges; any worker
 count produces the same normalized result set.  One per-instance loop,
 ``_scan``, serves search, the claim scan and the reference path on those
-lane ints; each supplies a consumer of raw adjacency rows, and one that
-reads only strong instances never sees one that fails the strongness
-screen.  Search and the claim scan decide on lanes: search's predicates
-are lane masks over ``verifiers.LaneFacts`` (a gate before the kernel,
-the kernel predicates after it), and the claim scan screens each block
-with the claims' lane verdicts.  Only the lanes that match, or that the
-lane verdicts do not mark clean, are unpacked to row tuples.  The claim
-scan serves claims stated on the scanned class, the reference path the
-other ones.  Digraphs are built only where needed.
+lane ints; each supplies a consumer of raw adjacency rows.  The loop takes
+one set of lanes per block: a consumer that reads only strong instances
+gets the lanes that pass the strongness screen, and one that sees every
+instance gets every lane in the shard, whose strong lanes the lane
+kernel's not-strong mask tells.  Search and the claim scan decide on
+lanes: search's predicates are lane masks over ``verifiers.LaneFacts`` (a
+gate before the kernel, the kernel predicates after it), and the claim
+scan screens each block with the claims' lane verdicts.  Only the lanes
+that match, or that the lane verdicts do not mark clean, are unpacked to
+row tuples.  The claim scan serves claims stated on the scanned class, the
+reference path the other ones.  Digraphs are built only where needed.
 
 Feasibility ceilings (labeled instances):
 
@@ -34,10 +36,9 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import reduce
-from heapq import merge
 from itertools import chain, compress
 from multiprocessing import get_context
-from operator import itemgetter, or_
+from operator import or_
 from random import Random
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -198,7 +199,8 @@ class _Consumer(NamedTuple):
     ``gate(lanes, cols)``, if set, gets a block as its ``metrics.Lanes`` and
     columns and returns the mask of the lanes the consumer sees at all; the
     loop applies it before the kernel.  With ``kernel`` the lane kernel runs
-    once per block on the screened instances the consumer sees.
+    once per block on the instances the consumer sees, and its not-strong
+    mask says which of them are strong.
     ``consume(rows, sigmas, eccs)`` gets each instance it sees in
     enumeration order, its rows as a tuple (sigmas and eccs None if not
     strong or not computed), and returns None, or the (key, info) findings
@@ -213,7 +215,8 @@ class _Consumer(NamedTuple):
     kernel's lane ints (empty without a kernel run), and returns the mask of
     the *clean* ones, on which ``consume`` would find nothing: those add
     ``weight`` to ``checked`` and never reach ``consume``.  The columns are
-    the block's, cut to the set by ``Lanes.select``."""
+    the block's, cut by ``Lanes.select`` to the instances the consumer
+    sees."""
 
     consume: Callable
     keep: Callable = _cert
@@ -229,13 +232,14 @@ class _Consumer(NamedTuple):
 def _scan(job) -> Tuple[int, int, Counter, list]:
     """The one per-instance loop over codes start..stop-1, one ``_blocks``
     block at a time, on lane ints.  The gate's mask rules lanes out, then
-    ``Lanes.select`` cuts the columns to the screened lanes left (with
-    ``every``, also to the other lanes in the shard, which never reach the
-    kernel) and ``lane_bfs`` runs on the screened ones (with ``kernel``).  A
-    ``screen`` takes the clean lanes out.  Only the lanes left are unpacked
-    to a row tuple, sigma and ecc lists and a ``consume`` call, in
-    enumeration order, so findings and kept certificates are those of every
-    lane.  Returns (strong, checked, findings per key, kept findings)."""
+    one ``Lanes.select`` cuts the columns to the lanes the consumer sees:
+    the screened lanes, or with ``every`` all lanes in the shard.
+    ``lane_bfs`` runs on them (with ``kernel``) and its not-strong mask says
+    which are strong.  A ``screen`` takes the clean lanes out.  Only the
+    lanes left are unpacked to a row tuple, sigma and ecc lists and a
+    ``consume`` call, in enumeration order, so findings and kept
+    certificates are those of every lane.  Returns (strong, checked,
+    findings per key, kept findings)."""
     cls, n, parts, start, stop, make, arg = job
     order, _, _, _, part_ranges = _layout(cls, n, parts)
     consume, keep, gate, kernel, every, weight, cap, trim, screen = make(order, part_ranges, arg)
@@ -243,43 +247,29 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
     kept = []
     strong = checked = 0
     for block, cols, inside, screened in _blocks(cls, n, parts, start, stop):
+        chosen = inside if every else screened
         if gate is not None:
-            passed = gate(block, cols)
-            inside, screened = inside & passed, screened & passed
-        # (mask of the set's lanes in the block, kernel run)
-        sets = [(screened, kernel)] if kernel or not every else []
-        if every:
-            sets.append((inside ^ screened if sets else inside, False))
-        merging = len(sets) > 1
-        todo = []  # per set, (place in the block, lane) of each lane for consume
-        for chosen, run in sets:
-            if not chosen:
+            chosen &= gate(block, cols)
+        if not chosen:
+            continue
+        L, sub = Lanes(order, chosen.bit_count()), block.select(cols, chosen)
+        sigmas, eccs, bad = lane_bfs(L, sub) if kernel else ((), (), L.E)
+        strong += (L.E ^ bad).bit_count()
+        seen = L.E
+        if screen is not None:
+            if not every:
+                seen ^= bad  # a strong-only consumer checks the strong lanes
+            clean = screen(L, sub, L.E ^ bad, sigmas, eccs) & seen
+            checked += weight * clean.bit_count()
+            seen ^= clean
+            if not seen:
                 continue
-            L, sub = Lanes(order, chosen.bit_count()), block.select(cols, chosen)
-            # the block places of the set's lanes, needed only to merge two sets
-            place = list(compress(range(block.count), block.lanes(chosen))) if merging else None
-            sigmas, eccs, bad = lane_bfs(L, sub) if run else ((), (), L.E)
-            strong += (L.E ^ bad).bit_count()
-            seen = L.E
-            if screen is not None:
-                if not every:
-                    seen ^= bad  # a strong-only consumer checks the strong lanes
-                clean = screen(L, sub, L.E ^ bad, sigmas, eccs) & seen
-                checked += weight * clean.bit_count()
-                seen ^= clean
-                if not seen:
-                    continue
-            # a lane: its rows, then sigma(u) and ecc(u) per source, then 1 if not strong
-            arrays = [*map(L.lanes, sub), *map(L.lanes, sigmas), *map(L.lanes, eccs), L.lanes(bad)]
-            if seen != L.E:  # few lanes: pick them by index
-                picks = list(compress(range(L.count), L.lanes(seen)))
-                arrays = [[a[i] for i in picks] for a in arrays]
-                if merging:
-                    place = [place[i] for i in picks]
-            todo.append(zip(place, zip(*arrays)) if merging else zip(*arrays))
-        for lane in merge(*todo, key=itemgetter(0)) if len(todo) > 1 else chain(*todo):
-            if merging:
-                lane = lane[1]
+        # a lane: its rows, then sigma(u) and ecc(u) per source, then 1 if not strong
+        arrays = [*map(L.lanes, sub), *map(L.lanes, sigmas), *map(L.lanes, eccs), L.lanes(bad)]
+        if seen != L.E:  # few lanes: pick them by index
+            picks = list(compress(range(L.count), L.lanes(seen)))
+            arrays = [[a[i] for i in picks] for a in arrays]
+        for lane in zip(*arrays):
             rows = lane[:order]
             if lane[-1]:
                 found = consume(rows, None, None)

@@ -35,9 +35,10 @@ tests read a lane-wise bad test and leave the good lanes out of ``sure``.
 The claim scan counts the clean lanes, ``sure & agree(observed,
 predicted)`` over every requested claim, and runs the scalar check only
 on the others: the lanes where a bound fails or a case is observed or
-predicted to hold on one side only, prop-3.1's lanes that the kernel
-found not strong, and, in the bipartite class, the good instances.  The
-check stays the one definition of failure, evidence and certificate.
+predicted to hold on one side only, and, in the bipartite class, the good
+instances.  prop-3.1's lane test reads two-step reach, strong lanes or
+not, so it is exact on every lane.  The check stays the one definition of
+failure, evidence and certificate.
 
 Claim identifiers (the CLI vocabulary):
 
@@ -327,15 +328,9 @@ def _formula_mismatches(f: InstanceFacts) -> List[dict]:
 
 
 def _two_step_violations(f: InstanceFacts) -> List[int]:
-    """Maximum-out-degree vertices that miss some vertex within two steps:
-    eccentricity above 2 when the kernel has run, a 2-step reach short of
-    all n vertices otherwise."""
-    top, rows, eccs, full = f.max_out, f.rows, f.eccs, (1 << f.n) - 1
-    missed = []  # a loop, not a comprehension: it runs on every scanned tournament
-    for v, d in enumerate(f.degrees):
-        if d == top and (reach_within(rows, v, 2) != full if eccs is None else eccs[v] > 2):
-            missed.append(v)
-    return missed
+    """Maximum-out-degree vertices whose two-step reach misses some vertex."""
+    full = (1 << f.n) - 1
+    return [v for v, d in enumerate(f.degrees) if d == f.max_out and reach_within(f.rows, v, 2) != full]
 
 
 def _constant_class_size(f: InstanceFacts) -> bool:
@@ -453,12 +448,10 @@ def _prop_3_1(f: InstanceFacts) -> Verdict:
 
 
 def _prop_3_1_lanes(f: LaneFacts) -> LaneVerdict:
-    # every maximum-out-degree vertex reaches every vertex within two steps:
-    # its eccentricity is at most 2 on the strong lanes (the others go to the
-    # scalar check), or with no strong lane, its two-step reach is every vertex
-    L, cols, ok = f.lanes, f.cols, f.strong or f.lanes.E
+    # every maximum-out-degree vertex reaches every vertex within two steps
+    L, cols, ok = f.lanes, f.cols, f.lanes.E
     for v, c in enumerate(cols):
-        far = L.at_least(f.eccs[v], 3) if f.strong else L.nonzero(((L.E << v) | c | L.successors(c, cols)) ^ L.FULL)
+        far = L.nonzero(((L.E << v) | c | L.successors(c, cols)) ^ L.FULL)
         ok &= L.E ^ (L.ge(f.degrees[v], f.max_out) & far)
     return ok, (), ()
 

@@ -331,6 +331,16 @@ def is_near_regular_oracle(D: Digraph) -> bool:
     return all(_out_degree(D, u) in allowed for u in range(n))
 
 
+def max_out_two_step_oracle(D: Digraph) -> bool:
+    """prop-3.1's statement on any digraph: every maximum-out-degree vertex
+    is within Floyd-Warshall distance 2 of every vertex."""
+    n = D.n
+    dist = floyd_warshall(D)
+    out = [_out_degree(D, u) for u in range(n)]
+    leaders = [u for u in range(n) if out[u] == max(out)]
+    return all(dist[u][v] is not INF and dist[u][v] <= 2 for u in leaders for v in range(n))
+
+
 def general_claims(D: Digraph):
     """thm-2.1-pi, thm-2.1-rho and thm-2.2 on a strong digraph, n >= 3."""
     n = D.n
@@ -383,12 +393,9 @@ def tournament_claims(D: Digraph):
     """prop-3.1 on any tournament; thm-3.2-pi, thm-3.2-rho and thm-3.3 on a
     strong one with n >= 3."""
     n = D.n
-    dist, sigma, _ = _distance_facts(D)
+    _, sigma, _ = _distance_facts(D)
     out = [_out_degree(D, u) for u in range(n)]
-    leaders = [u for u in range(n) if out[u] == max(out)]
-    verdicts = {
-        "prop-3.1": all(dist[u][v] is not INF and dist[u][v] <= 2 for u in leaders for v in range(n))
-    }
+    verdicts = {"prop-3.1": max_out_two_step_oracle(D)}
     if sigma is None or n < 3:
         return verdicts
     pi, rho = Fraction(min(sigma), n - 1), Fraction(max(sigma), n - 1)

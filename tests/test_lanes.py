@@ -21,12 +21,18 @@ from random import Random
 
 import pytest
 
-from proxrem.digraph import distance_sums
+from proxrem.digraph import Digraph, distance_sums
 from proxrem.metrics import Lanes, _lane_width, lane_bfs
 from proxrem.search import PREDICATES, enumerate_class
 from proxrem.verifiers import CLAIMS, InstanceFacts, LaneFacts, agree
 
-from oracles import bipartite_facts_oracle, fw_distance_sums, is_regular_oracle, is_tournament_oracle
+from oracles import (
+    bipartite_facts_oracle,
+    fw_distance_sums,
+    is_regular_oracle,
+    is_tournament_oracle,
+    max_out_two_step_oracle,
+)
 
 GENERAL = ("thm-2.1-pi", "thm-2.1-rho", "thm-2.2")
 TOURNAMENT = ("thm-3.2-pi", "thm-3.2-rho", "thm-3.3", "prop-3.1")
@@ -53,8 +59,7 @@ def _parts(n, parts):
 def _lane_sets(cls, n, parts, size=1000, kernel=True):
     """(order, rows of each lane, LaneFacts) per set of ``size`` instances;
     the columns are packed here with plain shifts.  Without ``kernel`` the
-    facts hold no kernel run and no strong lane, as for the scan loop's
-    screened-out lanes."""
+    facts hold no kernel run and no strong lane, as for a search gate."""
     everything = [D.rows for D in enumerate_class(cls, n, parts)]
     order = len(everything[0])
     ranges = _parts(order, parts)
@@ -103,7 +108,7 @@ def test_lane_primitives_against_plain_integers(w):
     xs = [values, values[::-1], values[1:] + values[:1]]
     ints = [sum(v << (w * i) for i, v in enumerate(lane)) for lane in xs]
     x, y = ints[0], ints[1]
-    assert L.lanes(x).tolist() == values and L.join(L.lanes(x)) == x
+    assert L.lanes(x).tolist() == values
     assert _bits(L, L.nonzero(x)) == [int(v != 0) for v in values]
     for k in sorted({0, 1, n - 1, n, n * n - 1, top, top + 1, 1 << (w - 1), (1 << (w - 1)) + 1}):
         assert _bits(L, L.at_least(x, k)) == [int(v >= k) for v in values], k
@@ -201,15 +206,14 @@ def test_lane_facts_match_instance_facts(cls, n, parts):
 # Soundness and exactness of each claim's lane test
 # ---------------------------------------------------------------------------
 
-def _scalar_restatement(t, n, rows, sigmas, eccs, bad, some_strong):
+def _scalar_restatement(t, n, rows, sigmas, eccs, bad):
     """What the lane test of claim t states, on plain values: the lanes it
-    marks clean.  ``sigmas`` is None on an instance that is not strong, and
-    ``some_strong`` says whether the kernel found a strong lane in the set."""
+    marks clean.  ``sigmas`` is None on an instance that is not strong.
+    prop-3.1's lanes are clean iff every maximum-out-degree vertex has
+    two-step reach n, strong or not."""
     degrees = [r.bit_count() for r in rows]
     top, low = max(degrees), min(degrees)
     if t == "prop-3.1":
-        if some_strong and sigmas is None:
-            return False  # left to the scalar check
         full = (1 << n) - 1
         for v in range(n):
             reach = 1 << v | rows[v]
@@ -270,8 +274,8 @@ def test_clean_lanes_pass_the_scalar_check(cls, n, parts, claims):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_clean_lanes_without_a_kernel_run(n):
-    """On a set of lanes the kernel did not run on, as the scan loop's
-    screened-out lanes, prop-3.1's lane test reads the two-step reach."""
+    """On a set of lanes the kernel did not run on, prop-3.1's lane test
+    gives the same mask: it reads two-step reach, never the kernel."""
     _assert_clean_lanes("tournaments", n, None, ("prop-3.1",), kernel=False)
 
 
@@ -291,7 +295,7 @@ def _assert_clean_lanes(cls, n, parts, claims, kernel):
             for t in run:
                 if t not in clean or sigmas is None and CLAIMS[t].strong:
                     continue
-                restated = _scalar_restatement(t, order, rows, sigmas, eccs, bad, f.strong != 0)
+                restated = _scalar_restatement(t, order, rows, sigmas, eccs, bad)
                 assert clean[t][i] == restated, (t, rows)
                 if clean[t][i]:
                     bound, observed, predicted = CLAIMS[t].check(facts)
@@ -350,18 +354,20 @@ def test_a_structural_condition_sends_the_lane_to_the_scalar_check(t, cls, n):
     assert held
 
 
-def test_prop_3_1_reads_the_eccentricities_on_strong_lanes():
-    """Every maximum-out-degree vertex of a tournament has eccentricity at
-    most 2, so on real lanes the kernel's eccentricities never decide
-    prop-3.1's lane test.  Overwritten, they must: with every eccentricity
-    3 no lane is clean, and with every one 2 exactly the strong lanes are
-    (a lane that is not strong goes to the scalar check)."""
-    (order, _, f), = _lane_sets("tournaments", 5, None, size=1024)
-    assert 0 < f.strong != f.lanes.E
-    f.eccs = [f.lanes.every(3)] * order
-    assert _clean("prop-3.1", f) == 0
-    f.eccs = [f.lanes.every(2)] * order
-    assert _clean("prop-3.1", f) == f.strong
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "no-kernel"])
+def test_prop_3_1_lane_test_against_the_oracle_off_tournaments(kernel):
+    """On every instance of all digraphs n <= 4, with and without a kernel
+    run, prop-3.1's lane test marks clean exactly the instances on which
+    every maximum-out-degree vertex is within Floyd-Warshall distance 2 of
+    every vertex.  On tournaments it never fails (every maximum-out-degree
+    vertex is a king), so only other digraphs can show a wrong mask."""
+    failing = 0
+    for n in (1, 2, 3, 4):
+        for order, batch, f in _lane_sets("all_digraphs", n, None, size=4096, kernel=kernel):
+            want = [int(max_out_two_step_oracle(Digraph(order, rows))) for rows in batch]
+            assert _bits(f.lanes, _clean("prop-3.1", f)) == want, n
+            failing += want.count(0)
+    assert failing
 
 
 # ---------------------------------------------------------------------------

@@ -542,12 +542,15 @@ class TestExhaustiveVerify:
             (["thm-2.1", "thm-2.2"], "all_digraphs", 4, 0),
             (["thm-3.2", "thm-3.3"], "tournaments", 5, 0),
             (["thm-3.2", "thm-3.3"], "tournaments", 6, 3600),
+            (["thm-3.2", "thm-3.3", "prop-3.1"], "tournaments", 6, 3600),
+            (["prop-3.1"], "tournaments", 6, 0),
         ],
     )
     def test_claim_scan_loads_only_failing_instances(self, monkeypatch, claims, cls, n, failing):
         # Every lane test of these claims is exact on strong lanes (thm-2.2's
-        # and thm-3.2-rho's structural sides included), so the scalar check
-        # loads exactly the instances that fail some claim.
+        # and thm-3.2-rho's structural sides included), and prop-3.1's on
+        # every lane, so the scalar check loads exactly the instances that
+        # fail some claim.
         loads = []
         load = InstanceFacts.load
 
@@ -561,7 +564,8 @@ class TestExhaustiveVerify:
         assert len(loads) == len(set(loads)) == sum(r.failure_counts.values()) == failing
         facts = InstanceFacts(n)
         for rows in loads:
-            facts.load(rows, *distance_sums(rows, n))
+            sigmas, eccs = distance_sums(rows, n)
+            facts.load(rows, sigmas, eccs if sigmas is not None else None)
             verdicts = [CLAIMS[t].check(facts) for t in r.theorems]
             assert not all(bound and observed == predicted for bound, observed, predicted in verdicts), rows
 
@@ -600,8 +604,10 @@ def _symmetric_rows(n):
 
 class TestStrongnessScreen:
     """The one scan loop skips the kernel on instances the O(n) screen rules
-    out, for search, the claim scan and the reference path alike, and runs
-    it at most once per instance."""
+    out, for search, the claim scan of strong-only claims and the reference
+    path alike.  A claim scan with prop-3.1, which sees every instance, runs
+    the kernel on every instance and reads strongness from it.  Either way
+    the kernel runs at most once per instance."""
 
     def test_reference_path_runs_the_kernel_once_per_screened_instance(self, kernel_runs):
         instances = _symmetric_rows(5)
@@ -615,7 +621,7 @@ class TestStrongnessScreen:
     @pytest.mark.parametrize(
         "cls, n, run",
         [
-            ("tournaments", 5, lambda: exhaustive_verify(["thm-3.2", "thm-3.3", "prop-3.1"], "tournaments", n=5)),
+            ("tournaments", 5, lambda: exhaustive_verify(["thm-3.2", "thm-3.3"], "tournaments", n=5)),
             ("tournaments", 5, lambda: search(SearchQuery(cls="tournaments", n=5, predicates=("strong",), limit=0))),
             ("all_digraphs", 3, lambda: search(SearchQuery(cls="all_digraphs", n=3, predicates=("pi_eq_rho",), limit=0))),
         ],
@@ -626,6 +632,12 @@ class TestStrongnessScreen:
         screened = [D.rows for D in enumerate_class(cls, n) if _passes_screen(D.rows)]
         assert len(screened) < total_count(cls, n)
         assert sorted(kernel_runs) == sorted(screened)
+
+    def test_kernel_runs_once_per_instance_of_a_scan_with_prop_3_1(self, kernel_runs):
+        r = exhaustive_verify(["thm-3.2", "thm-3.3", "prop-3.1"], "tournaments", n=5)
+        instances = [D.rows for D in enumerate_class("tournaments", 5)]
+        assert sorted(kernel_runs) == sorted(instances)
+        assert r.strong_count == sum(map(is_strong, enumerate_class("tournaments", 5))) < r.scanned
 
     def test_search_predicates_without_the_kernel_gate_it(self, kernel_runs):
         # limit=0: no match reports, which run the kernel of their own
@@ -653,7 +665,8 @@ class TestStrongnessScreen:
         assert len(not_strong) == r.scanned - r.strong_count > 0
         assert all(eccs is None for _, sigmas, eccs in loads if sigmas is None)
         # Below order 6 the screen catches every non-strong tournament; at 6
-        # a 3-cycle beating another 3-cycle passes it and reaches the kernel.
+        # a 3-cycle beating another 3-cycle passes it, and the kernel finds
+        # it not strong.
         assert any(_passes_screen(rows) for rows in not_strong) == (n == 6)
 
 
