@@ -63,13 +63,15 @@ def part_lookup(parts: Sequence[Sequence[int]], n: int) -> List[Sequence[int]]:
     return lookup
 
 
-def bad_witness(rows: Sequence[int], part_of: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
+def bad_witness(rows: Sequence[int], parts: Sequence[Sequence[int]]) -> Optional[Tuple[int, int]]:
     """The smallest pair (u, v) of one part with the out-neighborhood of u
     properly contained in that of v, or None when the instance is good.
 
-    ``part_of[u]`` lists the vertices of u's part in increasing order (see
-    ``part_lookup``), so the first pair found is the smallest.
+    Each part lists its vertices in increasing order, in any order of the
+    parts: u runs over every vertex in turn, so the first pair found is the
+    smallest.
     """
+    part_of = part_lookup(parts, len(rows))
     for u, ru in enumerate(rows):
         for v in part_of[u]:
             rv = rows[v]
@@ -138,7 +140,7 @@ def check_equality_criterion(D: Digraph) -> BipartiteReport:
     structure = require_bipartite_tournament(D)
     sigmas, _ = sigma_ecc_vectors(D)
     rows, parts = D.rows, structure.parts
-    witness = bad_witness(rows, part_lookup(parts, D.n))
+    witness = bad_witness(rows, parts)
     mu = class_sizes(rows, parts)
     per_vertex = tuple((v, rows[v].bit_count(), mu[v], sigmas[v]) for v in range(D.n))
     return BipartiteReport(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .bipartite import bad_witness, class_sizes, part_lookup
+from .bipartite import bad_witness, class_sizes
 from .digraph import (
     Digraph,
     blow_up,
@@ -273,7 +273,7 @@ def check_expected(spec: ConstructionSpec, D: Optional[Digraph] = None) -> List[
         structure = bipartite_tournament_structure(D)
         expect(structure is not None, "no bipartite tournament structure")
         if structure is not None:
-            witness = bad_witness(D.rows, part_lookup(structure.parts, n))
+            witness = bad_witness(D.rows, structure.parts)
             expect(witness is None, f"bad witness {witness}")
             expect(pi == rho, f"pi {pi} != rho {rho}")
             if fam == "bipartite_blowup":

@@ -75,9 +75,6 @@ class Digraph:
     def out_degree(self, u: int) -> int:
         return self.rows[u].bit_count()
 
-    def in_degree(self, u: int) -> int:
-        return self.reverse_rows[u].bit_count()
-
     @property
     def reverse_rows(self) -> Tuple[int, ...]:
         """Adjacency rows of the arc-reversed digraph (computed once)."""
@@ -141,10 +138,6 @@ class PartiteStructure:
     """A partition of the vertex set, ordered by (size, smallest label)."""
 
     parts: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def sizes(self) -> Tuple[int, ...]:
-        return tuple(len(p) for p in self.parts)
 
 
 def _check_pair(n: int, u: int, v: int) -> None:

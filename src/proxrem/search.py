@@ -194,13 +194,14 @@ def _cert(order: int, rows: Sequence[int], theorem: str, info: dict) -> dict:
 
 class _Consumer(NamedTuple):
     """One path's part in the scan loop.  Without ``every`` the consumer
-    reads only strong instances: it never sees one that fails the
-    strongness screen.  With ``every`` it sees every instance.
-    ``gate(lanes, cols)``, if set, gets a block as its ``metrics.Lanes`` and
-    columns and returns the mask of the lanes the consumer sees at all; the
-    loop applies it before the kernel.  With ``kernel`` the lane kernel runs
-    once per block on the instances the consumer sees, and its not-strong
-    mask says which of them are strong.
+    reads only strong instances: the loop drops every lane that fails the
+    strongness screen or the kernel's strong test (so it needs ``kernel``).
+    With ``every`` it sees every instance.  ``gate(f)``, if set, gets a
+    block as a ``LaneFacts`` record ``f`` that the loop builds, and returns
+    the mask of the lanes the consumer sees at all; the loop applies it
+    before the kernel.  With ``kernel`` the lane kernel runs once per block
+    on the instances the consumer sees, and its not-strong mask says which
+    of them are strong.
     ``consume(rows, sigmas, eccs)`` gets each instance it sees in
     enumeration order, its rows as a tuple (sigmas and eccs None if not
     strong or not computed), and returns None, or the (key, info) findings
@@ -208,15 +209,12 @@ class _Consumer(NamedTuple):
     ``keep(order, rows, key, info)`` for the first ``cap`` findings, cut to
     the ``trim`` smallest.
 
-    A consumer with a ``screen`` checks every instance it sees that is
-    strong (every one, with ``every``).  ``screen(lanes, cols, strong,
-    sigmas, eccs)`` gets a set of instances as the lanes of ``lanes`` (a
-    ``metrics.Lanes``), their columns, the mask of the strong ones and the
-    kernel's lane ints (empty without a kernel run), and returns the mask of
-    the *clean* ones, on which ``consume`` would find nothing: those add
-    ``weight`` to ``checked`` and never reach ``consume``.  The columns are
-    the block's, cut by ``Lanes.select`` to the instances the consumer
-    sees."""
+    A consumer with a ``screen`` checks every instance it sees.
+    ``screen(f)`` gets them as the lanes of a ``LaneFacts`` record ``f``
+    that the loop builds (with the kernel's lane ints, empty without a
+    kernel run) and returns the mask of the *clean* ones, on which
+    ``consume`` would find nothing: those add ``weight`` to ``checked`` and
+    never reach ``consume``."""
 
     consume: Callable
     keep: Callable = _cert
@@ -235,41 +233,45 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
     one ``Lanes.select`` cuts the columns to the lanes the consumer sees:
     the screened lanes, or with ``every`` all lanes in the shard.
     ``lane_bfs`` runs on them (with ``kernel``) and its not-strong mask says
-    which are strong.  A ``screen`` takes the clean lanes out.  Only the
-    lanes left are unpacked to a row tuple, sigma and ecc lists and a
-    ``consume`` call, in enumeration order, so findings and kept
+    which are strong; without ``every`` only those stay.  A ``screen``
+    takes the clean lanes out.  The gate and the screen each read one
+    ``verifiers.LaneFacts`` record built here, over the block and over the
+    selected lanes, with the same-part pairs worked out once per scan.
+    Only the lanes left are unpacked to a row tuple, sigma and ecc lists and
+    a ``consume`` call, in enumeration order, so findings and kept
     certificates are those of every lane.  Returns (strong, checked,
     findings per key, kept findings)."""
     cls, n, parts, start, stop, make, arg = job
     order, _, _, _, part_ranges = _layout(cls, n, parts)
     consume, keep, gate, kernel, every, weight, cap, trim, screen = make(order, part_ranges, arg)
+    pairs = [(u, v) for part in part_ranges or () for u in part for v in part if u != v]
     counts: Counter = Counter()
     kept = []
     strong = checked = 0
     for block, cols, inside, screened in _blocks(cls, n, parts, start, stop):
         chosen = inside if every else screened
         if gate is not None:
-            chosen &= gate(block, cols)
+            chosen &= gate(LaneFacts(block, cols, 0, (), (), pairs))
         if not chosen:
             continue
         L, sub = Lanes(order, chosen.bit_count()), block.select(cols, chosen)
         sigmas, eccs, bad = lane_bfs(L, sub) if kernel else ((), (), L.E)
         strong += (L.E ^ bad).bit_count()
-        seen = L.E
-        if screen is not None:
-            if not every:
-                seen ^= bad  # a strong-only consumer checks the strong lanes
-            clean = screen(L, sub, L.E ^ bad, sigmas, eccs) & seen
+        seen = L.E if every else L.E ^ bad  # a strong-only consumer sees the strong lanes
+        if screen is not None and seen:
+            clean = screen(LaneFacts(L, sub, L.E ^ bad, sigmas, eccs, pairs)) & seen
             checked += weight * clean.bit_count()
             seen ^= clean
-            if not seen:
-                continue
+        if not seen:
+            continue
         # a lane: its rows, then sigma(u) and ecc(u) per source, then 1 if not strong
         arrays = [*map(L.lanes, sub), *map(L.lanes, sigmas), *map(L.lanes, eccs), L.lanes(bad)]
-        if seen != L.E:  # few lanes: pick them by index
+        if 2 * seen.bit_count() > L.count:  # most lanes: skip the others in passing
+            lanes = compress(zip(*arrays), L.lanes(seen))
+        else:  # few lanes: pick them by index
             picks = list(compress(range(L.count), L.lanes(seen)))
-            arrays = [[a[i] for i in picks] for a in arrays]
-        for lane in zip(*arrays):
+            lanes = zip(*[[a[i] for i in picks] for a in arrays])
+        for lane in lanes:
             rows = lane[:order]
             if lane[-1]:
                 found = consume(rows, None, None)
@@ -393,12 +395,6 @@ PREDICATES: Dict[str, Tuple[bool, Callable[[LaneFacts], int]]] = {
 _MATCH = (("matches", None),)  # the one finding of a matching instance
 
 
-def _part_pairs(part_ranges) -> List[Tuple[int, int]]:
-    """The ordered pairs of distinct vertices of one part (none outside the
-    bipartite class), which ``LaneFacts.bad`` reads."""
-    return [(u, v) for part in part_ranges or () for u in part for v in part if u != v]
-
-
 def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
     """Search: a lane matches when every predicate's mask holds on it.  The
     predicates that need no kernel are the gate, so a lane they rule out
@@ -406,7 +402,6 @@ def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
     lanes, whose clean lanes are the ones that do not match.  Only matching
     lanes reach ``consume``."""
     predicates, trim = arg
-    pairs = _part_pairs(part_ranges)
     cheap = [PREDICATES[p][1] for p in predicates if not PREDICATES[p][0]]
     costly = [PREDICATES[p][1] for p in predicates if PREDICATES[p][0]]
 
@@ -418,23 +413,15 @@ def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
                 break
         return mask
 
-    def gate(lanes, cols):
-        return holds(cheap, LaneFacts(lanes, cols, 0, (), (), pairs))
-
-    def screen(lanes, cols, strong, sigmas, eccs):
-        if not strong:
-            return lanes.E
-        return lanes.E ^ (strong & holds(costly, LaneFacts(lanes, cols, strong, sigmas, eccs, pairs)))
-
     return _Consumer(
         lambda rows, sigmas, eccs: _MATCH,
         lambda order, rows, key, info: write_digraph6(Digraph(order, rows)),
-        gate=gate if cheap else None,
+        gate=(lambda f: holds(cheap, f)) if cheap else None,
         kernel=bool(costly),
         every=not costly,  # with a kernel predicate every match is strong
         cap=math.inf,
         trim=trim,
-        screen=screen if costly else None,
+        screen=(lambda f: f.lanes.E ^ holds(costly, f)) if costly else None,
     )
 
 
@@ -521,18 +508,17 @@ class ExhaustiveResult:
 
 
 def _claim_checks(order: int, part_ranges, want) -> _Consumer:
-    """The claim scan: the requested ``CLAIMS`` checks on ``InstanceFacts``,
-    on the lanes their lane tests leave (every lane when no check runs)."""
+    """The claim scan: the requested ``CLAIMS`` checks on an
+    ``InstanceFacts`` record built for each lane their lane tests leave
+    (every strong lane when no check runs)."""
     claims = {t: CLAIMS[t] for t in want if order >= CLAIMS[t].min_n}
-    facts = InstanceFacts(order, part_ranges)
     checks = [(t, claim.check, claim.evidence) for t, claim in claims.items()]
     loose = [check for check in checks if not claims[check[0]].strong]
-    pairs = _part_pairs(part_ranges)
 
     def consume(rows, sigmas, eccs):
         run = checks if sigmas is not None else loose
         if run:
-            facts.load(rows, sigmas, eccs)
+            facts = InstanceFacts(rows, sigmas, eccs, part_ranges)
             failed = []
             for t, check, evidence in run:
                 bound, observed, predicted = check(facts)
@@ -540,14 +526,13 @@ def _claim_checks(order: int, part_ranges, want) -> _Consumer:
                     failed.append((t, evidence(facts)))
             return failed
 
-    def screen(lanes, cols, strong, sigmas, eccs):
-        f = LaneFacts(lanes, cols, strong, sigmas, eccs, pairs)
-        clean, others = lanes.E, lanes.E ^ strong
+    def screen(f: LaneFacts):
+        clean, others = f.lanes.E, f.lanes.E ^ f.strong
         for claim in claims.values():
-            if claim.strong and not strong:
+            if claim.strong and not f.strong:
                 continue
             sure, observed, predicted = claim.lanes(f)
-            passes = sure & agree(lanes, observed, predicted)
+            passes = sure & agree(f.lanes, observed, predicted)
             # a strong-only claim passes where it does not run
             clean &= (passes | others) if claim.strong else passes
         return clean
@@ -561,10 +546,9 @@ def _reference_reports(order: int, part_ranges, want) -> _Consumer:
     verifiers = [(t, THEOREMS[t]) for t in want if order >= CLAIMS[t].min_n]
 
     def consume(rows, sigmas, eccs):
-        if sigmas is not None:
-            D = Digraph(order, rows)
-            cached_distance_sums(D, (sigmas, eccs))
-            return [(t, {"report": r.as_json_dict()}) for t, verifier in verifiers for r in verifier(D) if not r.ok]
+        D = Digraph(order, rows)
+        cached_distance_sums(D, (sigmas, eccs))
+        return [(t, {"report": r.as_json_dict()}) for t, verifier in verifiers for r in verifier(D) if not r.ok]
 
     return _Consumer(consume, weight=len(verifiers))
 

@@ -15,10 +15,13 @@ also names its *domain*, the class it is stated on (see ``DOMAINS`` and
 connectivity, and the witnesses and details its report carries; ``verify``
 builds every ``VerificationReport`` from the row, and ``THEOREMS`` is
 ``verify`` per claim id.  The exhaustive scan in ``proxrem.search`` runs
-the same checks on raw adjacency rows.
+the same checks on raw adjacency rows.  An ``InstanceFacts`` record is a
+value: ``verify`` and the claim scan build one for each instance they
+check.
 
 Each row also carries a *lane test*: over a ``LaneFacts`` record, which
-holds a set of instances one per lane of a few big integers, it returns
+holds a set of instances one per lane of a few big integers (the scan
+loop builds one per set of lanes it reads), it returns
 the lane form of the check's verdict, masks ``(sure, observed,
 predicted)`` built with the lane primitives of ``metrics.Lanes``.
 ``observed`` and ``predicted`` hold one mask per equality case, as the
@@ -133,10 +136,8 @@ _UNSEARCHED = object()  # InstanceFacts.thm22 before the certificate search
 
 
 class InstanceFacts:
-    """Everything the claims read about one instance.
-
-    One record serves a whole scan: the order and the parts are bound once,
-    and ``load`` refills the per-instance fields.  ``sigmas`` and ``eccs``
+    """Everything the claims read about one instance: a value, built once
+    for each instance that reaches a scalar check.  ``sigmas`` and ``eccs``
     are None on an instance that is not strong; only claims that do not
     need strong connectivity run on one.
 
@@ -148,20 +149,16 @@ class InstanceFacts:
     """
 
     __slots__ = (
-        "n", "parts", "part_of", "rows", "sigmas", "eccs", "smin", "smax",
+        "n", "parts", "rows", "sigmas", "eccs", "smin", "smax",
         "degrees", "scores", "max_out", "min_out", "witness", "mu", "c", "thm22",
     )
 
-    def __init__(self, n: int, parts: Optional[Sequence[Sequence[int]]] = None):
-        self.n = n
-        self.parts = parts
-        self.part_of = None if parts is None else bp.part_lookup(parts, n)
-        self.witness = self.mu = self.c = None
-
-    def load(self, rows: Sequence[int], sigmas: Optional[List[int]], eccs: Optional[List[int]]):
+    def __init__(self, rows: Sequence[int], sigmas: Optional[List[int]], eccs: Optional[List[int]], parts=None):
+        self.n = len(rows)
         self.rows = rows
         self.sigmas = sigmas
         self.eccs = eccs
+        self.parts = parts
         self.thm22 = _UNSEARCHED
         # sorted() of a short list costs less than a min() and a max()
         if sigmas is None:
@@ -174,13 +171,12 @@ class InstanceFacts:
         scores = self.scores = sorted(self.degrees)
         self.min_out = scores[0]
         self.max_out = scores[-1]
-        if self.part_of is not None:
-            self.witness = bp.bad_witness(rows, self.part_of)
-            self.mu = self.c = None
+        self.witness = self.mu = self.c = None
+        if parts is not None:
+            self.witness = bp.bad_witness(rows, parts)
             if self.witness is None:
-                self.mu = bp.class_sizes(rows, self.parts)
-                self.c = bp.class_constants(rows, self.parts, self.mu)
-        return self
+                self.mu = bp.class_sizes(rows, parts)
+                self.c = bp.class_constants(rows, parts, self.mu)
 
 
 class LaneFacts:
@@ -189,9 +185,11 @@ class LaneFacts:
     ``cols`` (row v of every lane), the mask ``strong`` and, from the lane
     kernel, the lane ints of sigma(u) and ecc(u) per source u (empty
     without a kernel run).  ``pairs`` lists the ordered pairs of distinct
-    vertices of one part (empty outside the bipartite class).  The derived
-    lane ints below are computed once, on first use; those of sigma and ecc
-    are meaningful only on the strong lanes.
+    vertices of one part (empty outside the bipartite class).  The scan
+    loop (``search._scan``) builds one record per lane set, which a
+    consumer's gate or screen reads.  The derived lane ints below are
+    computed once, on first use; those of sigma and ecc are meaningful only
+    on the strong lanes.
     """
 
     def __init__(self, lanes, cols, strong, sigmas, eccs, pairs=()):
@@ -253,18 +251,12 @@ def _near_regular_window(n: int) -> Tuple[int, int]:
     return (n - 1) // 2, n // 2
 
 
-def _spanning_orders(rows: Sequence[int], n: int, starts) -> Iterator[List[int]]:
-    """The ordering v_0..v_{n-1} with d(v_0, v_i) = i from each start in
-    ``starts`` that has one: a start of eccentricity n-1, whose BFS layers
-    are then forced to be singletons."""
-    for u in starts:
-        layers = distance_layers(rows, n, u)
-        if len(layers) == n:
-            yield [l.bit_length() - 1 for l in layers]
-
-
-def _long_starts(eccs: Sequence[int], n: int) -> List[int]:
-    return [u for u, e in enumerate(eccs) if e == n - 1]
+def _spanning_orders(f: InstanceFacts) -> Iterator[List[int]]:
+    """The ordering v_0..v_{n-1} with d(v_0, v_i) = i from each start of
+    eccentricity n-1, whose BFS layers are then forced to be singletons."""
+    for u, e in enumerate(f.eccs):
+        if e == f.n - 1:
+            yield [l.bit_length() - 1 for l in distance_layers(f.rows, f.n, u)]
 
 
 @cache
@@ -284,7 +276,7 @@ def _is_extremal(f: InstanceFacts) -> bool:
     n = f.n
     if f.scores != _extremal_scores(n):
         return False
-    order = next(_spanning_orders(f.rows, n, _long_starts(f.eccs, n)), None)
+    order = next(_spanning_orders(f), None)
     if order is None:
         return False
     for i, v in enumerate(order):
@@ -309,7 +301,7 @@ def _search_thm22_certificate(f: InstanceFacts) -> Optional[Dict[str, object]]:
     n = f.n
     if max(f.eccs) != n - 1:
         return None
-    for order in _spanning_orders(f.rows, n, _long_starts(f.eccs, n)):
+    for order in _spanning_orders(f):
         for v in order[-2:]:
             if f.degrees[v] == n - 1:
                 return {"ordering": order, "dominant_vertex": v}
@@ -608,7 +600,7 @@ def _remoteness_window(f: InstanceFacts) -> Tuple[dict, dict]:
 def _thm_2_1_rho_report(f: InstanceFacts) -> Tuple[dict, dict]:
     witnesses, details = _remoteness_window(f)
     if max(f.eccs) == f.n - 1:
-        witnesses["ordering"] = next(_spanning_orders(f.rows, f.n, _long_starts(f.eccs, f.n)))
+        witnesses["ordering"] = next(_spanning_orders(f))
     return witnesses, details
 
 
@@ -758,7 +750,7 @@ def verify(claim_id: str, D: Digraph) -> VerificationReport:
     if D.n < claim.min_n:
         raise ValueError(f"claim needs n >= {claim.min_n}, got {D.n}")
     sigmas, eccs = sigma_ecc_vectors(D) if claim.strong else (None, None)
-    f = InstanceFacts(D.n, parts).load(D.rows, sigmas, eccs)
+    f = InstanceFacts(D.rows, sigmas, eccs, parts)
     bound, observed, predicted = claim.check(f)
     witnesses, details = claim.report(f)
     if len(observed) == 2:

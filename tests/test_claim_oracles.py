@@ -123,7 +123,7 @@ def test_l2_thm22_certificate_iff_long_and_dominant_vertices(cls, n, parts):
     assert instances
     for rows, sigmas, eccs, degrees in instances:
         order = len(rows)
-        found = _thm22_certificate(InstanceFacts(order).load(rows, sigmas, eccs)) is not None
+        found = _thm22_certificate(InstanceFacts(rows, sigmas, eccs)) is not None
         assert found == (max(eccs) == order - 1 and max(degrees) == order - 1), rows
 
 
@@ -132,7 +132,7 @@ def test_l3_extremal_iff_a_vertex_of_eccentricity_n_minus_1(cls, n, parts):
     """L3: a strong tournament is the extremal one iff max ecc = n-1."""
     held = 0
     for rows, sigmas, eccs, _ in _strong_instances(cls, n, parts):
-        extremal = _is_extremal(InstanceFacts(n).load(rows, sigmas, eccs))
+        extremal = _is_extremal(InstanceFacts(rows, sigmas, eccs))
         assert extremal == (max(eccs) == n - 1), rows
         held += extremal
     assert held

@@ -183,7 +183,7 @@ def test_successors_is_one_bfs_step():
 def test_lane_facts_match_instance_facts(cls, n, parts):
     for order, batch, f in _lane_sets(cls, n, parts):
         L = f.lanes
-        facts = InstanceFacts(order, _parts(order, parts))
+        ranges = _parts(order, parts)
         strong = _bits(L, f.strong)
         degrees = [_lane_values(L, d) for d in f.degrees]
         lanes = zip(_lane_values(L, f.smin), _lane_values(L, f.smax), _lane_values(L, f.max_ecc))
@@ -192,7 +192,7 @@ def test_lane_facts_match_instance_facts(cls, n, parts):
         for i, (rows, (smin, smax, max_ecc)) in enumerate(zip(batch, lanes)):
             sigmas, eccs = distance_sums(rows, order)
             assert strong[i] == (sigmas is not None)
-            facts.load(rows, sigmas, eccs if sigmas is not None else None)
+            facts = InstanceFacts(rows, sigmas, eccs if sigmas is not None else None, ranges)
             assert [d[i] for d in degrees] == facts.degrees
             assert (max_out[i], min_out[i]) == (facts.max_out, facts.min_out)
             if parts is not None:
@@ -282,7 +282,6 @@ def test_clean_lanes_without_a_kernel_run(n):
 def _assert_clean_lanes(cls, n, parts, claims, kernel):
     for order, batch, f in _lane_sets(cls, n, parts, kernel=kernel):
         ranges = _parts(order, parts)
-        facts = InstanceFacts(order, ranges)
         run = [t for t in claims if order >= CLAIMS[t].min_n]
         # a claim on strong instances only reads the kernel's lanes where one is strong
         clean = {t: _bits(f.lanes, _clean(t, f)) for t in run if f.strong or not CLAIMS[t].strong}
@@ -290,7 +289,7 @@ def _assert_clean_lanes(cls, n, parts, claims, kernel):
             sigmas, eccs = distance_sums(rows, order)
             if sigmas is None:
                 eccs = None
-            facts.load(rows, sigmas, eccs)
+            facts = InstanceFacts(rows, sigmas, eccs, ranges)
             bad = ranges is not None and _is_bad(rows, ranges)
             for t in run:
                 if t not in clean or sigmas is None and CLAIMS[t].strong:
@@ -470,12 +469,12 @@ def test_observed_masks_are_the_checks_observed_cases(t):
             if not f.strong:
                 continue
             L = f.lanes
-            facts = InstanceFacts(L.n, _parts(L.n, parts))
+            ranges = _parts(L.n, parts)
             observed = [_bits(L, o) for o in CLAIMS[t].lanes(f)[1]]
             for i, (D, _, _) in enumerate(batch):
                 sigmas, eccs = distance_sums(D.rows, D.n)
                 if sigmas is not None:
-                    want = CLAIMS[t].check(facts.load(D.rows, sigmas, eccs))[1]
+                    want = CLAIMS[t].check(InstanceFacts(D.rows, sigmas, eccs, ranges))[1]
                     assert tuple(bool(o[i]) for o in observed) == want, (t, D.rows)
                     strong += 1
     assert strong

@@ -546,28 +546,47 @@ class TestExhaustiveVerify:
             (["prop-3.1"], "tournaments", 6, 0),
         ],
     )
-    def test_claim_scan_loads_only_failing_instances(self, monkeypatch, claims, cls, n, failing):
+    def test_claim_scan_loads_only_failing_instances(self, facts_built, claims, cls, n, failing):
         # Every lane test of these claims is exact on strong lanes (thm-2.2's
         # and thm-3.2-rho's structural sides included), and prop-3.1's on
         # every lane, so the scalar check loads exactly the instances that
         # fail some claim.
-        loads = []
-        load = InstanceFacts.load
-
-        def recorded(self, rows, sigmas, eccs):
-            loads.append(tuple(rows))
-            return load(self, rows, sigmas, eccs)
-
-        monkeypatch.setattr(InstanceFacts, "load", recorded)
         r = exhaustive_verify(claims, cls, n=n)
-        monkeypatch.undo()
+        loads = [rows for rows, _, _ in facts_built]
         assert len(loads) == len(set(loads)) == sum(r.failure_counts.values()) == failing
-        facts = InstanceFacts(n)
         for rows in loads:
             sigmas, eccs = distance_sums(rows, n)
-            facts.load(rows, sigmas, eccs if sigmas is not None else None)
+            facts = InstanceFacts(rows, sigmas, eccs if sigmas is not None else None)
             verdicts = [CLAIMS[t].check(facts) for t in r.theorems]
             assert not all(bound and observed == predicted for bound, observed, predicted in verdicts), rows
+
+    @pytest.mark.parametrize("parts, good", [((2, 3), 6), ((3, 3), 30), ((3, 4), 114)], ids=["2-3", "3-3", "3-4"])
+    def test_bipartite_claim_scan_loads_only_good_strong_instances(self, facts_built, parts, good):
+        # The bipartite lane tests mark every bad strong lane clean and
+        # leave every good one to the scalar check, which loads it once.
+        exhaustive_verify(["lem-3.4", "lem-3.5", "lem-3.6", "cor-3.7", "cor-3.8"], "bipartite_tournaments", parts=parts)
+        want = [
+            D.rows
+            for D in enumerate_class("bipartite_tournaments", parts=parts)
+            if fw_metrics(D) is not None and bipartite_facts_oracle(D).bad is None
+        ]
+        assert len(want) == good
+        assert sorted(rows for rows, _, _ in facts_built) == sorted(want)
+
+
+@pytest.fixture
+def facts_built(monkeypatch):
+    """The (rows, sigmas, eccs) of each ``InstanceFacts`` record built while
+    the test runs, in order."""
+    built = []
+    init = InstanceFacts.__init__
+
+    def recorded(self, rows, sigmas, eccs, parts=None):
+        built.append((tuple(rows), sigmas, eccs))
+        init(self, rows, sigmas, eccs, parts)
+
+    monkeypatch.setattr(InstanceFacts, "__init__", recorded)
+    return built
 
 
 @pytest.fixture
@@ -650,15 +669,8 @@ class TestStrongnessScreen:
         assert sorted(kernel_runs) == sorted(D.rows for D in enumerate_class("tournaments", 3) if is_strong(D))
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_scan_loads_no_eccentricities_on_non_strong_instances(self, monkeypatch, no_clean_lanes, n):
-        loads = []
-        load = InstanceFacts.load
-
-        def recorded(self, rows, sigmas, eccs):
-            loads.append((tuple(rows), sigmas, eccs))
-            return load(self, rows, sigmas, eccs)
-
-        monkeypatch.setattr(InstanceFacts, "load", recorded)
+    def test_scan_loads_no_eccentricities_on_non_strong_instances(self, facts_built, no_clean_lanes, n):
+        loads = facts_built
         r = exhaustive_verify(["thm-3.2", "thm-3.3", "prop-3.1"], "tournaments", n=n)
         assert len(loads) == r.checked == r.scanned
         not_strong = [rows for rows, sigmas, eccs in loads if sigmas is None]
@@ -716,16 +728,14 @@ class TestLaneSearch:
         assert set(GATE_ORACLES) == {p for p, (kernel, _) in search_mod.PREDICATES.items() if not kernel}
 
     @pytest.mark.parametrize("pin", SEARCH_PINS, ids=_pin_id)
-    def test_search_loads_no_instance_facts(self, monkeypatch, pin):
-        """No ``InstanceFacts.load`` and no ``_extremal_scores`` miss: the
+    def test_search_loads_no_instance_facts(self, facts_built, pin):
+        """No ``InstanceFacts`` record and no ``_extremal_scores`` miss: the
         predicates, ``equality_<claim>`` included, read lane masks only."""
         cls, n, parts, predicates = pin
-        loads = []
-        monkeypatch.setattr(InstanceFacts, "load", lambda self, *args: loads.append(args))
         verifiers_mod._extremal_scores.cache_clear()
         r = search(SearchQuery(cls, n, parts, predicates=predicates, dedup="canonical"))
         assert r.dedup_stats["labeled_matches"] > 0
-        assert loads == []
+        assert facts_built == []
         assert verifiers_mod._extremal_scores.cache_info().misses == 0
 
     @pytest.mark.parametrize("pin", SEARCH_PINS, ids=_pin_id)
