@@ -85,11 +85,15 @@ def _check_size(cls: str, n: Optional[int], parts: Optional[Tuple[int, int]], sh
         raise ValueError(f"shard count must be >= 1, got {shards}")
     spec = _spec(cls)
     if spec.sized_by_parts:
-        if parts is None or parts[0] * parts[1] > spec.ceiling:
+        if parts is None or len(parts) != 2:
+            raise ValueError(f"{cls} needs parts=(a, b), two part sizes, got parts={parts}")
+        if parts[0] * parts[1] > spec.ceiling:
             raise ValueError(f"{cls} with parts={parts} {_CEILING_MSG}")
         if min(parts) < 1:
             raise ValueError(f"{cls} needs two nonempty parts, got parts={parts}")
-    elif n is None or n > spec.ceiling:
+    elif n is None:
+        raise ValueError(f"{cls} needs an order n, got n=None")
+    elif n > spec.ceiling:
         raise ValueError(f"{cls} with n={n} {_CEILING_MSG}")
     elif n < 1:
         raise ValueError(f"{cls} needs n >= 1, got n={n}")
@@ -188,38 +192,37 @@ def enumerate_class(
 MAX_CERTIFICATES = 200
 
 
-def _cert(order: int, rows: Sequence[int], theorem: str, info: dict) -> dict:
-    return {"digraph6": write_digraph6(Digraph(order, rows)), "theorem": theorem, **info}
+def _cert(d6: str, theorem: str, info: dict) -> dict:
+    return {"digraph6": d6, "theorem": theorem, **info}
 
 
 class _Consumer(NamedTuple):
     """One path's part in the scan loop.  Without ``every`` the consumer
     reads only strong instances: the loop drops every lane that fails the
-    strongness screen or the kernel's strong test (so it needs ``kernel``).
-    With ``every`` it sees every instance.  ``gate(f)``, if set, gets a
-    block as a ``LaneFacts`` record ``f`` that the loop builds, and returns
-    the mask of the lanes the consumer sees at all; the loop applies it
-    before the kernel.  With ``kernel`` the lane kernel runs once per block
-    on the instances the consumer sees, and its not-strong mask says which
-    of them are strong.
+    strongness screen or the kernel's strong test.  With ``every`` it sees
+    every instance.  The lane kernel runs once per block, on the instances
+    the consumer sees, iff it has a ``screen`` or reads only strong
+    instances; its not-strong mask says which of them are strong.
+    ``gate(f)``, if set, gets a block as a ``LaneFacts`` record ``f`` that
+    the loop builds, and returns the mask of the lanes the consumer sees at
+    all; the loop applies it before the kernel.  Each instance the consumer
+    sees adds ``weight`` to ``checked``.
     ``consume(rows, sigmas, eccs)`` gets each instance it sees in
     enumeration order, its rows as a tuple (sigmas and eccs None if not
-    strong or not computed), and returns None, or the (key, info) findings
-    of an instance that adds ``weight`` to ``checked``.  The loop keeps
-    ``keep(order, rows, key, info)`` for the first ``cap`` findings, cut to
-    the ``trim`` smallest.
+    strong or not computed), and returns the list of its (key, info)
+    findings, possibly empty.  For each of the first ``cap`` findings the
+    loop writes the instance's digraph6 string ``d6`` and keeps
+    ``keep(d6, key, info)``; the kept findings are cut to the ``trim``
+    smallest.
 
-    A consumer with a ``screen`` checks every instance it sees.
-    ``screen(f)`` gets them as the lanes of a ``LaneFacts`` record ``f``
-    that the loop builds (with the kernel's lane ints, empty without a
-    kernel run) and returns the mask of the *clean* ones, on which
-    ``consume`` would find nothing: those add ``weight`` to ``checked`` and
-    never reach ``consume``."""
+    ``screen(f)``, if set, gets the instances the consumer sees as the lanes
+    of a ``LaneFacts`` record ``f`` that the loop builds (with the kernel's
+    lane ints) and returns the mask of the *clean* ones, on which
+    ``consume`` would find nothing: those never reach ``consume``."""
 
     consume: Callable
     keep: Callable = _cert
     gate: Optional[Callable] = None
-    kernel: bool = True
     every: bool = False
     weight: int = 1
     cap: float = MAX_CERTIFICATES
@@ -232,18 +235,20 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
     block at a time, on lane ints.  The gate's mask rules lanes out, then
     one ``Lanes.select`` cuts the columns to the lanes the consumer sees:
     the screened lanes, or with ``every`` all lanes in the shard.
-    ``lane_bfs`` runs on them (with ``kernel``) and its not-strong mask says
-    which are strong; without ``every`` only those stay.  A ``screen``
-    takes the clean lanes out.  The gate and the screen each read one
-    ``verifiers.LaneFacts`` record built here, over the block and over the
-    selected lanes, with the same-part pairs worked out once per scan.
-    Only the lanes left are unpacked to a row tuple, sigma and ecc lists and
-    a ``consume`` call, in enumeration order, so findings and kept
-    certificates are those of every lane.  Returns (strong, checked,
-    findings per key, kept findings)."""
+    ``lane_bfs`` runs on them when the consumer has a screen or reads only
+    strong lanes, and its not-strong mask says which are strong; without
+    ``every`` only those stay.  ``checked`` counts them once per lane set,
+    before a ``screen`` takes the clean lanes out.  The gate and the screen
+    each read one ``verifiers.LaneFacts`` record built here, over the block
+    and over the selected lanes, with the same-part pairs worked out once
+    per scan.  Only the lanes left are unpacked to a row tuple, sigma and
+    ecc lists and a ``consume`` call, in enumeration order, so findings and
+    kept certificates are those of every lane; each kept finding's digraph6
+    is written here.  Returns (strong, checked, findings per key, kept
+    findings)."""
     cls, n, parts, start, stop, make, arg = job
     order, _, _, _, part_ranges = _layout(cls, n, parts)
-    consume, keep, gate, kernel, every, weight, cap, trim, screen = make(order, part_ranges, arg)
+    consume, keep, gate, every, weight, cap, trim, screen = make(order, part_ranges, arg)
     pairs = [(u, v) for part in part_ranges or () for u in part for v in part if u != v]
     counts: Counter = Counter()
     kept = []
@@ -255,13 +260,12 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
         if not chosen:
             continue
         L, sub = Lanes(order, chosen.bit_count()), block.select(cols, chosen)
-        sigmas, eccs, bad = lane_bfs(L, sub) if kernel else ((), (), L.E)
+        sigmas, eccs, bad = lane_bfs(L, sub) if screen is not None or not every else ((), (), L.E)
         strong += (L.E ^ bad).bit_count()
         seen = L.E if every else L.E ^ bad  # a strong-only consumer sees the strong lanes
+        checked += weight * seen.bit_count()
         if screen is not None and seen:
-            clean = screen(LaneFacts(L, sub, L.E ^ bad, sigmas, eccs, pairs)) & seen
-            checked += weight * clean.bit_count()
-            seen ^= clean
+            seen ^= screen(LaneFacts(L, sub, L.E ^ bad, sigmas, eccs, pairs)) & seen
         if not seen:
             continue
         # a lane: its rows, then sigma(u) and ecc(u) per source, then 1 if not strong
@@ -277,12 +281,10 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
                 found = consume(rows, None, None)
             else:
                 found = consume(rows, list(lane[order : 2 * order]), list(lane[2 * order : 3 * order]))
-            if found is not None:
-                checked += weight
-                for key, info in found:
-                    counts[key] += 1
-                    if len(kept) < cap:
-                        kept.append(keep(order, rows, key, info))
+            for key, info in found:
+                counts[key] += 1
+                if len(kept) < cap:
+                    kept.append(keep(write_digraph6(Digraph(order, rows)), key, info))
     return strong, checked, counts, kept if trim is None else sorted(kept)[:trim]
 
 
@@ -392,7 +394,7 @@ PREDICATES: Dict[str, Tuple[bool, Callable[[LaneFacts], int]]] = {
 }
 
 
-_MATCH = (("matches", None),)  # the one finding of a matching instance
+_MATCH = [("matches", None)]  # the one finding of a matching instance
 
 
 def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
@@ -415,9 +417,8 @@ def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
 
     return _Consumer(
         lambda rows, sigmas, eccs: _MATCH,
-        lambda order, rows, key, info: write_digraph6(Digraph(order, rows)),
+        lambda d6, key, info: d6,
         gate=(lambda f: holds(cheap, f)) if cheap else None,
-        kernel=bool(costly),
         every=not costly,  # with a kernel predicate every match is strong
         cap=math.inf,
         trim=trim,
@@ -509,22 +510,21 @@ class ExhaustiveResult:
 
 def _claim_checks(order: int, part_ranges, want) -> _Consumer:
     """The claim scan: the requested ``CLAIMS`` checks on an
-    ``InstanceFacts`` record built for each lane their lane tests leave
-    (every strong lane when no check runs)."""
+    ``InstanceFacts`` record built for each lane their lane tests leave.
+    When no check runs at this order the screen marks every lane clean and
+    ``weight`` 0 counts none."""
     claims = {t: CLAIMS[t] for t in want if order >= CLAIMS[t].min_n}
     checks = [(t, claim.check, claim.evidence) for t, claim in claims.items()]
     loose = [check for check in checks if not claims[check[0]].strong]
 
     def consume(rows, sigmas, eccs):
-        run = checks if sigmas is not None else loose
-        if run:
-            facts = InstanceFacts(rows, sigmas, eccs, part_ranges)
-            failed = []
-            for t, check, evidence in run:
-                bound, observed, predicted = check(facts)
-                if not bound or observed != predicted:
-                    failed.append((t, evidence(facts)))
-            return failed
+        facts = InstanceFacts(rows, sigmas, eccs, part_ranges)
+        failed = []
+        for t, check, evidence in checks if sigmas is not None else loose:
+            bound, observed, predicted = check(facts)
+            if not bound or observed != predicted:
+                failed.append((t, evidence(facts)))
+        return failed
 
     def screen(f: LaneFacts):
         clean, others = f.lanes.E, f.lanes.E ^ f.strong
@@ -537,7 +537,7 @@ def _claim_checks(order: int, part_ranges, want) -> _Consumer:
             clean &= (passes | others) if claim.strong else passes
         return clean
 
-    return _Consumer(consume, every=bool(loose), screen=screen if checks else None)
+    return _Consumer(consume, every=bool(loose), weight=1 if checks else 0, screen=screen)
 
 
 def _reference_reports(order: int, part_ranges, want) -> _Consumer:

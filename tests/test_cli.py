@@ -237,6 +237,12 @@ class TestSearchCli:
         assert code == 2
         assert "randomized" in json.loads(err)["error"]
 
+    def test_missing_order_is_named(self, capsys):
+        code, out, err = run(capsys, ["search", "--class", "tournaments"])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert "needs an order n" in error and "randomized" not in error
+
     def test_randomized_needs_degrees(self, capsys):
         code, _, _ = run(capsys, ["search", "--randomized"])
         assert code == 2

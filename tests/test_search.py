@@ -100,6 +100,32 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="randomized"):
             list(enumerate_class("bipartite_tournaments", parts=(5, 6)))
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cls, size: list(enumerate_class(cls, **size)),
+            lambda cls, size: exhaustive_verify("lem-3.4" if "parts" in size else "thm-3.3", cls, **size),
+            lambda cls, size: search(SearchQuery(cls, **size)),
+        ],
+        ids=["enumerate_class", "exhaustive_verify", "search"],
+    )
+    @pytest.mark.parametrize(
+        "cls, size, named",
+        [
+            ("tournaments", {}, "needs an order n, got n=None"),
+            ("bipartite_tournaments", {}, r"needs parts=\(a, b\), two part sizes, got parts=None"),
+            ("bipartite_tournaments", {"parts": (2,)}, r"two part sizes, got parts=\(2,\)"),
+            ("bipartite_tournaments", {"parts": (2, 2, 2)}, r"two part sizes, got parts=\(2, 2, 2\)"),
+        ],
+        ids=["no-n", "no-parts", "one-part", "three-parts"],
+    )
+    def test_a_missing_size_is_named(self, run, cls, size, named):
+        """A missing order or a parts tuple that is not two sizes is named,
+        not reported as a ceiling overflow or an unpacking error."""
+        with pytest.raises(ValueError, match=named) as raised:
+            run(cls, size)
+        assert "randomized" not in str(raised.value)
+
     def test_strong_tournament_count_n4(self):
         assert sum(1 for D in enumerate_class("tournaments", 4) if is_strong(D)) == 24
 
@@ -534,6 +560,19 @@ class TestExhaustiveVerify:
         # The reference path counts one per (claim, instance) pair.
         r = exhaustive_verify(["thm-2.1", "thm-2.2"], "symmetric_digraphs", n=4)
         assert r.checked == 3 * r.strong_count
+
+    def test_a_non_strong_claim_on_the_reference_path(self):
+        """thm-2.2 is not stated on tournaments, so this takes the reference
+        path, which runs prop-3.1 too, on the strong instances only: one check
+        per claim and strong tournament (544 labeled strong 5-tournaments,
+        OEIS A054946), whatever the shard count.  The table path runs
+        prop-3.1 on every tournament."""
+        runs = [exhaustive_verify(["thm-2.2", "prop-3.1"], "tournaments", n=5, shards=k) for k in (1, 3)]
+        one, three = ({**r.as_json_dict(), "elapsed_seconds": None} for r in runs)
+        assert one == three
+        assert (one["scanned"], one["strong"], one["checked"]) == (1024, 544, 2 * 544)
+        assert one["failure_counts"] == {"thm-2.2": 0, "prop-3.1": 0} and one["certificates"] == []
+        assert exhaustive_verify("prop-3.1", "tournaments", n=5).checked == 1024
 
     @pytest.mark.parametrize(
         "claims, cls, n, failing",
