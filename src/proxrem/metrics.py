@@ -15,7 +15,10 @@ lane of a few big integers, and returns its results as lane integers: the
 exhaustive scan loop (``search._scan``) calls it on each block's columns
 cut to the screened instances by ``Lanes.select``, and the claims' lane
 tests (``verifiers.LaneFacts``) read its lanes.  It is built on ``Lanes``,
-the lane primitives.
+the lane primitives.  Inside, it works on byte planes, eight vertices to a
+plane and one byte per lane, and counts each vertex's distance in vertical
+binary counters; a lane's distance sum stays below n*n, so up to n = 15 it
+adds up in bytes (see its docstring).
 """
 
 from __future__ import annotations
@@ -70,10 +73,22 @@ class Lanes:
     carry or borrow below crosses into the next lane.  A *mask* holds 0 or 1
     in each lane; ``E`` is the mask of every lane and ``FULL`` the vertex set
     in every lane.  ``lanes`` converts to an array, and ``select`` keeps
-    some of the lanes of a list of lane ints."""
+    some of the lanes of a list of lane ints.
+
+    The distance kernel reads a vertex set as P = ceil(n/8) byte *planes*
+    in one int: plane p, at bits 8*count*p and up, holds vertices 8p..8p+7
+    of every lane, one byte per lane, whatever w is.  ``split`` cuts a lane
+    int into its planes and ``widen`` puts one plane of byte values back at
+    width w; at w = 8 (n <= 7) the one plane is the lane int as given.
+    ``B`` is 1 in every byte of plane 0, ``Ev[v]`` is vertex v's bit in
+    every byte of its plane and ``FULLP`` the vertex set.  A full plane has
+    no guard bit, so there ``any_byte`` tests bytes without one.
+    ``successors`` is the one BFS step on planes, which the kernel and
+    prop-3.1's lane test read."""
 
     __slots__ = (
         "n", "count", "w", "code", "nbytes", "E", "FULL", "m1", "m2", "m4", "fields", "_guard", "_below",
+        "P", "B", "Ev", "FULLP", "_low7", "_plane",
     )
 
     def __init__(self, n: int, count: int):
@@ -90,6 +105,11 @@ class Lanes:
         self.fields = [
             (f, self.every(sum(((1 << f) - 1) << s for s in range(0, w, 2 * f)))) for f in (8, 16, 32) if f < w
         ]
+        self.P, S = (n + 7) // 8, 8 * count
+        B = self.B = int.from_bytes(b"\x01" * count, "little")
+        self._low7, self._plane = 0x7F * B, 0xFF * B
+        self.Ev = [B << (S * (v >> 3) + (v & 7)) for v in range(n)]
+        self.FULLP = sum(((1 << min(8, n - 8 * p)) - 1) * B << S * p for p in range(self.P))
 
     def every(self, value: int) -> int:
         """``value`` (below 2**w) in every lane."""
@@ -143,6 +163,13 @@ class Lanes:
         """The mask of lanes with x != 0: the guard bit of x + 2**(w-1) - 1."""
         return (x + self._below) >> self.w - 1 & self.E
 
+    def same(self, xs: Sequence[int]) -> int:
+        """The mask of lanes in which every lane int of xs holds one value."""
+        diff = 0
+        for x in xs[1:]:
+            diff |= x ^ xs[0]
+        return self.E ^ self.nonzero(diff)
+
     def ge(self, x: int, y: int) -> int:
         """The mask of lanes with x >= y: the guard bit of (x | guard) - y."""
         return ((x | self._guard) - y) >> self.w - 1 & self.E
@@ -167,22 +194,70 @@ class Lanes:
         x = (x & self.m2) + ((x >> 2) & self.m2)
         return (x + (x >> 4)) & self.m4
 
-    @staticmethod
-    def fold(x: int, fields) -> int:
-        for f, mask in fields:
+    def popcount(self, x: int) -> int:
+        x = self.byte_counts(x)
+        for f, mask in self.fields:
             x = (x & mask) + ((x >> f) & mask)
         return x
 
-    def popcount(self, x: int) -> int:
-        return self.fold(self.byte_counts(x), self.fields)
+    def split(self, x: int) -> int:
+        """The lane int x as planes: one byte slice per plane."""
+        if self.w == 8:
+            return x
+        raw = x.to_bytes(self.nbytes, "little")
+        return int.from_bytes(b"".join([raw[p :: self.w // 8] for p in range(self.P)]), "little")
 
-    def successors(self, F: int, col: Sequence[int]) -> int:
-        """The out-neighbours of the vertex set F of each lane: the union of
-        the rows ``col[v]`` (row v of every lane) its vertices select."""
-        E, full = self.E, (1 << self.n) - 1
+    def widen(self, x: int) -> int:
+        """The plane x of byte values as a lane int of width w."""
+        if self.w == 8:
+            return x
+        wide = bytearray(self.nbytes)
+        wide[:: self.w // 8] = x.to_bytes(self.count, "little")
+        return int.from_bytes(wide, "little")
+
+    def planes_add(self, x: int) -> int:
+        """The bytewise sum of the planes of x, as one plane; no byte sum may
+        pass 255."""
+        total = x
+        for p in range(1, self.P):
+            total += x >> 8 * self.count * p
+        return total & self._plane
+
+    def any_byte(self, x: int) -> int:
+        """The mask of the lanes in which some byte of the planes of x is not
+        0: bit 7 of y + 0x7F in each byte of y, the OR of the planes, while
+        n < 8 leaves bit 7 free; bit 7 of ((y & 0x7F) + 0x7F) | y on full
+        planes, which have no guard bit."""
+        y, low = x, self._low7
+        if self.n < 8:
+            return (y + low) >> 7 & self.B
+        for p in range(1, self.P):
+            y |= x >> 8 * self.count * p
+        return ((y & low) + low | y) >> 7 & self.B
+
+    def successor_table(self, cols: Sequence[int]) -> list:
+        """What ``successors`` reads of the columns ``cols``: per vertex v
+        its bit ``Ev[v]``, the shift that takes that bit to bit 0 of plane
+        0, row v of every lane as planes, and the offsets of the planes in
+        which that row is not 0."""
+        table, S = [], 8 * self.count
+        for v, c in enumerate(cols):
+            row = self.split(c)
+            ups = tuple(S * q for q in range(self.P) if row >> S * q & self._plane)
+            table.append((self.Ev[v], S * (v >> 3) + (v & 7), row, ups))
+        return table
+
+    def successors(self, F: int, table: Sequence[tuple]) -> int:
+        """The out-neighbours of the vertex set F (planes) of each lane: the
+        union of the rows its vertices select, from ``successor_table``.  A
+        vertex in no lane's F and a row plane that is 0 are skipped."""
         nxt = 0
-        for v, c in enumerate(col):
-            nxt |= ((F >> v) & E) * full & c
+        for e, down, row, ups in table:
+            pick = F & e
+            if pick:
+                pick = (pick >> down) * 0xFF
+                for up in ups:
+                    nxt |= (pick << up if up else pick) & row
         return nxt
 
 
@@ -190,41 +265,59 @@ def lane_bfs(L: Lanes, col: Sequence[int]) -> Tuple[List[int], List[int], int]:
     """The distance kernel of ``L.count`` digraphs of order ``L.n`` at once,
     one per lane: ``col[v]`` holds row v of every lane.
 
-    From each source u, U is the unreached set of each lane and F its
-    frontier; a round adds the lane popcount of U to the distance sum and 1
-    to the eccentricity where U is not empty, and expands F by
-    ``L.successors``.  Every lane takes as many rounds as the slowest one,
-    at most n, so a lane's sum stays below n*n.  Returns (sigmas, eccs,
-    not_strong): per source u the lane ints of sigma(u) and ecc(u), and the
-    mask of lanes in which some source misses a vertex.  When no lane is
-    strong the lists stop early; their values on a lane that is not strong
-    are meaningless but stay below n*n.
+    It runs on byte planes (see ``Lanes``): each column is split once, and
+    every vertex set is an int of P planes.  From each source u, U is the
+    unreached set of each lane and F its frontier; a round adds 1 to the
+    eccentricity where U is not empty and to the count of every vertex of
+    U, and expands F by ``Lanes.successors``.  Every lane takes as many
+    rounds as the slowest one, at most n, so a count is at most n.
+
+    The counts are vertical counters: level j holds bit j of every count.
+    The sets U of successive rounds are nested, so before round r every
+    vertex of U has count r-1, and adding 1 XORs U into the levels where
+    r-1 and r differ, about two per round.  sigma(u), the sum of the counts,
+    is the sum over j of 2**j times the popcount of level j, once per
+    source.  A lane's sum is at most n*n, below 256 for n <= 15, so there
+    the sums add up in bytes and widen once; above, each level's popcount
+    (at most n) widens to w before the sum.
+
+    Returns (sigmas, eccs, not_strong) as lane ints of width w: per source u
+    sigma(u) and ecc(u), and the mask of lanes in which some source misses
+    a vertex.  When no lane is strong the lists stop early; their values on
+    a lane that is not strong are meaningless but stay below n*n.
     """
-    E, FULL, n = L.E, L.FULL, L.n
-    # A round's popcount of U sits in bytes, whose sums over at most n
-    # rounds stay below 8 * n < 256 for w <= 32; at w = 64 each round also
-    # adds its bytes into 16-bit fields.  The rest run once per source.
-    per_round = L.fields[:1] if L.w == 64 else []
-    per_source = L.fields[len(per_round):]
+    n, B = L.n, L.B
+    any_byte, successors, byte_counts = L.any_byte, L.successors, L.byte_counts
+    table = L.successor_table(col)
     bad = 0
     sigmas, eccs = [], []
-    for u in range(n):
-        U = FULL ^ (E << u)
-        F = col[u] & U
-        sig = ecc = 0
+    for u, (e, _, row, _) in enumerate(table):
+        U = L.FULLP ^ e
+        F = row & U
+        levels: List[int] = []
+        ecc = rounds = 0
         while U:
-            sig += L.fold(L.byte_counts(U), per_round)
-            ecc += L.nonzero(U)
+            ecc += any_byte(U)
+            rounds += 1
+            flips = (rounds ^ (rounds - 1)).bit_length()
+            for j in range(min(flips, len(levels))):
+                levels[j] ^= U
+            if flips > len(levels):
+                levels.append(U)
             if not F:
                 break
             U ^= F
-            F = L.successors(F, col) & U
-        bad |= L.nonzero(U)
-        if bad == E:
+            F = successors(F, table) & U
+        bad |= any_byte(U)
+        if bad == B:
             break
-        sigmas.append(L.fold(sig, per_source))
-        eccs.append(ecc)
-    return sigmas, eccs, bad
+        counts = [byte_counts(level) for level in levels]
+        if n < 16:
+            sigmas.append(L.widen(L.planes_add(sum(c << j for j, c in enumerate(counts)))))
+        else:
+            sigmas.append(sum(L.widen(L.planes_add(c)) << j for j, c in enumerate(counts)))
+        eccs.append(L.widen(ecc))
+    return sigmas, eccs, L.widen(bad)
 
 
 def sigma_ecc_vectors(D: Digraph) -> Tuple[List[int], List[int]]:

@@ -36,13 +36,14 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import reduce
+from heapq import heappush, heapreplace
 from itertools import chain, compress
 from multiprocessing import get_context
 from operator import or_
 from random import Random
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .canonical import canonical_form
+from .canonical import _leaf_key, canonical_form
 from .digraph import Digraph, cached_distance_sums, distance_sums
 from .formats import read_digraph6, write_digraph6
 from .metrics import Lanes, MetricsReport, lane_bfs, metrics_report
@@ -87,10 +88,10 @@ def _check_size(cls: str, n: Optional[int], parts: Optional[Tuple[int, int]], sh
     if spec.sized_by_parts:
         if parts is None or len(parts) != 2:
             raise ValueError(f"{cls} needs parts=(a, b), two part sizes, got parts={parts}")
-        if parts[0] * parts[1] > spec.ceiling:
-            raise ValueError(f"{cls} with parts={parts} {_CEILING_MSG}")
         if min(parts) < 1:
             raise ValueError(f"{cls} needs two nonempty parts, got parts={parts}")
+        if parts[0] * parts[1] > spec.ceiling:
+            raise ValueError(f"{cls} with parts={parts} {_CEILING_MSG}")
     elif n is None:
         raise ValueError(f"{cls} needs an order n, got n=None")
     elif n > spec.ceiling:
@@ -212,8 +213,11 @@ class _Consumer(NamedTuple):
     strong or not computed), and returns the list of its (key, info)
     findings, possibly empty.  For each of the first ``cap`` findings the
     loop writes the instance's digraph6 string ``d6`` and keeps
-    ``keep(d6, key, info)``; the kept findings are cut to the ``trim``
-    smallest.
+    ``keep(d6, key, info)``.  With ``trim`` it keeps instead the ``trim``
+    findings of the smallest digraph6, one finding per instance: a heap on
+    the row-major matrix int (``canonical._leaf_key`` under the identity
+    labeling), whose order at one order n is digraph6 order, and it writes
+    digraph6 only for the findings left at the end.
 
     ``screen(f)``, if set, gets the instances the consumer sees as the lanes
     of a ``LaneFacts`` record ``f`` that the loop builds (with the kernel's
@@ -249,7 +253,8 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
     cls, n, parts, start, stop, make, arg = job
     order, _, _, _, part_ranges = _layout(cls, n, parts)
     consume, keep, gate, every, weight, cap, trim, screen = make(order, part_ranges, arg)
-    pairs = [(u, v) for part in part_ranges or () for u in part for v in part if u != v]
+    pairs = [(u, v) for part in part_ranges or () for u in part for v in part if u < v]
+    identity = list(range(order))
     counts: Counter = Counter()
     kept = []
     strong = checked = 0
@@ -283,9 +288,17 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
                 found = consume(rows, list(lane[order : 2 * order]), list(lane[2 * order : 3 * order]))
             for key, info in found:
                 counts[key] += 1
-                if len(kept) < cap:
+                if trim is not None:  # a heap of the trim smallest, largest on top
+                    item = (-_leaf_key(rows, identity), rows, key, info)
+                    if len(kept) < trim:
+                        heappush(kept, item)
+                    elif kept and item > kept[0]:
+                        heapreplace(kept, item)
+                elif len(kept) < cap:
                     kept.append(keep(write_digraph6(Digraph(order, rows)), key, info))
-    return strong, checked, counts, kept if trim is None else sorted(kept)[:trim]
+    if trim is not None:
+        kept = [keep(write_digraph6(Digraph(order, rows)), key, info) for _, rows, key, info in sorted(kept)[::-1]]
+    return strong, checked, counts, kept
 
 
 def _run_shards(cls: str, n: Optional[int], parts, shards: int, make, arg):
@@ -362,10 +375,7 @@ def _tournament_lanes(f: LaneFacts) -> int:
 def _regular_lanes(f: LaneFacts) -> int:
     """``digraph.is_regular`` on lanes: every out-degree and every in-degree
     equals vertex 0's out-degree."""
-    d, uneven = f.degrees[0], 0
-    for x in chain(f.degrees, f.in_degrees):
-        uneven |= x ^ d
-    return f.lanes.E ^ f.lanes.nonzero(uneven)
+    return f.lanes.same([*f.degrees, *f.in_degrees])
 
 
 #: name -> (needs the distance kernel, lane test over a LaneFacts record):

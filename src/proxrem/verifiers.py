@@ -34,14 +34,15 @@ passes.  Where the predicted side is structural, a lemma makes it a lane
 test (thm-2.2's certificate exists iff some vertex has eccentricity n-1
 and some out-degree n-1; thm-3.2-rho's extremal isomorphism iff some
 vertex has eccentricity n-1; see their lane tests).  The bipartite lane
-tests read a lane-wise bad test and leave the good lanes out of ``sure``.
-The claim scan counts the clean lanes, ``sure & agree(observed,
-predicted)`` over every requested claim, and runs the scalar check only
-on the others: the lanes where a bound fails or a case is observed or
-predicted to hold on one side only, and, in the bipartite class, the good
-instances.  prop-3.1's lane test reads two-step reach, strong lanes or
-not, so it is exact on every lane.  The check stays the one definition of
-failure, evidence and certificate.
+tests read a lane-wise bad test and, on good lanes, the lane forms of the
+class sizes mu and class constants c, so lem-3.6's closed form, cor-3.7's
+constant c and cor-3.8's constant mu and half out-degrees are decided
+lane-wise too.  The claim scan counts the clean lanes, ``sure &
+agree(observed, predicted)`` over every requested claim, and runs the
+scalar check only on the others: the lanes where a bound fails or a case
+is observed or predicted to hold on one side only.  prop-3.1's lane test
+reads two-step reach, strong lanes or not, so it is exact on every lane.
+The check stays the one definition of failure, evidence and certificate.
 
 Claim identifiers (the CLI vocabulary):
 
@@ -184,8 +185,8 @@ class LaneFacts:
     lane of the lane ints of ``lanes`` (a ``metrics.Lanes``): the columns
     ``cols`` (row v of every lane), the mask ``strong`` and, from the lane
     kernel, the lane ints of sigma(u) and ecc(u) per source u (empty
-    without a kernel run).  ``pairs`` lists the ordered pairs of distinct
-    vertices of one part (empty outside the bipartite class).  The scan
+    without a kernel run).  ``pairs`` lists the pairs u < v of one part
+    (empty outside the bipartite class).  The scan
     loop (``search._scan``) builds one record per lane set, which a
     consumer's gate or screen reads.  The derived lane ints below are
     computed once, on first use; those of sigma and ecc are meaningful only
@@ -214,6 +215,10 @@ class LaneFacts:
         return self.lanes.maximum(self.eccs)
 
     @cached_property
+    def successor_table(self) -> list:
+        return self.lanes.successor_table(self.cols)
+
+    @cached_property
     def degrees(self) -> List[int]:
         return [self.lanes.popcount(c) for c in self.cols]
 
@@ -233,12 +238,53 @@ class LaneFacts:
     @cached_property
     def bad(self) -> int:
         """The mask of bad lanes: some pair of one part whose out-neighborhoods
-        nest properly, as in ``bipartite.bad_witness``."""
-        L, cols, bad = self.lanes, self.cols, 0
-        for u, v in self.pairs:
-            nested = L.E ^ L.nonzero(cols[u] & (cols[v] ^ L.FULL))
-            bad |= nested & L.nonzero(cols[u] ^ cols[v])
+        nest properly, as in ``bipartite.bad_witness``.  On a record with a
+        kernel run the same pass over the pairs counts ``mu``, which the
+        bipartite claims read; a gate's record (search's good and bad) pays
+        for ``bad`` alone."""
+        bad, mu = self._nesting(classes=bool(self.sigmas))
+        if mu is not None:
+            self.mu = mu
         return bad
+
+    @cached_property
+    def mu(self) -> List[int]:
+        """Per vertex, the lane ints of ``bipartite.class_sizes``: how many
+        vertices of its part share its out-neighborhood."""
+        self.bad, mu = self._nesting(classes=True)
+        return mu
+
+    def _nesting(self, classes: bool) -> Tuple[int, Optional[List[int]]]:
+        """One pass over the unordered pairs {u, v} of one part: a proper
+        nesting is a lane where exactly one of the rows lies inside the
+        other, and with ``classes`` equal rows add 1 to mu at both ends."""
+        L, cols, E = self.lanes, self.cols, self.lanes.E
+        bad, mu = 0, [E] * self.n if classes else None
+        for u, v in self.pairs:
+            cu, cv = cols[u], cols[v]
+            d = cu ^ cv
+            bad |= L.nonzero(cu & d) ^ L.nonzero(cv & d)
+            if classes:
+                same = E ^ L.nonzero(d)
+                mu[u] += same
+                mu[v] += same
+        return bad, mu
+
+    @cached_property
+    def other(self) -> List[int]:
+        """Per vertex, the size of the part it is not in."""
+        own = [1] * self.n
+        for u, v in self.pairs:
+            own[u] += 1
+            own[v] += 1
+        return [self.n - k for k in own]
+
+    @cached_property
+    def c(self) -> List[int]:
+        """Per vertex, the lane ints of ``bipartite.class_constants`` offset
+        by 2n to stay nonnegative: 2*(mu(v) - d+(v)) + |other part| + 2n."""
+        L, n = self.lanes, self.n
+        return [2 * (m - d) + L.every(k + 2 * n) for m, d, k in zip(self.mu, self.degrees, self.other)]
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +487,9 @@ def _prop_3_1(f: InstanceFacts) -> Verdict:
 
 def _prop_3_1_lanes(f: LaneFacts) -> LaneVerdict:
     # every maximum-out-degree vertex reaches every vertex within two steps
-    L, cols, ok = f.lanes, f.cols, f.lanes.E
-    for v, c in enumerate(cols):
-        far = L.nonzero(((L.E << v) | c | L.successors(c, cols)) ^ L.FULL)
+    L, table, ok = f.lanes, f.successor_table, f.lanes.E
+    for v, (e, _, row, _) in enumerate(table):
+        far = L.widen(L.any_byte((e | row | L.successors(row, table)) ^ L.FULLP))
         ok &= L.E ^ (L.ge(f.degrees[v], f.max_out) & far)
     return ok, (), ()
 
@@ -544,8 +590,12 @@ def _lem_3_6(f: InstanceFacts) -> Verdict:
 
 
 def _lem_3_6_lanes(f: LaneFacts) -> LaneVerdict:
-    # the closed form is checked on good instances only; the scalar check decides those
-    return f.bad, (), ()
+    # on a good lane sigma(v) = c(v) + 2n - 4 at every v; f.c is offset by 2n
+    L, miss = f.lanes, 0
+    four = L.every(4)
+    for s, c in zip(f.sigmas, f.c):
+        miss |= (s + four) ^ c
+    return f.bad | (L.E ^ L.nonzero(miss)), (), ()
 
 
 def _cor_3_7(f: InstanceFacts) -> Verdict:
@@ -558,8 +608,9 @@ def _cor_3_7(f: InstanceFacts) -> Verdict:
 
 
 def _cor_3_7_lanes(f: LaneFacts) -> LaneVerdict:
-    # a bad instance is predicted unequal; the scalar check decides a good one
-    return f.bad, (f.equal,), (0,)
+    # a bad lane is predicted unequal; on a good one the bound needs c constant where equal
+    L, constant = f.lanes, f.lanes.same(f.c)
+    return f.bad | (L.E ^ f.equal) | constant, (f.equal,), (constant & (L.E ^ f.bad),)
 
 
 def _cor_3_8(f: InstanceFacts) -> Verdict:
@@ -570,9 +621,14 @@ def _cor_3_8(f: InstanceFacts) -> Verdict:
 
 
 def _cor_3_8_lanes(f: LaneFacts) -> LaneVerdict:
-    # a bad instance has no constant class size, so its predicted side is the
-    # observed one; the scalar check decides a good one
-    return f.bad, (f.equal,), (f.equal,)
+    # with a constant class size on a good lane, equality iff every vertex
+    # beats half the other part; elsewhere the predicted side is the observed one
+    L, uneven = f.lanes, 0
+    for d, k in zip(f.degrees, f.other):
+        uneven |= 2 * d ^ L.every(k)
+    applies = L.same(f.mu) & (L.E ^ f.bad)
+    half = L.E ^ L.nonzero(uneven)
+    return L.E, (f.equal,), ((applies & half) | (L.E ^ applies) & f.equal,)
 
 
 def _with_sigmas(f: InstanceFacts) -> dict:
@@ -656,7 +712,8 @@ class Claim(NamedTuple):
     ``VerificationReport``.  ``lanes`` is its lane test: its lane verdict
     (sure, observed, predicted) on a ``LaneFacts`` record.  The clean lanes
     ``sure & agree(observed, predicted)`` may leave out a lane that passes,
-    never one that fails, and the check stays the one definition of
+    never one that fails; every lane test is exact today, so the scalar
+    check sees only failing instances, and it stays the one definition of
     failure, evidence and certificate.
     The claim runs only at orders >= ``min_n``, and only on strong instances
     when ``strong``."""

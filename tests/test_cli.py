@@ -243,6 +243,22 @@ class TestSearchCli:
         error = json.loads(err)["error"]
         assert "needs an order n" in error and "randomized" not in error
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--class", "bipartite_tournaments", "--parts=-1,-30"],
+            ["exhaustive-verify", "lem-3.4", "bipartite_tournaments", "--", "-1,-30"],
+        ],
+        ids=["search", "exhaustive-verify"],
+    )
+    def test_negative_parts_are_named(self, capsys, argv):
+        """Two negative part sizes whose product passes the ceiling are
+        reported as empty parts, not as a ceiling overflow."""
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert "needs two nonempty parts, got parts=(-1, -30)" in error and "randomized" not in error
+
     def test_randomized_needs_degrees(self, capsys):
         code, _, _ = run(capsys, ["search", "--randomized"])
         assert code == 2

@@ -6,7 +6,7 @@ one scalar BFS, ``bfs_layers``, which expands frontiers through
 above it, so every order from 1 to 27 is checked on both sides of the cap
 against Floyd-Warshall and a plain queue BFS.  The lane
 kernel ``lane_bfs`` must equal ``distance_sums`` lane for lane, on both
-sides of each lane-width boundary.
+sides of each lane-width and byte-plane boundary.
 """
 
 import importlib
@@ -166,8 +166,10 @@ def test_lanes_agree_on_every_small_instance(cls, n, parts):
 
 
 #: Both sides of each lane-width boundary: 7 | 8 (w = 8 | 16), 15 | 16
-#: (16 | 32) and 31 | 32 (32 | 64).
-LANE_ORDERS = (1, 7, 8, 15, 16, 27, 31, 32)
+#: (16 | 32) and 31 | 32 (32 | 64); and of each byte-plane boundary of the
+#: kernel: 8 | 9, 16 | 17 and 24 | 25, where vertex 8, 16 or 24 is the first
+#: of plane 1, 2 or 3.
+LANE_ORDERS = (1, 7, 8, 9, 15, 16, 17, 24, 25, 27, 31, 32)
 
 
 @pytest.mark.parametrize("n", LANE_ORDERS)

@@ -15,12 +15,14 @@ check's observed cases, and each of search's ``PREDICATES`` masks holds on
 exactly the instances the oracles in ``tests/oracles.py`` say it should.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress
+from operator import or_
 from random import Random
 
 import pytest
 
+from proxrem.constructions import bipartite_T1
 from proxrem.digraph import Digraph, distance_sums
 from proxrem.metrics import Lanes, _lane_width, lane_bfs
 from proxrem.search import PREDICATES, enumerate_class
@@ -62,14 +64,18 @@ def _lane_sets(cls, n, parts, size=1000, kernel=True):
     facts hold no kernel run and no strong lane, as for a search gate."""
     everything = [D.rows for D in enumerate_class(cls, n, parts)]
     order = len(everything[0])
-    ranges = _parts(order, parts)
-    pairs = [(u, v) for part in ranges or () for u in part for v in part if u != v]
     for at in range(0, len(everything), size):
         batch = everything[at : at + size]
-        L = Lanes(order, len(batch))
-        cols = [sum(rows[v] << (L.w * i) for i, rows in enumerate(batch)) for v in range(order)]
-        sigmas, eccs, bad = lane_bfs(L, cols) if kernel else ((), (), L.E)
-        yield order, batch, LaneFacts(L, cols, L.E ^ bad, sigmas, eccs, pairs)
+        yield order, batch, _lane_facts(batch, order, _parts(order, parts), kernel)
+
+
+def _lane_facts(batch, order, ranges, kernel=True):
+    """The LaneFacts of the row tuples of ``batch``, one per lane."""
+    pairs = [(u, v) for part in ranges or () for u in part for v in part if u < v]
+    L = Lanes(order, len(batch))
+    cols = [sum(rows[v] << (L.w * i) for i, rows in enumerate(batch)) for v in range(order)]
+    sigmas, eccs, bad = lane_bfs(L, cols) if kernel else ((), (), L.E)
+    return LaneFacts(L, cols, L.E ^ bad, sigmas, eccs, pairs)
 
 
 def _clean(t, f):
@@ -159,17 +165,28 @@ def test_lane_width_leaves_the_guard_bit_free():
         assert (1 << n) - 1 < 1 << (w - 1) and n * n - 1 < 1 << (w - 1), n
 
 
-def test_successors_is_one_bfs_step():
-    for order, batch, f in _lane_sets("all_digraphs", 4, None, size=4096):
-        L = f.lanes
-        for v in range(order):
-            step = _lane_values(L, L.successors(f.cols[v], f.cols))
-            want = [0] * len(batch)
-            for i, rows in enumerate(batch):
-                for u in range(order):
-                    if rows[v] >> u & 1:
-                        want[i] |= rows[u]
-            assert step == want
+def _plane_sets(L, x):
+    """Per lane, the vertex set that the planes int x holds."""
+    raw = x.to_bytes(L.P * L.count, "little")
+    return [sum(raw[p * L.count + i] << 8 * p for p in range(L.P)) for i in range(L.count)]
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 17])
+def test_successors_is_one_bfs_step(n):
+    """``successor_table`` splits each column into byte planes and
+    ``successors`` is one BFS step on them, across plane boundaries, with
+    sparse rows whose vertices and row planes the step skips."""
+    rng = Random(n)
+    batch = [
+        [rng.getrandbits(n) & rng.getrandbits(n) * rng.randrange(2) & ~(1 << v) for v in range(n)]
+        for _ in range(300)
+    ]
+    L = Lanes(n, len(batch))
+    table = L.successor_table([_pack(L.w, [rows[v] for rows in batch]) for v in range(n)])
+    for v, (_, _, row, _) in enumerate(table):
+        assert _plane_sets(L, row) == [rows[v] for rows in batch]
+        want = [reduce(or_, [rows[u] for u in range(n) if rows[v] >> u & 1], 0) for rows in batch]
+        assert _plane_sets(L, L.successors(row, table)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +206,8 @@ def test_lane_facts_match_instance_facts(cls, n, parts):
         lanes = zip(_lane_values(L, f.smin), _lane_values(L, f.smax), _lane_values(L, f.max_ecc))
         bad, equal = _bits(L, f.bad), _bits(L, f.equal)
         max_out, min_out = _lane_values(L, f.max_out), _lane_values(L, f.min_out)
+        if parts is not None:
+            mu, c = [_lane_values(L, x) for x in f.mu], [_lane_values(L, x) for x in f.c]
         for i, (rows, (smin, smax, max_ecc)) in enumerate(zip(batch, lanes)):
             sigmas, eccs = distance_sums(rows, order)
             assert strong[i] == (sigmas is not None)
@@ -197,6 +216,9 @@ def test_lane_facts_match_instance_facts(cls, n, parts):
             assert (max_out[i], min_out[i]) == (facts.max_out, facts.min_out)
             if parts is not None:
                 assert bad[i] == (facts.witness is not None)
+                if facts.witness is None:  # c is offset by 2n
+                    assert [m[i] for m in mu] == facts.mu
+                    assert [x[i] - 2 * order for x in c] == facts.c
             if sigmas is not None:
                 assert (smin, smax, max_ecc) == (facts.smin, facts.smax, max(eccs))
                 assert equal[i] == (smin == smax)
@@ -206,11 +228,14 @@ def test_lane_facts_match_instance_facts(cls, n, parts):
 # Soundness and exactness of each claim's lane test
 # ---------------------------------------------------------------------------
 
-def _scalar_restatement(t, n, rows, sigmas, eccs, bad):
+def _scalar_restatement(t, n, rows, sigmas, eccs, bad, ranges):
     """What the lane test of claim t states, on plain values: the lanes it
     marks clean.  ``sigmas`` is None on an instance that is not strong.
     prop-3.1's lanes are clean iff every maximum-out-degree vertex has
-    two-step reach n, strong or not."""
+    two-step reach n, strong or not.  The bipartite lane tests are exact on
+    good lanes: lem-3.6 compares sigma with the closed form c + 2n - 4,
+    cor-3.7 needs c constant where sigma is, and cor-3.8 compares equality
+    with every 2 d+(v) = |other part| on a good lane of constant mu."""
     degrees = [r.bit_count() for r in rows]
     top, low = max(degrees), min(degrees)
     if t == "prop-3.1":
@@ -251,13 +276,22 @@ def _scalar_restatement(t, n, rows, sigmas, eccs, bad):
     if t == "thm-3.3":
         return (smin == smax) == (top == low)
     equal = smin == smax
-    return {
-        "lem-3.4": not (bad and equal),
-        "lem-3.5": bad or max_ecc <= 4,
-        "lem-3.6": bad,
-        "cor-3.7": bad and not equal,
-        "cor-3.8": bad,
-    }[t]
+    if t == "lem-3.4":
+        return not (bad and equal)
+    if t == "lem-3.5":
+        return bad or max_ecc <= 4
+    part = {v: p for p in ranges for v in p}
+    mu = [sum(rows[u] == rows[v] for u in part[v]) for v in range(n)]
+    other = [n - len(part[v]) for v in range(n)]
+    c = [2 * (mu[v] - degrees[v]) + other[v] for v in range(n)]
+    constant = len(set(c)) == 1
+    if t == "lem-3.6":
+        return bad or all(sigmas[v] == c[v] + 2 * n - 4 for v in range(n))
+    if t == "cor-3.7":
+        return (bad or not equal or constant) and equal == (constant and not bad)
+    if not bad and len(set(mu)) == 1:  # cor-3.8
+        return equal == all(2 * degrees[v] == other[v] for v in range(n))
+    return True
 
 
 def _is_bad(rows, parts):
@@ -270,6 +304,70 @@ def test_clean_lanes_pass_the_scalar_check(cls, n, parts, claims):
     check, non-strong lanes included for prop-3.1, and the mask is exactly
     the scalar restatement of the lane test."""
     _assert_clean_lanes(cls, n, parts, claims, kernel=True)
+
+
+@pytest.mark.parametrize("parts", [c[2] for c in CASES if c[2] is not None], ids=str)
+def test_bipartite_clean_lanes_are_the_scalar_verdicts(parts):
+    """On every strong instance of bipartite a*b <= 12, each bipartite
+    claim's lane test marks the lane clean iff its scalar ``CLAIMS`` check
+    passes: the lane tests are exact on good lanes too, so the claim scan
+    loads only failing instances."""
+    good = 0
+    for order, batch, f in _lane_sets("bipartite_tournaments", None, parts):
+        ranges = _parts(order, parts)
+        if not f.strong:
+            continue
+        clean = {t: _bits(f.lanes, _clean(t, f)) for t in BIPARTITE}
+        for i, (rows, strong) in enumerate(zip(batch, _bits(f.lanes, f.strong))):
+            if not strong:
+                continue
+            sigmas, eccs = distance_sums(rows, order)
+            facts = InstanceFacts(rows, sigmas, eccs, ranges)
+            good += facts.witness is None
+            for t in BIPARTITE:
+                bound, observed, predicted = CLAIMS[t].check(facts)
+                assert clean[t][i] == (bound and observed == predicted), (t, rows)
+    assert good or min(parts) == 1  # one vertex in a part: no strong instance
+
+
+def test_bipartite_clean_lanes_on_bipartite_T1():
+    """bipartite_T1 (parts of 4 and 6, every class size 1, every vertex
+    beating half of the other part) is good and strong with a constant mu
+    and unequal part sizes, where cor-3.8's half test tells the other part
+    from the vertex's own; no class with a*b <= 12 has such an instance.  On
+    it, its relabelings within the parts and random (4, 6) instances, each
+    bipartite claim's lane test marks the lane clean iff the scalar check
+    passes."""
+    rng = Random(46)
+    ranges = (range(4), range(4, 10))
+    batch = [bipartite_T1().rows]
+    for _ in range(40):
+        perm = rng.sample(ranges[0], 4) + rng.sample(ranges[1], 6)
+        rows = [0] * 10
+        for u, row in enumerate(batch[0]):
+            rows[perm[u]] = sum(1 << perm[v] for v in range(10) if row >> v & 1)
+        batch.append(tuple(rows))
+    for _ in range(300):
+        rows = [0] * 10
+        for u in ranges[0]:
+            for v in ranges[1]:
+                if rng.random() < 0.5:
+                    rows[u] |= 1 << v
+                else:
+                    rows[v] |= 1 << u
+        batch.append(tuple(rows))
+    f = _lane_facts(batch, 10, ranges)
+    L = f.lanes
+    clean = {t: _bits(L, _clean(t, f)) for t in BIPARTITE}
+    applies = _bits(L, L.same(f.mu) & (L.E ^ f.bad) & f.strong)
+    assert applies[:41] == [1] * 41
+    for i, rows in enumerate(batch):
+        sigmas, eccs = distance_sums(rows, 10)
+        if sigmas is not None:
+            facts = InstanceFacts(rows, sigmas, eccs, ranges)
+            for t in BIPARTITE:
+                bound, observed, predicted = CLAIMS[t].check(facts)
+                assert clean[t][i] == (bound and observed == predicted), (t, rows)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -294,7 +392,7 @@ def _assert_clean_lanes(cls, n, parts, claims, kernel):
             for t in run:
                 if t not in clean or sigmas is None and CLAIMS[t].strong:
                     continue
-                restated = _scalar_restatement(t, order, rows, sigmas, eccs, bad)
+                restated = _scalar_restatement(t, order, rows, sigmas, eccs, bad, ranges)
                 assert clean[t][i] == restated, (t, rows)
                 if clean[t][i]:
                     bound, observed, predicted = CLAIMS[t].check(facts)

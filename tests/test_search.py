@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from proxrem.canonical import are_isomorphic, canonical_form
+from proxrem.canonical import _leaf_key, are_isomorphic, canonical_form
 from proxrem.constructions import bipartite_T1, dicycle, extremal_tournament, fig1_graph
 from proxrem.digraph import Digraph, distance_sums, is_regular, is_strong, permute
 from proxrem.formats import read_digraph6, write_digraph6
@@ -116,12 +116,14 @@ class TestEnumeration:
             ("bipartite_tournaments", {}, r"needs parts=\(a, b\), two part sizes, got parts=None"),
             ("bipartite_tournaments", {"parts": (2,)}, r"two part sizes, got parts=\(2,\)"),
             ("bipartite_tournaments", {"parts": (2, 2, 2)}, r"two part sizes, got parts=\(2, 2, 2\)"),
+            ("bipartite_tournaments", {"parts": (-1, -30)}, r"needs two nonempty parts, got parts=\(-1, -30\)"),
         ],
-        ids=["no-n", "no-parts", "one-part", "three-parts"],
+        ids=["no-n", "no-parts", "one-part", "three-parts", "negative-parts"],
     )
     def test_a_missing_size_is_named(self, run, cls, size, named):
-        """A missing order or a parts tuple that is not two sizes is named,
-        not reported as a ceiling overflow or an unpacking error."""
+        """A missing order, a parts tuple that is not two sizes, or part sizes
+        below 1 (here with a product above the ceiling) are named, not
+        reported as a ceiling overflow or an unpacking error."""
         with pytest.raises(ValueError, match=named) as raised:
             run(cls, size)
         assert "randomized" not in str(raised.value)
@@ -600,17 +602,20 @@ class TestExhaustiveVerify:
             assert not all(bound and observed == predicted for bound, observed, predicted in verdicts), rows
 
     @pytest.mark.parametrize("parts, good", [((2, 3), 6), ((3, 3), 30), ((3, 4), 114)], ids=["2-3", "3-3", "3-4"])
-    def test_bipartite_claim_scan_loads_only_good_strong_instances(self, facts_built, parts, good):
-        # The bipartite lane tests mark every bad strong lane clean and
-        # leave every good one to the scalar check, which loads it once.
-        exhaustive_verify(["lem-3.4", "lem-3.5", "lem-3.6", "cor-3.7", "cor-3.8"], "bipartite_tournaments", parts=parts)
-        want = [
-            D.rows
+    def test_bipartite_claim_scan_loads_no_instance(self, facts_built, parts, good):
+        # The bipartite lane tests are exact on good strong lanes as on bad
+        # ones, so the scalar check loads exactly the failing instances: none,
+        # though the class has good strong instances.
+        r = exhaustive_verify(
+            ["lem-3.4", "lem-3.5", "lem-3.6", "cor-3.7", "cor-3.8"], "bipartite_tournaments", parts=parts
+        )
+        goods = [
+            D
             for D in enumerate_class("bipartite_tournaments", parts=parts)
             if fw_metrics(D) is not None and bipartite_facts_oracle(D).bad is None
         ]
-        assert len(want) == good
-        assert sorted(rows for rows, _, _ in facts_built) == sorted(want)
+        assert len(goods) == good
+        assert len(facts_built) == sum(r.failure_counts.values()) == 0
 
 
 @pytest.fixture
@@ -791,6 +796,7 @@ class TestLaneSearch:
 
     @pytest.mark.parametrize("pin", SEARCH_PINS, ids=_pin_id)
     def test_one_digraph_per_match(self, monkeypatch, pin):
+        """One Digraph per match, for its digraph6, and none under limit 0."""
         cls, n, parts, predicates = pin
         built = []
 
@@ -802,8 +808,12 @@ class TestLaneSearch:
                 super().__init__(n, rows)
 
         monkeypatch.setattr(search_mod, "Digraph", Counted)
-        r = search(SearchQuery(cls, n, parts, predicates=predicates, limit=0))
+        r = search(SearchQuery(cls, n, parts, predicates=predicates))
         assert len(built) == r.dedup_stats["labeled_matches"] > 0
+        # a limit keeps matrix keys and builds a Digraph only for a kept match
+        del built[:]
+        search(SearchQuery(cls, n, parts, predicates=predicates, limit=0))
+        assert built == []
 
     @pytest.mark.parametrize("shards", [2, 3])
     @pytest.mark.parametrize("pin", [pin for pin in SEARCH_PINS if pin[1] != 6], ids=_pin_id)
@@ -889,6 +899,43 @@ class TestShardCountInvariance:
         got = _search_json(shards, "none")
         assert got["dedup_stats"] == {"labeled_matches": 1606}
         assert got == _search_json(1, "none")
+
+
+class TestLimitWithoutDedup:
+    """Without dedup a limit keeps, in each shard, a heap of the matches with
+    the smallest digraph6, keyed by the row-major matrix int, and writes
+    digraph6 only for those."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("limit", [0, 1, 5])
+    @pytest.mark.parametrize(
+        "cls, n, predicates",
+        [("all_digraphs", n, p) for n in (1, 2, 3, 4) for p in ((), ("strong",))] + [("tournaments", 5, ("strong",))],
+    )
+    def test_a_limit_is_the_head_of_the_full_sort(self, cls, n, predicates, limit, shards):
+        full = sorted(write_digraph6(D) for D in enumerate_class(cls, n) if not predicates or is_strong(D))
+        r = search(SearchQuery(cls, n, predicates=predicates, limit=limit, shards=shards))
+        assert [d6 for d6, _ in r.matches] == full[:limit]
+        assert r.dedup_stats == {"labeled_matches": len(full)}
+
+    @pytest.mark.parametrize("limit", [0, 1, 5])
+    def test_a_limit_writes_at_most_limit_digraph6_per_shard(self, monkeypatch, limit):
+        written = []
+        write = search_mod.write_digraph6
+        monkeypatch.setattr(search_mod, "write_digraph6", lambda D: written.append(D) or write(D))
+        total = total_count("all_digraphs", 4)
+        for i in range(3):
+            job = ("all_digraphs", 4, None, *shard_range(total, i, 3), search_mod._predicate_matches, (("strong",), limit))
+            del written[:]
+            _, _, counts, kept = search_mod._scan(job)
+            assert len(written) == len(kept) == min(limit, counts["matches"])
+
+    def test_the_matrix_key_orders_as_digraph6(self):
+        for n in (1, 2, 3, 4):
+            digraphs = list(enumerate_class("all_digraphs", n))
+            by_key = sorted(digraphs, key=lambda D: _leaf_key(D.rows, list(range(n))))
+            assert [D.rows for D in by_key] == [D.rows for D in sorted(digraphs, key=write_digraph6)]
+            assert len({_leaf_key(D.rows, list(range(n))) for D in digraphs}) == len(digraphs)
 
 
 class TestLaneBatchInvariance:
