@@ -179,7 +179,7 @@ def _verify_instances(args, ids):
         for D in enumerate_class(cls, n=n, parts=parts):
             # the one kernel run, memoised on D for the verifier to read back
             if not strong or is_strong(D):
-                yield write_digraph6(D).strip(), D
+                yield write_digraph6(D), D
     else:
         raise ValueError("one input source required: --input, --family or --enumerate")
 
@@ -244,7 +244,7 @@ def cmd_search(args) -> int:
     query.check()
     with open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout) as fh:
         result = search(query)
-        fh.writelines(d6 if d6.endswith("\n") else d6 + "\n" for d6, _ in result.matches)
+        fh.writelines(d6 + "\n" for d6, _ in result.matches)
     print(json.dumps(result.as_json_dict()), file=sys.stdout if args.out else sys.stderr)
     return 0
 

@@ -157,8 +157,6 @@ def bipartite_T1() -> Digraph:
 
 def bipartite_blowup(t: int) -> Digraph:
     """Blow-up of the 10-vertex instance: parts 4t and 6t, classes of size t."""
-    if t < 1:
-        raise ValueError(f"blow-up factor must be >= 1, got {t}")
     return blow_up(bipartite_T1(), t)
 
 
@@ -185,8 +183,6 @@ def fig1_graph() -> Digraph:
 def fig1_blowup(t: int) -> Digraph:
     """Blow-up of the order-9 graph; every vertex copy has distance sum
     t * FIG1_SIGMA + 2*(t-1), so proximity still equals remoteness."""
-    if t < 1:
-        raise ValueError(f"blow-up factor must be >= 1, got {t}")
     return blow_up(fig1_graph(), t)
 
 

@@ -136,12 +136,15 @@ def _encode_bits(bits: str) -> str:
 
 
 def _decode_bits(data: str, pos: int, count: int) -> str:
-    """The first ``count`` bits of the data bytes from ``pos`` on, as a string
-    of 0s and 1s.  An error names the first bad byte; it is looked for only
-    once a whole-string test has failed."""
+    """The ``count`` bits of the data bytes from ``pos`` to the end, as a
+    string of 0s and 1s.  The data must hold exactly the bytes of ``count``
+    bits: a byte after them is an error.  An error names the first bad
+    byte; it is looked for only once a whole-string test has failed."""
     need = (count + 5) // 6
     if pos + need > len(data):
         raise ValueError(f"byte {pos}: expected {need} data bytes, found {len(data) - pos}")
+    if pos + need < len(data):
+        raise ValueError(f"byte {pos + need}: trailing data {data[pos + need]!r} after the last data byte")
     chunk = data[pos : pos + need]
     if chunk and (min(chunk) < "?" or max(chunk) > "~"):
         i = next(i for i, c in enumerate(chunk) if not "?" <= c <= "~")

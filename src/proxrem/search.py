@@ -193,10 +193,6 @@ def enumerate_class(
 MAX_CERTIFICATES = 200
 
 
-def _cert(d6: str, theorem: str, info: dict) -> dict:
-    return {"digraph6": d6, "theorem": theorem, **info}
-
-
 class _Consumer(NamedTuple):
     """One path's part in the scan loop.  Without ``every`` the consumer
     reads only strong instances: the loop drops every lane that fails the
@@ -204,28 +200,26 @@ class _Consumer(NamedTuple):
     every instance.  The lane kernel runs once per block, on the instances
     the consumer sees, iff it has a ``screen`` or reads only strong
     instances; its not-strong mask says which of them are strong.
-    ``gate(f)``, if set, gets a block as a ``LaneFacts`` record ``f`` that
-    the loop builds, and returns the mask of the lanes the consumer sees at
-    all; the loop applies it before the kernel.  Each instance the consumer
-    sees adds ``weight`` to ``checked``.
-    ``consume(rows, sigmas, eccs)`` gets each instance it sees in
-    enumeration order, its rows as a tuple (sigmas and eccs None if not
-    strong or not computed), and returns the list of its (key, info)
-    findings, possibly empty.  For each of the first ``cap`` findings the
-    loop writes the instance's digraph6 string ``d6`` and keeps
-    ``keep(d6, key, info)``.  With ``trim`` it keeps instead the ``trim``
-    findings of the smallest digraph6, one finding per instance: a heap on
-    the row-major matrix int (``canonical._leaf_key`` under the identity
-    labeling), whose order at one order n is digraph6 order, and it writes
-    digraph6 only for the findings left at the end.
-
-    ``screen(f)``, if set, gets the instances the consumer sees as the lanes
-    of a ``LaneFacts`` record ``f`` that the loop builds (with the kernel's
-    lane ints) and returns the mask of the *clean* ones, on which
-    ``consume`` would find nothing: those never reach ``consume``."""
+    ``gate(f)`` and ``screen(f)``, if set, each get a set of lanes as a
+    ``LaneFacts`` record ``f`` that the loop builds, and each returns the
+    mask of the lanes the consumer wants.  The gate gets the block before
+    the kernel and rules the other lanes out of the kernel and the count.
+    The screen gets the lanes the consumer sees, with the kernel's lane
+    ints, after the count, and the lanes it leaves out are those on which
+    ``consume`` would find nothing.  Each instance the consumer sees adds
+    ``weight`` to ``checked``.
+    ``consume(rows, sigmas, eccs)`` gets each instance left in enumeration
+    order, its rows as a tuple (sigmas and eccs None if not strong or not
+    computed), and returns the list of its (key, info) findings, possibly
+    empty.  For each of the first ``cap`` findings the loop keeps
+    ``(d6, key, info)``, ``d6`` the instance's digraph6 string.  With
+    ``trim`` it keeps instead the ``trim`` findings of the smallest
+    digraph6, one finding per instance: a heap on the row-major matrix int
+    (``canonical._leaf_key`` under the identity labeling), whose order at
+    one order n is digraph6 order, and it writes digraph6 only for the
+    findings left at the end."""
 
     consume: Callable
-    keep: Callable = _cert
     gate: Optional[Callable] = None
     every: bool = False
     weight: int = 1
@@ -242,18 +236,17 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
     ``lane_bfs`` runs on them when the consumer has a screen or reads only
     strong lanes, and its not-strong mask says which are strong; without
     ``every`` only those stay.  ``checked`` counts them once per lane set,
-    before a ``screen`` takes the clean lanes out.  The gate and the screen
-    each read one ``verifiers.LaneFacts`` record built here, over the block
-    and over the selected lanes, with the same-part pairs worked out once
-    per scan.  Only the lanes left are unpacked to a row tuple, sigma and
-    ecc lists and a ``consume`` call, in enumeration order, so findings and
-    kept certificates are those of every lane; each kept finding's digraph6
-    is written here.  Returns (strong, checked, findings per key, kept
-    findings)."""
+    before the ``screen`` keeps the lanes it wants.  The gate and the
+    screen each read one ``verifiers.LaneFacts`` record built here, over
+    the block and over the selected lanes, with the class's part ranges.
+    Only the lanes left are picked out by index and unpacked to a row
+    tuple, sigma and ecc lists and a ``consume`` call, in enumeration order,
+    so findings and kept certificates are those of every lane; each kept
+    finding's digraph6 is written here.  Returns (strong, checked, findings
+    per key, kept (digraph6, key, info) findings)."""
     cls, n, parts, start, stop, make, arg = job
     order, _, _, _, part_ranges = _layout(cls, n, parts)
-    consume, keep, gate, every, weight, cap, trim, screen = make(order, part_ranges, arg)
-    pairs = [(u, v) for part in part_ranges or () for u in part for v in part if u < v]
+    consume, gate, every, weight, cap, trim, screen = make(order, part_ranges, arg)
     identity = list(range(order))
     counts: Counter = Counter()
     kept = []
@@ -261,7 +254,7 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
     for block, cols, inside, screened in _blocks(cls, n, parts, start, stop):
         chosen = inside if every else screened
         if gate is not None:
-            chosen &= gate(LaneFacts(block, cols, 0, (), (), pairs))
+            chosen &= gate(LaneFacts(block, cols, 0, (), (), part_ranges))
         if not chosen:
             continue
         L, sub = Lanes(order, chosen.bit_count()), block.select(cols, chosen)
@@ -270,17 +263,13 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
         seen = L.E if every else L.E ^ bad  # a strong-only consumer sees the strong lanes
         checked += weight * seen.bit_count()
         if screen is not None and seen:
-            seen ^= screen(LaneFacts(L, sub, L.E ^ bad, sigmas, eccs, pairs)) & seen
+            seen &= screen(LaneFacts(L, sub, L.E ^ bad, sigmas, eccs, part_ranges))
         if not seen:
             continue
         # a lane: its rows, then sigma(u) and ecc(u) per source, then 1 if not strong
         arrays = [*map(L.lanes, sub), *map(L.lanes, sigmas), *map(L.lanes, eccs), L.lanes(bad)]
-        if 2 * seen.bit_count() > L.count:  # most lanes: skip the others in passing
-            lanes = compress(zip(*arrays), L.lanes(seen))
-        else:  # few lanes: pick them by index
-            picks = list(compress(range(L.count), L.lanes(seen)))
-            lanes = zip(*[[a[i] for i in picks] for a in arrays])
-        for lane in lanes:
+        picks = list(compress(range(L.count), L.lanes(seen)))
+        for lane in zip(*[[a[i] for i in picks] for a in arrays]):
             rows = lane[:order]
             if lane[-1]:
                 found = consume(rows, None, None)
@@ -295,9 +284,9 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
                     elif kept and item > kept[0]:
                         heapreplace(kept, item)
                 elif len(kept) < cap:
-                    kept.append(keep(write_digraph6(Digraph(order, rows)), key, info))
+                    kept.append((write_digraph6(Digraph(order, rows)), key, info))
     if trim is not None:
-        kept = [keep(write_digraph6(Digraph(order, rows)), key, info) for _, rows, key, info in sorted(kept)[::-1]]
+        kept = [(write_digraph6(Digraph(order, rows)), key, info) for _, rows, key, info in sorted(kept)[::-1]]
     return strong, checked, counts, kept
 
 
@@ -411,8 +400,8 @@ def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
     """Search: a lane matches when every predicate's mask holds on it.  The
     predicates that need no kernel are the gate, so a lane they rule out
     never reaches the kernel; the others are the screen, on the strong
-    lanes, whose clean lanes are the ones that do not match.  Only matching
-    lanes reach ``consume``."""
+    lanes, and wants the lanes that match.  Only matching lanes reach
+    ``consume``."""
     predicates, trim = arg
     cheap = [PREDICATES[p][1] for p in predicates if not PREDICATES[p][0]]
     costly = [PREDICATES[p][1] for p in predicates if PREDICATES[p][0]]
@@ -427,12 +416,11 @@ def _predicate_matches(order: int, part_ranges, arg) -> _Consumer:
 
     return _Consumer(
         lambda rows, sigmas, eccs: _MATCH,
-        lambda d6, key, info: d6,
         gate=(lambda f: holds(cheap, f)) if cheap else None,
         every=not costly,  # with a kernel predicate every match is strong
         cap=math.inf,
         trim=trim,
-        screen=(lambda f: f.lanes.E ^ holds(costly, f)) if costly else None,
+        screen=(lambda f: holds(costly, f)) if costly else None,
     )
 
 
@@ -447,10 +435,10 @@ def search(query: SearchQuery) -> SearchResult:
     t0 = time.perf_counter()
     # Without dedup each shard may keep just its smallest `limit` matches.
     trim = query.limit if query.dedup == "none" else None
-    scanned, _, _, counts, all_matches = _run_shards(
+    scanned, _, _, counts, kept = _run_shards(
         query.cls, query.n, query.parts, query.shards, _predicate_matches, (query.predicates, trim)
     )
-    all_matches.sort()
+    all_matches = sorted(d6 for d6, _, _ in kept)
     dedup_stats = {"labeled_matches": counts["matches"]}
     if query.dedup == "canonical":
         groups: Dict[bytes, str] = {}
@@ -520,9 +508,10 @@ class ExhaustiveResult:
 
 def _claim_checks(order: int, part_ranges, want) -> _Consumer:
     """The claim scan: the requested ``CLAIMS`` checks on an
-    ``InstanceFacts`` record built for each lane their lane tests leave.
-    When no check runs at this order the screen marks every lane clean and
-    ``weight`` 0 counts none."""
+    ``InstanceFacts`` record built for each lane their lane tests leave:
+    the screen wants the lanes that some claim's lane verdict does not
+    mark clean.  When no check runs at this order the screen wants no lane
+    and ``weight`` 0 counts none."""
     claims = {t: CLAIMS[t] for t in want if order >= CLAIMS[t].min_n}
     checks = [(t, claim.check, claim.evidence) for t, claim in claims.items()]
     loose = [check for check in checks if not claims[check[0]].strong]
@@ -545,7 +534,7 @@ def _claim_checks(order: int, part_ranges, want) -> _Consumer:
             passes = sure & agree(f.lanes, observed, predicted)
             # a strong-only claim passes where it does not run
             clean &= (passes | others) if claim.strong else passes
-        return clean
+        return f.lanes.E ^ clean
 
     return _Consumer(consume, every=bool(loose), weight=1 if checks else 0, screen=screen)
 
@@ -587,7 +576,8 @@ def exhaustive_verify(
     require_domain(ids, cls)
     t0 = time.perf_counter()
     make = _claim_checks if all(CLAIMS[t].domain == cls for t in ids) else _reference_reports
-    scanned, strong_count, checked, fails, certs = _run_shards(cls, n, parts, shards, make, ids)
+    scanned, strong_count, checked, fails, kept = _run_shards(cls, n, parts, shards, make, ids)
+    kept = sorted(kept[:MAX_CERTIFICATES], key=lambda k: (k[1], k[0]))
     return ExhaustiveResult(
         theorems=ids,
         cls=cls,
@@ -595,7 +585,7 @@ def exhaustive_verify(
         strong_count=strong_count,
         checked=checked,
         failure_counts={t: fails[t] for t in ids},
-        certificates=sorted(certs[:MAX_CERTIFICATES], key=lambda c: (c["theorem"], c["digraph6"])),
+        certificates=[{"digraph6": d6, "theorem": t, **info} for d6, t, info in kept],
         elapsed=time.perf_counter() - t0,
     )
 
@@ -631,6 +621,22 @@ def random_graph_with_degrees(degrees: Sequence[int], rng: Random):
     return None
 
 
+def _require_graphical(degrees: Sequence[int]) -> None:
+    """Raise ValueError unless some simple graph has this degree sequence:
+    nonempty, nonnegative, an even sum and the Erdos-Gallai inequalities,
+    sum of the k largest <= k(k-1) + sum of min(d, k) over the rest."""
+    if not degrees:
+        raise ValueError("degree sequence is empty")
+    if min(degrees) < 0:
+        raise ValueError(f"degree sequence has a negative entry: {list(degrees)}")
+    if sum(degrees) % 2:
+        raise ValueError("degree sum must be even")
+    ordered = sorted(degrees, reverse=True)
+    for k in range(1, len(ordered) + 1):
+        if sum(ordered[:k]) > k * (k - 1) + sum(min(d, k) for d in ordered[k:]):
+            raise ValueError(f"degree sequence {list(degrees)} is not graphical (Erdos-Gallai fails at k={k})")
+
+
 @dataclass
 class RediscoveryResult:
     success: bool
@@ -656,8 +662,12 @@ def rediscover_sigma_equal_graph(
 
     Samples degree-constrained graphs until one matches (and, when a target
     is given, until the find is isomorphic to the target).  Deterministic
-    for a fixed seed.
+    for a fixed seed.  A degree sequence no simple graph has, or a negative
+    budget, raises ValueError before the first draw.
     """
+    _require_graphical(degrees)
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     rng = Random(seed)
     n = len(degrees)
     target_form = None if target is None else canonical_form(target)

@@ -77,7 +77,7 @@ Claim identifiers (the CLI vocabulary):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -118,15 +118,7 @@ class VerificationReport:
         return self.bound_holds and self.consistent
 
     def as_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "bound_holds": self.bound_holds,
-            "equality_observed": self.equality_observed,
-            "equality_predicted": self.equality_predicted,
-            "consistent": self.consistent,
-            "witnesses": self.witnesses,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +177,23 @@ class LaneFacts:
     lane of the lane ints of ``lanes`` (a ``metrics.Lanes``): the columns
     ``cols`` (row v of every lane), the mask ``strong`` and, from the lane
     kernel, the lane ints of sigma(u) and ecc(u) per source u (empty
-    without a kernel run).  ``pairs`` lists the pairs u < v of one part
-    (empty outside the bipartite class).  The scan
-    loop (``search._scan``) builds one record per lane set, which a
-    consumer's gate or screen reads.  The derived lane ints below are
-    computed once, on first use; those of sigma and ecc are meaningful only
-    on the strong lanes.
+    without a kernel run).  ``parts`` lists the parts' vertex sets in any
+    order, as ``bipartite.bad_witness`` takes them (None outside the
+    bipartite class).  The scan loop (``search._scan``) builds one record
+    per lane set, with ``search._layout``'s ranges, which a consumer's gate
+    or screen reads.  The derived lane ints below are computed once, on
+    first use; those of sigma and ecc are meaningful only on the strong
+    lanes.
     """
 
-    def __init__(self, lanes, cols, strong, sigmas, eccs, pairs=()):
+    def __init__(self, lanes, cols, strong, sigmas, eccs, parts=None):
         self.lanes, self.n, self.cols, self.strong = lanes, lanes.n, cols, strong
-        self.sigmas, self.eccs, self.pairs = sigmas, eccs, pairs
+        self.sigmas, self.eccs, self.parts = sigmas, eccs, parts or ()
+
+    @cached_property
+    def pairs(self) -> List[Tuple[int, int]]:
+        """The pairs u < v of one part, which ``bad`` and ``mu`` read."""
+        return [(u, v) for part in self.parts for u in part for v in part if u < v]
 
     @cached_property
     def smin(self) -> int:
@@ -273,11 +271,7 @@ class LaneFacts:
     @cached_property
     def other(self) -> List[int]:
         """Per vertex, the size of the part it is not in."""
-        own = [1] * self.n
-        for u, v in self.pairs:
-            own[u] += 1
-            own[v] += 1
-        return [self.n - k for k in own]
+        return [self.n - len(part) for part in bp.part_lookup(self.parts, self.n)]
 
     @cached_property
     def c(self) -> List[int]:

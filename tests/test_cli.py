@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -54,6 +55,30 @@ class TestAnalyze:
         code, _, err = run(capsys, ["analyze", "--input", str(path)])
         assert code == 2
         assert "byte" in json.loads(err.strip().splitlines()[-1])["error"]
+
+    @pytest.mark.parametrize(
+        "name, text, fmt",
+        [
+            ("two.d6", "&BP_\n&BP_\n", "auto"),
+            ("x.d6", "&BP_x\n", "auto"),
+            ("two.txt", "&BP_\n&C]|w\n", "auto"),
+            ("two.g6", "Bw\nBw\n", "auto"),
+            ("x.txt", "Bwxyz", "graph6"),
+        ],
+    )
+    def test_trailing_data_exits_2(self, tmp_path, capsys, name, text, fmt):
+        path = tmp_path / name
+        path.write_text(text)
+        for argv in (["analyze"], ["verify", "thm-2.1"]):
+            code, out, err = run(capsys, [*argv, "--input", str(path), "--format", fmt])
+            assert (code, out) == (2, "")
+            assert "trailing data" in json.loads(err)["error"]
+
+    def test_two_lines_on_stdin_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("&BP_\n&BP_\n"))
+        code, out, err = run(capsys, ["analyze", "--input", "-"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "byte 4: trailing data '\\n' after the last data byte"
 
     def test_bipartite_table(self, tmp_path, capsys):
         from proxrem.constructions import bipartite_T1
@@ -262,6 +287,22 @@ class TestSearchCli:
     def test_randomized_needs_degrees(self, capsys):
         code, _, _ = run(capsys, ["search", "--randomized"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--degrees=-2,2"], "negative entry"),
+            (["--degrees", "5,5"], "not graphical"),
+            (["--degrees", "3,3,1,1"], "not graphical"),  # every degree < n, even sum
+            (["--degrees", "1,1,1"], "degree sum must be even"),
+            (["--degrees=,"], "degree sequence is empty"),
+            (["--degrees", "2,2,2", "--budget", "-5"], "budget must be nonnegative"),
+        ],
+    )
+    def test_randomized_impossible_input_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, ["search", "--randomized", *argv])
+        assert (code, out) == (2, "")
+        assert message in json.loads(err)["error"]
 
     def test_randomized_small_budget(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -125,6 +126,18 @@ class TestDigraph6:
         with pytest.raises(ValueError, match="padding"):
             read_digraph6("&A" + chr(0b000001 + 63))
 
+    @pytest.mark.parametrize(
+        "text, byte, found",
+        [("&BP_garbage", 4, "g"), ("&BP_\n&BP_", 4, "\n"), ("&BP_ &BP_", 4, " "), ("&AO?", 3, "?")],
+    )
+    def test_trailing_data_rejected(self, text, byte, found):
+        with pytest.raises(ValueError, match=re.escape(f"byte {byte}: trailing data {found!r}")):
+            read_digraph6(text)
+
+    def test_surrounding_whitespace_stripped(self):
+        D = read_digraph6("&BP_")
+        assert read_digraph6("  &BP_\n") == read_digraph6(">>digraph6<<&BP_\r\n") == D
+
     def test_large_order_roundtrip(self):
         for n in (62, 63, 100):
             D = dicycle(n)
@@ -152,6 +165,14 @@ class TestGraph6:
     def test_header_accepted(self):
         G = fig1_graph()
         assert read_graph6(">>graph6<<" + write_graph6(G)) == G
+
+    @pytest.mark.parametrize("text, byte, found", [("Bwxyz", 2, "x"), ("Bw\nBw", 2, "\n"), ("C~?", 2, "?")])
+    def test_trailing_data_rejected(self, text, byte, found):
+        with pytest.raises(ValueError, match=re.escape(f"byte {byte}: trailing data {found!r}")):
+            read_graph6(text)
+
+    def test_surrounding_whitespace_stripped(self):
+        assert read_graph6(" Bw\n") == read_graph6(">>graph6<<Bw") == read_graph6("Bw")
 
     def test_requires_symmetric(self):
         with pytest.raises(ValueError):

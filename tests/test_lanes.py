@@ -23,7 +23,7 @@ from random import Random
 import pytest
 
 from proxrem.constructions import bipartite_T1
-from proxrem.digraph import Digraph, distance_sums
+from proxrem.digraph import Digraph, bipartite_tournament_structure, distance_sums
 from proxrem.metrics import Lanes, _lane_width, lane_bfs
 from proxrem.search import PREDICATES, enumerate_class
 from proxrem.verifiers import CLAIMS, InstanceFacts, LaneFacts, agree
@@ -71,11 +71,10 @@ def _lane_sets(cls, n, parts, size=1000, kernel=True):
 
 def _lane_facts(batch, order, ranges, kernel=True):
     """The LaneFacts of the row tuples of ``batch``, one per lane."""
-    pairs = [(u, v) for part in ranges or () for u in part for v in part if u < v]
     L = Lanes(order, len(batch))
     cols = [sum(rows[v] << (L.w * i) for i, rows in enumerate(batch)) for v in range(order)]
     sigmas, eccs, bad = lane_bfs(L, cols) if kernel else ((), (), L.E)
-    return LaneFacts(L, cols, L.E ^ bad, sigmas, eccs, pairs)
+    return LaneFacts(L, cols, L.E ^ bad, sigmas, eccs, ranges)
 
 
 def _clean(t, f):
@@ -368,6 +367,27 @@ def test_bipartite_clean_lanes_on_bipartite_T1():
             for t in BIPARTITE:
                 bound, observed, predicted = CLAIMS[t].check(facts)
                 assert clean[t][i] == (bound and observed == predicted), (t, rows)
+
+
+@pytest.mark.parametrize("parts", [(4, 2), (3, 1), (4, 3)], ids=str)
+def test_lane_facts_take_the_parts_in_any_order(parts):
+    """On a class whose larger part is labelled first,
+    ``bipartite_tournament_structure`` lists the smaller part first, so its
+    parts do not arrive in vertex order.  The record built from them equals
+    the one built from the scan's ranges in ``other``, ``bad``, ``mu``,
+    ``c`` and each bipartite claim's lane verdict, and ``other`` is the size
+    of the part a vertex is not in."""
+    a, b = parts
+    ranges = _parts(a + b, parts)
+    batch = [D.rows for D in enumerate_class("bipartite_tournaments", None, parts)]
+    structure = bipartite_tournament_structure(Digraph(a + b, batch[0]))
+    assert structure.parts == (tuple(ranges[1]), tuple(ranges[0]))
+    by_ranges, by_structure = (_lane_facts(batch, a + b, p) for p in (ranges, structure.parts))
+    assert by_ranges.other == by_structure.other == [b] * a + [a] * b
+    for name in ("bad", "mu", "c"):
+        assert getattr(by_structure, name) == getattr(by_ranges, name), name
+    for t in BIPARTITE:
+        assert CLAIMS[t].lanes(by_structure) == CLAIMS[t].lanes(by_ranges), t
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -3,7 +3,7 @@ import math
 import time
 import tracemalloc
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from random import Random
 
 import pytest
@@ -831,6 +831,35 @@ class TestLaneSearch:
                 assert 0 < len(one.matches) <= (limit or math.inf)
 
 
+class TestUnpack:
+    """The scan loop hands ``consume`` exactly the lanes the screen wants, in
+    enumeration order, with their kernel values, whether they are most of
+    a lane set or few of it."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("least, most", [(3, None), (None, 2)], ids=["most-lanes", "few-lanes"])
+    def test_consume_gets_exactly_the_wanted_lanes(self, least, most, shards):
+        got = []
+
+        def make(order, part_ranges, arg):
+            def screen(f):
+                arcs, L = sum(f.degrees), f.lanes
+                return L.at_least(arcs, least) if least is not None else L.at_most(arcs, most)
+
+            return search_mod._Consumer(lambda *lane: got.append(lane) or [], every=True, screen=screen)
+
+        total = total_count("all_digraphs", 4)
+        for i in range(shards):
+            search_mod._scan(("all_digraphs", 4, None, *shard_range(total, i, shards), make, None))
+        everything = [D.rows for D in enumerate_class("all_digraphs", 4)]
+        wanted = [rows for rows in everything if (least or 0) <= sum(r.bit_count() for r in rows) <= (most or 12)]
+        assert (2 * len(wanted) > total) == (least is not None)
+        assert [rows for rows, _, _ in got] == wanted
+        for rows, sigmas, eccs in got:
+            want_sigmas, want_eccs = distance_sums(rows, 4)
+            assert (sigmas, eccs) == ((None, None) if want_sigmas is None else (want_sigmas, want_eccs))
+
+
 def _exhaustive_json(shards):
     obj = exhaustive_verify(
         ["thm-3.2", "thm-3.3", "prop-3.1"], "tournaments", n=6, shards=shards
@@ -1122,3 +1151,34 @@ class TestRandomized:
         rng = Random(17)
         for _ in range(20):
             assert is_strong(sample_strong_digraph(rng.randint(2, 6), rng))
+
+    @pytest.mark.parametrize(
+        "degrees, budget, message",
+        [
+            ((), 10, "degree sequence is empty"),
+            ((-2, 2), 10, "negative entry"),
+            ((2, 2, 2, 1, -1), 10, "negative entry"),  # passes the Erdos-Gallai inequalities
+            ((1, 1, 1), 10, "degree sum must be even"),
+            ((5, 5), 10, "not graphical"),  # a degree >= n
+            ((3, 3, 1, 1), 10, "not graphical"),  # every degree < n
+            ((2, 2, 2), -5, "budget must be nonnegative"),
+        ],
+    )
+    def test_impossible_input_raises_before_the_first_draw(self, monkeypatch, degrees, budget, message):
+        monkeypatch.setattr(search_mod, "random_graph_with_degrees", lambda *a: pytest.fail("drew a graph"))
+        with pytest.raises(ValueError, match=message):
+            rediscover_sigma_equal_graph(degrees, seed=0, budget=budget)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_graphical_sequences_are_the_degree_sequences_of_graphs(self, n):
+        """Every sequence over 0..n is accepted iff some graph on n vertices
+        has it: the degree sequences of all symmetric digraphs of order n.
+        A budget of 0 makes no draw."""
+        real = {tuple(r.bit_count() for r in D.rows) for D in enumerate_class("symmetric_digraphs", n)}
+        for degrees in product(range(n + 1), repeat=n):
+            try:
+                rediscover_sigma_equal_graph(degrees, seed=0, budget=0)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (degrees in real), degrees
