@@ -604,6 +604,8 @@ def random_graph_with_degrees(degrees: Sequence[int], rng: Random):
     n = len(degrees)
     stubs: List[int] = []
     for v, d in enumerate(degrees):
+        if d < 0:
+            raise ValueError(f"degree sequence has a negative entry: {d} at vertex {v}")
         stubs.extend([v] * d)
     if len(stubs) % 2:
         raise ValueError("degree sum must be even")

@@ -17,7 +17,8 @@ builds every ``VerificationReport`` from the row, and ``THEOREMS`` is
 ``verify`` per claim id.  The exhaustive scan in ``proxrem.search`` runs
 the same checks on raw adjacency rows.  An ``InstanceFacts`` record is a
 value: ``verify`` and the claim scan build one for each instance they
-check.
+check, and it keeps no certificate memo: a report that names a
+certificate builds it once.
 
 Each row also carries a *lane test*: over a ``LaneFacts`` record, which
 holds a set of instances one per lane of a few big integers (the scan
@@ -33,16 +34,18 @@ lane of ``sure`` on which every case agrees (``agree``) the check
 passes.  Where the predicted side is structural, a lemma makes it a lane
 test (thm-2.2's certificate exists iff some vertex has eccentricity n-1
 and some out-degree n-1; thm-3.2-rho's extremal isomorphism iff some
-vertex has eccentricity n-1; see their lane tests).  The bipartite lane
-tests read a lane-wise bad test and, on good lanes, the lane forms of the
-class sizes mu and class constants c, so lem-3.6's closed form, cor-3.7's
-constant c and cor-3.8's constant mu and half out-degrees are decided
-lane-wise too.  The claim scan counts the clean lanes, ``sure &
+vertex has eccentricity n-1; see their lane tests).  thm-2.2's check
+reads its lemma (L2) as its lane test does; thm-3.2-rho's check keeps the
+explicit isomorphism walk, the scalar reference for its lemma (L3).  The
+bipartite lane tests read a lane-wise bad test and, on good lanes, the
+lane forms of the class sizes mu and class constants c, so lem-3.6's
+closed form, cor-3.7's constant c and cor-3.8's constant mu and half
+out-degrees are decided lane-wise too.  The claim scan counts the clean lanes, ``sure &
 agree(observed, predicted)`` over every requested claim, and runs the
 scalar check only on the others: the lanes where a bound fails or a case
 is observed or predicted to hold on one side only.  prop-3.1's lane test
 reads two-step reach, strong lanes or not, so it is exact on every lane.
-The check stays the one definition of failure, evidence and certificate.
+The check stays the one definition of failure and evidence.
 
 Claim identifiers (the CLI vocabulary):
 
@@ -79,8 +82,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import combinations
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bipartite as bp
 
@@ -125,25 +129,21 @@ class VerificationReport:
 # Per-instance facts
 # ---------------------------------------------------------------------------
 
-_UNSEARCHED = object()  # InstanceFacts.thm22 before the certificate search
-
-
 class InstanceFacts:
     """Everything the claims read about one instance: a value, built once
     for each instance that reaches a scalar check.  ``sigmas`` and ``eccs``
     are None on an instance that is not strong; only claims that do not
     need strong connectivity run on one.
 
-    The record holds the out-degrees, their sorted ``scores`` and extremes.
-    With parts it also holds ``witness``, the bad pair of
-    ``bipartite.bad_witness`` (None when good), and on a good instance the
-    class sizes ``mu`` and the class constants ``c``.  ``thm22`` keeps the
-    thm-2.2 certificate once a check or report has looked for it.
+    The record holds the out-degrees and their extremes.  With parts it
+    also holds ``witness``, the bad pair of ``bipartite.bad_witness`` (None
+    when good), and on a good instance the class sizes ``mu`` and the class
+    constants ``c``; no certificate, which a claim's report builds.
     """
 
     __slots__ = (
         "n", "parts", "rows", "sigmas", "eccs", "smin", "smax",
-        "degrees", "scores", "max_out", "min_out", "witness", "mu", "c", "thm22",
+        "degrees", "max_out", "min_out", "witness", "mu", "c",
     )
 
     def __init__(self, rows: Sequence[int], sigmas: Optional[List[int]], eccs: Optional[List[int]], parts=None):
@@ -152,7 +152,6 @@ class InstanceFacts:
         self.sigmas = sigmas
         self.eccs = eccs
         self.parts = parts
-        self.thm22 = _UNSEARCHED
         # sorted() of a short list costs less than a min() and a max()
         if sigmas is None:
             self.smin = self.smax = None
@@ -161,9 +160,9 @@ class InstanceFacts:
             self.smin = ordered[0]
             self.smax = ordered[-1]
         self.degrees = [r.bit_count() for r in rows]
-        scores = self.scores = sorted(self.degrees)
-        self.min_out = scores[0]
-        self.max_out = scores[-1]
+        ordered = sorted(self.degrees)
+        self.min_out = ordered[0]
+        self.max_out = ordered[-1]
         self.witness = self.mu = self.c = None
         if parts is not None:
             self.witness = bp.bad_witness(rows, parts)
@@ -189,11 +188,6 @@ class LaneFacts:
     def __init__(self, lanes, cols, strong, sigmas, eccs, parts=None):
         self.lanes, self.n, self.cols, self.strong = lanes, lanes.n, cols, strong
         self.sigmas, self.eccs, self.parts = sigmas, eccs, parts or ()
-
-    @cached_property
-    def pairs(self) -> List[Tuple[int, int]]:
-        """The pairs u < v of one part, which ``bad`` and ``mu`` read."""
-        return [(u, v) for part in self.parts for u in part for v in part if u < v]
 
     @cached_property
     def smin(self) -> int:
@@ -233,39 +227,33 @@ class LaneFacts:
     def min_out(self) -> int:
         return self.lanes.minimum(self.degrees)
 
-    @cached_property
+    @property
     def bad(self) -> int:
         """The mask of bad lanes: some pair of one part whose out-neighborhoods
-        nest properly, as in ``bipartite.bad_witness``.  On a record with a
-        kernel run the same pass over the pairs counts ``mu``, which the
-        bipartite claims read; a gate's record (search's good and bad) pays
-        for ``bad`` alone."""
-        bad, mu = self._nesting(classes=bool(self.sigmas))
-        if mu is not None:
-            self.mu = mu
-        return bad
+        nest properly, as in ``bipartite.bad_witness``."""
+        return self._nesting[0]
 
-    @cached_property
+    @property
     def mu(self) -> List[int]:
         """Per vertex, the lane ints of ``bipartite.class_sizes``: how many
         vertices of its part share its out-neighborhood."""
-        self.bad, mu = self._nesting(classes=True)
-        return mu
+        return self._nesting[1]
 
-    def _nesting(self, classes: bool) -> Tuple[int, Optional[List[int]]]:
-        """One pass over the unordered pairs {u, v} of one part: a proper
-        nesting is a lane where exactly one of the rows lies inside the
-        other, and with ``classes`` equal rows add 1 to mu at both ends."""
+    @cached_property
+    def _nesting(self) -> Tuple[int, List[int]]:
+        """(bad, mu) in one pass over the unordered pairs {u, v} of one part: a
+        proper nesting is a lane where exactly one of the rows lies inside the
+        other, and equal rows add 1 to mu at both ends."""
         L, cols, E = self.lanes, self.cols, self.lanes.E
-        bad, mu = 0, [E] * self.n if classes else None
-        for u, v in self.pairs:
+        bad, mu = 0, [E] * self.n
+        for u, v in (pair for part in self.parts for pair in combinations(part, 2)):
             cu, cv = cols[u], cols[v]
             d = cu ^ cv
-            bad |= L.nonzero(cu & d) ^ L.nonzero(cv & d)
-            if classes:
-                same = E ^ L.nonzero(d)
-                mu[u] += same
-                mu[v] += same
+            a, b = L.nonzero(cu & d), L.nonzero(cv & d)
+            bad |= a ^ b
+            same = E ^ (a | b)
+            mu[u] += same
+            mu[v] += same
         return bad, mu
 
     @cached_property
@@ -291,36 +279,25 @@ def _near_regular_window(n: int) -> Tuple[int, int]:
     return (n - 1) // 2, n // 2
 
 
-def _spanning_orders(f: InstanceFacts) -> Iterator[List[int]]:
-    """The ordering v_0..v_{n-1} with d(v_0, v_i) = i from each start of
-    eccentricity n-1, whose BFS layers are then forced to be singletons."""
-    for u, e in enumerate(f.eccs):
-        if e == f.n - 1:
-            yield [l.bit_length() - 1 for l in distance_layers(f.rows, f.n, u)]
-
-
-@cache
-def _extremal_scores(n: int) -> List[int]:
-    """Sorted score sequence of the remoteness-extremal tournament; one list
-    per order, which no caller mutates."""
-    return sorted([1, 1] + list(range(2, n - 1)) + [n - 2])
+def _spanning_order(f: InstanceFacts) -> Optional[List[int]]:
+    """The ordering v_0..v_{n-1} with d(v_0, v_i) = i from the first vertex
+    of eccentricity n-1, whose BFS layers are then forced to be singletons;
+    None when no vertex has eccentricity n-1."""
+    if f.n - 1 in f.eccs:
+        return [l.bit_length() - 1 for l in distance_layers(f.rows, f.n, f.eccs.index(f.n - 1))]
+    return None
 
 
 def _is_extremal(f: InstanceFacts) -> bool:
-    """Isomorphism onto the remoteness-extremal tournament: the sorted
-    scores equal ``_extremal_scores(n)``, and along the first spanning-path
-    ordering every v_i beats exactly v_{i+1} and v_0..v_{i-2} (an explicit
-    isomorphism).  The ordering starts at the first vertex of eccentricity
-    n-1.  Any ordering of an isomorphic copy shows it, since its
-    eccentricity-(n-1) starts are images of one another."""
-    n = f.n
-    if f.scores != _extremal_scores(n):
-        return False
-    order = next(_spanning_orders(f), None)
+    """Isomorphism onto the remoteness-extremal tournament: along
+    ``_spanning_order`` every v_i beats exactly v_{i+1} and v_0..v_{i-2} (an
+    explicit isomorphism, which the ordering from any eccentricity-(n-1)
+    start of an isomorphic copy shows: the starts are images of one another)."""
+    order = _spanning_order(f)
     if order is None:
         return False
     for i, v in enumerate(order):
-        want = 1 << order[i + 1] if i + 1 < n else 0
+        want = 1 << order[i + 1] if i + 1 < f.n else 0
         for j in range(i - 1):
             want |= 1 << order[j]
         if f.rows[v] != want:
@@ -329,22 +306,13 @@ def _is_extremal(f: InstanceFacts) -> bool:
 
 
 def _thm22_certificate(f: InstanceFacts) -> Optional[Dict[str, object]]:
-    """A spanning-path ordering whose last two vertices include one of
-    out-degree n-1, or None.  All eccentricity-(n-1) starts are tried, once
-    per loaded instance: the result is kept in ``f.thm22``."""
-    if f.thm22 is _UNSEARCHED:
-        f.thm22 = _search_thm22_certificate(f)
-    return f.thm22
-
-
-def _search_thm22_certificate(f: InstanceFacts) -> Optional[Dict[str, object]]:
-    n = f.n
-    if max(f.eccs) != n - 1:
-        return None
-    for order in _spanning_orders(f):
-        for v in order[-2:]:
-            if f.degrees[v] == n - 1:
-                return {"ordering": order, "dominant_vertex": v}
+    """thm-2.2's certificate: ``_spanning_order`` and a vertex of out-degree
+    n-1 among its last two, or None.  By L2 (see ``_thm_2_2_lanes``) the
+    first ordering shows the certificate whenever any does."""
+    order = _spanning_order(f)
+    for v in order[-2:] if order else ():
+        if f.degrees[v] == f.n - 1:
+            return {"ordering": order, "dominant_vertex": v}
     return None
 
 
@@ -374,8 +342,8 @@ def _constant_class_size(f: InstanceFacts) -> bool:
 # ---------------------------------------------------------------------------
 #
 # A claim's check reads one InstanceFacts record, the order f.n included,
-# and works out its per-order constants on each call; only the extremal
-# score list is cached per order.  A check returns (bound_holds, observed,
+# and works out its per-order constants on each call; nothing is cached per
+# order or per record.  A check returns (bound_holds, observed,
 # predicted): observed and predicted hold one bool per equality case
 # (lower, upper for the two-sided windows), and the instance fails the
 # claim unless the bound holds and both tuples agree.
@@ -389,7 +357,8 @@ def _constant_class_size(f: InstanceFacts) -> bool:
 # doubled constants below (n(n-1), the windows' caps) are all even, so
 # 2x <= K, 2x == K and K <= 2x compare x with K // 2.  Where the predicted
 # side is structural, the lemmas in the lane tests of thm-2.2 and
-# thm-3.2-rho restate it exactly on the lane facts (max ecc and max out).
+# thm-3.2-rho restate it exactly on the lane facts (max ecc and max out),
+# and thm-2.2's check reads its lemma too.
 
 Verdict = Tuple[bool, Tuple[bool, ...], Tuple[bool, ...]]
 Check = Callable[[InstanceFacts], Verdict]
@@ -448,14 +417,16 @@ def _thm_2_1_rho_lanes(f: LaneFacts) -> LaneVerdict:
 
 
 def _thm_2_2(f: InstanceFacts) -> Verdict:
-    # rho - pi <= n/2 - 1 at denominator n-1: 2*spread <= (n-1)(n-2)
+    # rho - pi <= n/2 - 1 at denominator n-1: 2*spread <= (n-1)(n-2); by L2
+    # (see _thm_2_2_lanes) the certificate exists iff max out and max ecc are n-1
     cap = (f.n - 1) * (f.n - 2)
     spread2 = 2 * (f.smax - f.smin)
-    return spread2 <= cap, (spread2 == cap,), (_thm22_certificate(f) is not None,)
+    return spread2 <= cap, (spread2 == cap,), (f.max_out == f.n - 1 and max(f.eccs) == f.n - 1,)
 
 
 def _thm_2_2_lanes(f: LaneFacts) -> LaneVerdict:
-    """The bound, and the equality case against the certificate, exactly.
+    """The bound, and the equality case against the certificate, exactly;
+    the scalar check ``_thm_2_2`` reads the same condition as ``possible``.
 
     L1: in a strong digraph, sigma(u) <= 1 + ... + (n-1) = n(n-1)/2, with
     equality iff every BFS layer from u is a single vertex, i.e. iff
@@ -537,9 +508,10 @@ def _thm_3_2_rho_lanes(f: LaneFacts) -> LaneVerdict:
     L3: in a tournament with ecc(u) = n-1 and layers v_0..v_{n-1}, v_i -> v_{i+1}
     (v_{i+1} has an in-neighbor in layer i) and v_j -> v_i for every j >= i+2
     (an arc v_i -> v_j would put v_j at distance i+1 or less).  That is
-    ``_is_extremal``'s pattern, whose scores are ``_extremal_scores(n)``, so
-    the predicted upper case is max ecc = n-1, which by L1 (see
-    ``_thm_2_2_lanes``) is also the observed one.
+    ``_is_extremal``'s pattern, so the predicted upper case is max ecc =
+    n-1, which by L1 (see ``_thm_2_2_lanes``) is also the observed one.
+    The scalar check keeps the explicit pattern walk along
+    ``_spanning_order``, the reference this lane test is tested against.
     """
     L, n, smax = f.lanes, f.n, f.smax
     low, top = _thm_3_2_windows(n)[1] // 2, n * (n - 1) // 2
@@ -649,8 +621,8 @@ def _remoteness_window(f: InstanceFacts) -> Tuple[dict, dict]:
 
 def _thm_2_1_rho_report(f: InstanceFacts) -> Tuple[dict, dict]:
     witnesses, details = _remoteness_window(f)
-    if max(f.eccs) == f.n - 1:
-        witnesses["ordering"] = next(_spanning_orders(f))
+    if (order := _spanning_order(f)) is not None:
+        witnesses["ordering"] = order
     return witnesses, details
 
 
@@ -708,7 +680,7 @@ class Claim(NamedTuple):
     ``sure & agree(observed, predicted)`` may leave out a lane that passes,
     never one that fails; every lane test is exact today, so the scalar
     check sees only failing instances, and it stays the one definition of
-    failure, evidence and certificate.
+    failure and evidence; ``report`` builds a certificate once per report.
     The claim runs only at orders >= ``min_n``, and only on strong instances
     when ``strong``."""
 

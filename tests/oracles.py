@@ -96,6 +96,23 @@ def sample_strong_digraph(n: int, rng, arc_prob: float = 0.5, max_tries: int = 1
     raise RuntimeError(f"no strong digraph found in {max_tries} tries")
 
 
+def sample_strong_orientation(n: int, pairs, rng, max_tries: int = 10000) -> Digraph:
+    """Each pair (u, v) of ``pairs`` oriented u -> v or v -> u with
+    probability 1/2 (all pairs: a tournament; the pairs across two parts: a
+    bipartite tournament), redrawn until the matrix oracle finds every pair
+    joined by a dipath."""
+    for _ in range(max_tries):
+        rows = [0] * n
+        for u, v in pairs:
+            if rng.random() < 0.5:
+                u, v = v, u
+            rows[u] |= 1 << v
+        D = Digraph(n, rows)
+        if unreachable_pair_oracle(D) is None:
+            return D
+    raise RuntimeError(f"no strong orientation found in {max_tries} tries")
+
+
 def gray_order_oracle(cls: str, pairs: List[Tuple[int, int]], n: int) -> List[Tuple[int, ...]]:
     """The adjacency rows of code c at index c, for every code of a class
     whose code bit k decides pair k = (u, v) of ``pairs``.  Code c stands
@@ -341,10 +358,26 @@ def max_out_two_step_oracle(D: Digraph) -> bool:
     return all(dist[u][v] is not INF and dist[u][v] <= 2 for u in leaders for v in range(n))
 
 
+def thm22_certificates_oracle(D: Digraph) -> List[List[int]]:
+    """Every certificate of thm-2.2's equality case on a strong digraph:
+    from each start u of eccentricity n-1, the vertices ordered by their
+    Floyd-Warshall distance from u (one vertex per distance), kept when a
+    vertex of out-degree n-1 is among its last two."""
+    n = D.n
+    dist = floyd_warshall(D)
+    found = []
+    for u in range(n):
+        if max(dist[u]) == n - 1:
+            order = sorted(range(n), key=lambda v: dist[u][v])
+            if any(_out_degree(D, v) == n - 1 for v in order[-2:]):
+                found.append(order)
+    return found
+
+
 def general_claims(D: Digraph):
     """thm-2.1-pi, thm-2.1-rho and thm-2.2 on a strong digraph, n >= 3."""
     n = D.n
-    dist, sigma, ecc = _distance_facts(D)
+    _, sigma, ecc = _distance_facts(D)
     assert sigma is not None and n >= 3
     pi, rho = Fraction(min(sigma), n - 1), Fraction(max(sigma), n - 1)
     half = Fraction(n, 2)
@@ -358,13 +391,7 @@ def general_claims(D: Digraph):
         and (rho == 1) == is_complete_oracle(D)
         and (rho == half) == any(e == n - 1 for e in ecc)
     )
-    # a start of eccentricity n-1 orders the vertices by their distance from it
-    certificate = False
-    for u in range(n):
-        if ecc[u] == n - 1:
-            order = sorted(range(n), key=lambda v: dist[u][v])
-            if any(_out_degree(D, v) == n - 1 for v in order[-2:]):
-                certificate = True
+    certificate = bool(thm22_certificates_oracle(D))
     spread_ok = rho - pi <= half - 1 and (rho - pi == half - 1) == certificate
     return {"thm-2.1-pi": pi_ok, "thm-2.1-rho": rho_ok, "thm-2.2": spread_ok}
 
@@ -389,9 +416,12 @@ def is_iso_to_extremal_oracle(D: Digraph) -> bool:
     return brute_isomorphic(D, T)
 
 
-def tournament_claims(D: Digraph):
+def tournament_claims(D: Digraph, extremal: Optional[bool] = None):
     """prop-3.1 on any tournament; thm-3.2-pi, thm-3.2-rho and thm-3.3 on a
-    strong one with n >= 3."""
+    strong one with n >= 3.  ``extremal`` is D's isomorphism to the
+    extremal tournament when the caller knows it by construction; None
+    runs ``is_iso_to_extremal_oracle``, which costs n! once the scores
+    match."""
     n = D.n
     _, sigma, _ = _distance_facts(D)
     out = [_out_degree(D, u) for u in range(n)]
@@ -413,7 +443,7 @@ def tournament_claims(D: Digraph):
     verdicts["thm-3.2-rho"] = (
         rho_floor <= rho <= Fraction(n, 2)
         and (rho == rho_floor) == near_regular
-        and (rho == Fraction(n, 2)) == is_iso_to_extremal_oracle(D)
+        and (rho == Fraction(n, 2)) == (is_iso_to_extremal_oracle(D) if extremal is None else extremal)
     )
     regular = len({*out, *(_in_degree(D, u) for u in range(n))}) == 1
     verdicts["thm-3.3"] = (pi == rho) == regular

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from proxrem import cli, verifiers
+from proxrem import cli
 from proxrem.cli import main
 from proxrem.constructions import fig1_graph
 from proxrem.formats import write_digraph6, write_edge_list
@@ -169,13 +169,6 @@ class TestVerify:
         assert len(reports) == 544 and all(r["consistent"] for r in reports)
         assert sweeps == []
         assert len(kernel_runs) <= 1024
-
-    def test_enumerate_binds_the_claim_once_per_order(self, capsys):
-        verifiers._extremal_scores.cache_clear()
-        code, out, _ = run(capsys, ["verify", "thm-3.2-rho", "--enumerate", "tournaments,5"])
-        assert code == 0
-        assert len(out.splitlines()) == 544
-        assert verifiers._extremal_scores.cache_info().misses == 1
 
     @pytest.mark.parametrize("size", ["2", "3"])
     def test_enumerate_rejects_a_class_outside_the_claims_domain(self, capsys, size):

@@ -59,7 +59,6 @@ VERTEX_TRANSITIVE = [
     ("complete10", complete_digraph(10)),
     ("empty10", Digraph(10, [0] * 10)),
 ]
-verifiers_mod = importlib.import_module("proxrem.verifiers")
 
 
 class TestEnumeration:
@@ -773,14 +772,12 @@ class TestLaneSearch:
 
     @pytest.mark.parametrize("pin", SEARCH_PINS, ids=_pin_id)
     def test_search_loads_no_instance_facts(self, facts_built, pin):
-        """No ``InstanceFacts`` record and no ``_extremal_scores`` miss: the
-        predicates, ``equality_<claim>`` included, read lane masks only."""
+        """No ``InstanceFacts`` record: the predicates, ``equality_<claim>``
+        included, read lane masks only."""
         cls, n, parts, predicates = pin
-        verifiers_mod._extremal_scores.cache_clear()
         r = search(SearchQuery(cls, n, parts, predicates=predicates, dedup="canonical"))
         assert r.dedup_stats["labeled_matches"] > 0
         assert facts_built == []
-        assert verifiers_mod._extremal_scores.cache_info().misses == 0
 
     @pytest.mark.parametrize("pin", SEARCH_PINS, ids=_pin_id)
     def test_kernel_runs_on_the_screened_lanes_the_gate_passes(self, kernel_runs, pin):
@@ -1133,8 +1130,19 @@ class TestRandomized:
         assert tuple(r.bit_count() for r in rows) == degrees
 
     def test_odd_degree_sum_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degree sum must be even"):
             random_graph_with_degrees((1, 1, 1), Random(0))
+
+    @pytest.mark.parametrize(
+        "degrees, entry",
+        [((2, 2, 2, 2, -2), "-2 at vertex 4"), ((2, 2, 2, 1, -1), "-1 at vertex 4")],  # both sum to 6
+        ids=["2,2,2,2,-2", "2,2,2,1,-1"],
+    )
+    def test_negative_degree_rejected_before_the_first_shuffle(self, degrees, entry):
+        rng = Random(0)
+        rng.shuffle = lambda x: pytest.fail("shuffled the stubs")
+        with pytest.raises(ValueError, match=f"negative entry: {entry}"):
+            random_graph_with_degrees(degrees, rng)
 
     def test_deterministic_for_seed(self):
         degrees = (3, 3, 3, 3, 3, 3, 4, 4, 4)
