@@ -11,14 +11,14 @@ same results.  ``digraph.distance_sums`` reads the one scalar BFS,
 ``sigma_ecc_vectors`` reads, and the rediscovery search call it, and
 ``distance_layers`` reads the same layers.
 ``lane_bfs`` runs the BFS on many digraphs of one order at once, one per
-lane of a few big integers, and returns its results as lane integers: the
-exhaustive scan loop (``search._scan``) calls it on each block's columns
-cut to the screened instances by ``Lanes.select``, and the claims' lane
-tests (``verifiers.LaneFacts``) read its lanes.  It is built on ``Lanes``,
-the lane primitives.  Inside, it works on byte planes, eight vertices to a
-plane and one byte per lane, and counts each vertex's distance in vertical
-binary counters; a lane's distance sum stays below n*n, so up to n = 15 it
-adds up in bytes (see its docstring).
+lane of a few big integers, built on ``Lanes``, the lane primitives.
+Vertex sets are byte planes, eight vertices to a plane and one byte per
+lane, from the scan loop's blocks (``search._blocks``) through
+``Lanes.select``, which cuts them to the screened instances, to the
+kernel, which counts each vertex's distance in vertical binary counters.
+Its results, and the values the claims' lane tests (``verifiers.LaneFacts``)
+compute from them, are arithmetic lanes of ``_lane_width(n)`` bits: bytes
+up to n = 11.
 """
 
 from __future__ import annotations
@@ -49,99 +49,111 @@ def distance_layers(rows: Sequence[int], n: int, source: int) -> List[int]:
     return list(bfs_layers(rows, source))
 
 
-#: An unsigned array typecode per lane width in bits, chosen by item size.
-_LANE_CODES = {array(code).itemsize * 8: code for code in "BHILQ"}
+#: An unsigned array typecode per item size in bytes.
+_ITEM_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _items(raw: bytes, size: int) -> array:
+    """The unsigned little-endian items of 1, 2, 4 or 8 bytes in ``raw``."""
+    items = array(_ITEM_CODES[size], raw)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
 
 
 def _lane_width(n: int) -> int:
-    """The smallest lane width w of 8, 16, 32 and 64 with n < w and n*n < 2**w:
-    a lane holds a vertex mask with its carry bit n, and a distance sum.
-    Every lane value of order n (a vertex mask, a degree, an eccentricity, a
-    distance sum) is then below 2**(w-1), so the top bit of a lane is free."""
-    if n >= 1:
-        for w in (8, 16, 32, 64):
-            if n < w and n * n < 1 << w:
-                return w
+    """The arithmetic lane width w of order n, 8 or 16, so that every lane
+    value is below 2**(w-1).  The largest is below n*n + 4: a distance sum
+    (below n*n, strong or not) plus lem-3.6's 4; degrees, their sum,
+    eccentricities, mu and the offset c (below 5n) stay under it.  So w = 8
+    up to n = 11, and 16 does for every n < 64."""
+    if 1 <= n < 64:
+        return 8 if n * n + 4 < 1 << 7 else 16
     raise ValueError(f"lanes need 1 <= n < 64, got n={n}")
 
 
 class Lanes:
-    """Lane-wise arithmetic on ``count`` w-bit lanes of one big integer, lane
-    i in bits w*i..w*i+w-1 (SWAR: Warren, *Hacker's Delight*, ch. 5), for
-    digraphs of order n: w is ``_lane_width(n)``.  Every value a lane holds
-    is below 2**(w-1), so the top bit of each lane is a guard bit and no
-    carry or borrow below crosses into the next lane.  A *mask* holds 0 or 1
-    in each lane; ``E`` is the mask of every lane and ``FULL`` the vertex set
-    in every lane.  ``lanes`` converts to an array, and ``select`` keeps
-    some of the lanes of a list of lane ints.
+    """Lane-wise work on ``count`` digraphs of order n at once, one per lane
+    of a few big integers (SWAR: Warren, *Hacker's Delight*, ch. 5).
 
-    The distance kernel reads a vertex set as P = ceil(n/8) byte *planes*
-    in one int: plane p, at bits 8*count*p and up, holds vertices 8p..8p+7
-    of every lane, one byte per lane, whatever w is.  ``split`` cuts a lane
-    int into its planes and ``widen`` puts one plane of byte values back at
-    width w; at w = 8 (n <= 7) the one plane is the lane int as given.
-    ``B`` is 1 in every byte of plane 0, ``Ev[v]`` is vertex v's bit in
-    every byte of its plane and ``FULLP`` the vertex set.  A full plane has
-    no guard bit, so there ``any_byte`` tests bytes without one.
-    ``successors`` is the one BFS step on planes, which the kernel and
-    prop-3.1's lane test read."""
+    A vertex set is P = ceil(n/8) byte *planes* in one int: plane p, at bits
+    8*count*p and up, holds vertices 8p..8p+7 of every lane, one byte per
+    lane.  ``B`` is 1 in every byte of plane 0, ``Ev[v]`` is vertex v's bit
+    in every byte of its plane, ``shift[v]`` takes that bit to bit 0 of
+    plane 0 and ``FULLP`` is the vertex set.  A full plane has no guard bit,
+    so there ``any_byte`` tests bytes without one.  ``successors`` is the
+    one BFS step on planes, which the kernel and prop-3.1's lane test read.
+
+    Values (distance sums, eccentricities, degrees, mu, c) are w-bit lanes,
+    lane i in bits w*i..w*i+w-1, w = ``_lane_width(n)``.  Every value is
+    below 2**(w-1), so the top bit of each lane is a guard bit and no carry
+    or borrow below crosses into the next lane.  A *mask* holds 0 or 1 in
+    each lane; ``E`` is the mask of every lane.  ``lanes`` reads each lane's
+    value, and ``widen`` puts one plane of byte values at width w."""
 
     __slots__ = (
-        "n", "count", "w", "code", "nbytes", "E", "FULL", "m1", "m2", "m4", "fields", "_guard", "_below",
-        "P", "B", "Ev", "FULLP", "_low7", "_plane",
+        "n", "count", "w", "nbytes", "E", "_guard", "_below",
+        "P", "B", "Ev", "shift", "FULLP", "m1", "m2", "m4", "_low7", "_plane",
     )
 
     def __init__(self, n: int, count: int):
         w = self.w = _lane_width(n)
         self.n, self.count = n, count
-        self.code, self.nbytes = _LANE_CODES[w], count * w // 8
+        self.nbytes = count * w // 8
         self.E = int.from_bytes((1).to_bytes(w // 8, "little") * count, "little")
-        self.FULL = self.every((1 << n) - 1)
         self._guard = self.every(1 << (w - 1))
         self._below = self._guard - self.E  # 2**(w-1) - 1 in every lane
-        ones = int.from_bytes(b"\x01" * (w // 8), "little")  # 1 in every byte of a lane
-        self.m1, self.m2, self.m4 = (self.every(b * ones) for b in (0x55, 0x33, 0x0F))
-        # (f, mask) adds each pair of neighbouring f-bit fields into one 2f-bit field
-        self.fields = [
-            (f, self.every(sum(((1 << f) - 1) << s for s in range(0, w, 2 * f)))) for f in (8, 16, 32) if f < w
-        ]
         self.P, S = (n + 7) // 8, 8 * count
         B = self.B = int.from_bytes(b"\x01" * count, "little")
         self._low7, self._plane = 0x7F * B, 0xFF * B
-        self.Ev = [B << (S * (v >> 3) + (v & 7)) for v in range(n)]
-        self.FULLP = sum(((1 << min(8, n - 8 * p)) - 1) * B << S * p for p in range(self.P))
+        self.shift = [S * (v >> 3) + (v & 7) for v in range(n)]
+        self.Ev = [B << s for s in self.shift]
+        self.FULLP = self.spread((1 << n) - 1)
+        every_byte = int.from_bytes(b"\x01" * (count * self.P), "little")  # of every plane
+        self.m1, self.m2, self.m4 = (b * every_byte for b in (0x55, 0x33, 0x0F))
 
     def every(self, value: int) -> int:
         """``value`` (below 2**w) in every lane."""
         return value * self.E
 
+    def spread(self, vertices: int) -> int:
+        """The vertex set ``vertices`` in every lane, as planes."""
+        return sum((vertices >> 8 * p & 0xFF) * self.B << 8 * self.count * p for p in range(self.P))
+
     def lanes(self, x: int) -> array:
-        """The lanes of x, lane 0 first."""
-        lanes = array(self.code, x.to_bytes(self.nbytes, "little"))
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        return lanes
+        """The w-bit lanes of x, lane 0 first."""
+        return _items(x.to_bytes(self.nbytes, "little"), self.w // 8)
+
+    def sets(self, x: int) -> array:
+        """The vertex set of each lane of the planes x, lane 0 first: one
+        transpose of the plane bytes into one item per lane."""
+        count, size = self.count, 1 << (self.P - 1).bit_length()
+        raw, wide = x.to_bytes(self.P * count, "little"), bytearray(size * count)
+        for p in range(self.P):
+            wide[p::size] = raw[p * count : (p + 1) * count]
+        return _items(wide, size)
 
     def select(self, xs: Sequence[int], keep: int) -> List[int]:
-        """Each lane int of ``xs`` cut to the lanes the mask ``keep`` selects,
-        in order: one transpose into a record per lane, one ``compress`` and
-        one transpose back, moving lanes as raw bytes.  Up to 8 ints of 1-byte
-        lanes go as one 64-bit item per record, which ``compress`` moves faster."""
+        """Each planes int of ``xs`` cut to the lanes the mask ``keep``
+        selects, in order: the planes that are not 0 go eight at a time, by
+        one transpose into a 64-bit record per lane, one ``compress`` and
+        one transpose back."""
         if keep == self.E:
             return list(xs)
-        size, nbytes, m = self.w // 8, self.nbytes, len(xs)
-        chosen = keep.to_bytes(nbytes, "little")[::size]
-        if size == 1 and m <= 8:
-            records = bytearray(8 * self.count)
-            for j, x in enumerate(xs):
-                records[j::8] = x.to_bytes(nbytes, "little")
-            kept = struct.pack(f"{keep.bit_count()}Q", *compress(array("Q", records), chosen))
-            return [int.from_bytes(kept[j::8], "little") for j in range(m)]
-        records = array(self.code, bytes(m * nbytes))
-        for j, x in enumerate(xs):
-            records[j::m] = array(self.code, x.to_bytes(nbytes, "little"))
-        kept = array(self.code, b"".join([r for r, in compress(struct.iter_unpack(f"{m * size}s", records), chosen)]))
-        return [int.from_bytes(kept[j::m], "little") for j in range(m)]
+        count, P, kept = self.count, self.P, keep.bit_count()
+        chosen = keep.to_bytes(self.nbytes, "little")[:: self.w // 8]
+        raws = [x.to_bytes(P * count, "little") for x in xs]
+        planes = [raw[p * count : (p + 1) * count] for raw in raws for p in range(P)]  # P*i + p: plane p of xs[i]
+        cut, zero = [bytes(kept)] * len(planes), bytes(count)
+        live = [k for k, plane in enumerate(planes) if plane != zero]
+        for at in range(0, len(live), 8):
+            records = bytearray(8 * count)
+            for j, k in enumerate(live[at : at + 8]):
+                records[j::8] = planes[k]
+            packed = struct.pack(f"{kept}Q", *compress(array("Q", records), chosen))
+            for j, k in enumerate(live[at : at + 8]):
+                cut[k] = packed[j::8]
+        return [int.from_bytes(b"".join(cut[k : k + P]), "little") for k in range(0, len(cut), P)]
 
     def at_least(self, x: int, k: int) -> int:
         """The mask of lanes with x >= k: the guard bit of x + 2**(w-1) - k."""
@@ -189,23 +201,10 @@ class Lanes:
         return high
 
     def byte_counts(self, x: int) -> int:
-        """The popcount of each byte of x, in that byte."""
+        """The popcount of each byte of the planes x, in that byte."""
         x -= (x >> 1) & self.m1
         x = (x & self.m2) + ((x >> 2) & self.m2)
         return (x + (x >> 4)) & self.m4
-
-    def popcount(self, x: int) -> int:
-        x = self.byte_counts(x)
-        for f, mask in self.fields:
-            x = (x & mask) + ((x >> f) & mask)
-        return x
-
-    def split(self, x: int) -> int:
-        """The lane int x as planes: one byte slice per plane."""
-        if self.w == 8:
-            return x
-        raw = x.to_bytes(self.nbytes, "little")
-        return int.from_bytes(b"".join([raw[p :: self.w // 8] for p in range(self.P)]), "little")
 
     def widen(self, x: int) -> int:
         """The plane x of byte values as a lane int of width w."""
@@ -225,9 +224,9 @@ class Lanes:
 
     def any_byte(self, x: int) -> int:
         """The mask of the lanes in which some byte of the planes of x is not
-        0: bit 7 of y + 0x7F in each byte of y, the OR of the planes, while
-        n < 8 leaves bit 7 free; bit 7 of ((y & 0x7F) + 0x7F) | y on full
-        planes, which have no guard bit."""
+        0, as one plane: bit 7 of y + 0x7F in each byte of y, the OR of the
+        planes, while n < 8 leaves bit 7 free; bit 7 of ((y & 0x7F) + 0x7F) | y
+        on full planes, which have no guard bit."""
         y, low = x, self._low7
         if self.n < 8:
             return (y + low) >> 7 & self.B
@@ -236,15 +235,14 @@ class Lanes:
         return ((y & low) + low | y) >> 7 & self.B
 
     def successor_table(self, cols: Sequence[int]) -> list:
-        """What ``successors`` reads of the columns ``cols``: per vertex v
-        its bit ``Ev[v]``, the shift that takes that bit to bit 0 of plane
-        0, row v of every lane as planes, and the offsets of the planes in
-        which that row is not 0."""
+        """What ``successors`` reads of the columns ``cols`` (planes): per
+        vertex v its bit ``Ev[v]``, its ``shift[v]``, which takes that bit
+        to bit 0 of plane 0, row v of every lane, and the offsets of the
+        planes in which that row is not 0."""
         table, S = [], 8 * self.count
-        for v, c in enumerate(cols):
-            row = self.split(c)
+        for v, row in enumerate(cols):
             ups = tuple(S * q for q in range(self.P) if row >> S * q & self._plane)
-            table.append((self.Ev[v], S * (v >> 3) + (v & 7), row, ups))
+            table.append((self.Ev[v], self.shift[v], row, ups))
         return table
 
     def successors(self, F: int, table: Sequence[tuple]) -> int:
@@ -263,11 +261,10 @@ class Lanes:
 
 def lane_bfs(L: Lanes, col: Sequence[int]) -> Tuple[List[int], List[int], int]:
     """The distance kernel of ``L.count`` digraphs of order ``L.n`` at once,
-    one per lane: ``col[v]`` holds row v of every lane.
+    one per lane: ``col[v]`` holds row v of every lane, in byte planes.
 
-    It runs on byte planes (see ``Lanes``): each column is split once, and
-    every vertex set is an int of P planes.  From each source u, U is the
-    unreached set of each lane and F its frontier; a round adds 1 to the
+    From each source u, U is the unreached set of each lane and F its
+    frontier, both planes (see ``Lanes``); a round adds 1 to the
     eccentricity where U is not empty and to the count of every vertex of
     U, and expands F by ``Lanes.successors``.  Every lane takes as many
     rounds as the slowest one, at most n, so a count is at most n.
@@ -279,7 +276,7 @@ def lane_bfs(L: Lanes, col: Sequence[int]) -> Tuple[List[int], List[int], int]:
     is the sum over j of 2**j times the popcount of level j, once per
     source.  A lane's sum is at most n*n, below 256 for n <= 15, so there
     the sums add up in bytes and widen once; above, each level's popcount
-    (at most n) widens to w before the sum.
+    (at most n) widens to w before the sum; up to n = 11 w is 8.
 
     Returns (sigmas, eccs, not_strong) as lane ints of width w: per source u
     sigma(u) and ecc(u), and the mask of lanes in which some source misses

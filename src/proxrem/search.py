@@ -2,11 +2,11 @@
 
 Enumeration walks labeled arc-subset codes in Gray-code order, so advancing
 from one instance to the next toggles a single arc (or reorients a single
-pair); ``_blocks`` builds each aligned block of codes at once as lane ints,
-one lane per instance.  Shards are contiguous code ranges; any worker
-count produces the same normalized result set.  One per-instance loop,
-``_scan``, serves search, the claim scan and the reference path on those
-lane ints; each supplies a consumer of raw adjacency rows.  The loop takes
+pair); ``_blocks`` builds each aligned block of codes at once as byte-plane
+columns, one lane per instance.  Shards are contiguous code ranges; any
+worker count produces the same normalized result set.  One per-instance
+loop, ``_scan``, serves search, the claim scan and the reference path on
+those columns; each supplies a consumer of raw adjacency rows.  The loop takes
 one set of lanes per block: a consumer that reads only strong instances
 gets the lanes that pass the strongness screen, and one that sees every
 instance gets every lane in the shard, whose strong lanes the lane
@@ -134,38 +134,39 @@ _LANES = 4096
 def _blocks(cls: str, n: Optional[int], parts, start: int, stop: int):
     """The one Gray enumerator: per aligned block of 2**k codes c0 + j (2**k
     the largest power of two <= ``_LANES``, or the whole class if smaller),
-    its ``Lanes``, its columns (column v holds row v of code c0 + j in lane
-    j), the mask of the codes in start..stop-1 and the mask of those that
-    pass the strongness screen (no empty row and no vertex without an
-    in-arc; one vertex counts as strong).  Rows are linear over GF(2) in the
-    Gray code, and Gray(c0 + j) = Gray(c0) ^ Gray(j) for j < 2**k.  So
-    column v is row v at c0 in every lane XOR a pattern built once, by
-    doubling from Gray(2**b + j) = Gray(2**b) ^ Gray(j).  The screen is a
-    few ``Lanes.nonzero`` tests on the columns."""
+    its ``Lanes``, its byte-plane columns (column v holds row v of code c0
+    + j in lane j), the mask of the codes in start..stop-1 and the mask of
+    those that pass the strongness screen (no empty row and no vertex
+    without an in-arc; one vertex counts as strong).  Rows are linear over
+    GF(2) in the Gray code, and Gray(c0 + j) = Gray(c0) ^ Gray(j) for j <
+    2**k.  So column v is row v at c0 in every lane XOR a pattern built
+    once per plane, by doubling from Gray(2**b + j) = Gray(2**b) ^ Gray(j).
+    The screen is a few ``Lanes.any_byte`` tests on the columns."""
     order, nbits, base, flips, _ = _layout(cls, n, parts)
     k = min(_LANES.bit_length() - 1, nbits)
     L = Lanes(order, 1 << k)
-    w, E, FULL = L.w, L.E, L.FULL
-    pattern, ones = [0] * order, 1  # the lanes of the first 2**b codes
+    flips = [[(v, L.spread(mask)) for v, mask in flip] for flip in flips]
+    pattern = [0] * order  # the planes of the first 2**b codes
+    low = 0xFF * sum(1 << (8 << k) * p for p in range(L.P))  # lanes 0..2**b-1 of each plane
     for b in range(k):
         toggle = [0] * order  # Gray(2**b) sets code bits b and b-1
         for v, mask in chain(flips[b], flips[b - 1] if b else ()):
             toggle[v] ^= mask
-        pattern = [p | (p ^ t * ones) << (w << b) for p, t in zip(pattern, toggle)]
-        ones |= ones << (w << b)
-    head, gray = list(base), 0
+        pattern = [p | (p ^ t & low) << (8 << b) for p, t in zip(pattern, toggle)]
+        low |= low << (8 << b)
+    head, gray = [L.spread(h) for h in base], 0
     for c0 in range(start >> k << k, stop, 1 << k):
         toggled, gray = gray ^ c0 ^ (c0 >> 1), c0 ^ (c0 >> 1)
         for bit in range(nbits):
             for v, mask in flips[bit] if toggled >> bit & 1 else ():
                 head[v] ^= mask
-        col = [h * E ^ p for h, p in zip(head, pattern)]
-        screen, covered = E, 0
+        col = [h ^ p for h, p in zip(head, pattern)]
+        screen, covered = L.B, 0
         for c in col:
-            screen &= L.nonzero(c)
+            screen &= L.any_byte(c)
             covered |= c
-        screen = screen & (E ^ L.nonzero(covered ^ FULL)) if order > 1 else E
-        inside = ((1 << w * min(stop - c0, 1 << k)) - (1 << w * max(start - c0, 0))) & E
+        screen = L.widen(screen & (L.B ^ L.any_byte(covered ^ L.FULLP))) if order > 1 else L.E
+        inside = ((1 << L.w * min(stop - c0, 1 << k)) - (1 << L.w * max(start - c0, 0))) & L.E
         yield L, col, inside, screen & inside
 
 
@@ -186,7 +187,7 @@ def enumerate_class(
     order, nbits, _, _, _ = _layout(cls, n, parts)
     start, stop = shard_range(1 << nbits, *shard) if shard else (0, 1 << nbits)
     for L, cols, inside, _ in _blocks(cls, n, parts, start, stop):
-        yield from (Digraph(order, rows) for rows in compress(zip(*map(L.lanes, cols)), L.lanes(inside)))
+        yield from (Digraph(order, rows) for rows in compress(zip(*map(L.sets, cols)), L.lanes(inside)))
 
 
 #: Cap on stored counterexample certificates (counts stay exact).
@@ -230,20 +231,20 @@ class _Consumer(NamedTuple):
 
 def _scan(job) -> Tuple[int, int, Counter, list]:
     """The one per-instance loop over codes start..stop-1, one ``_blocks``
-    block at a time, on lane ints.  The gate's mask rules lanes out, then
-    one ``Lanes.select`` cuts the columns to the lanes the consumer sees:
-    the screened lanes, or with ``every`` all lanes in the shard.
-    ``lane_bfs`` runs on them when the consumer has a screen or reads only
-    strong lanes, and its not-strong mask says which are strong; without
-    ``every`` only those stay.  ``checked`` counts them once per lane set,
-    before the ``screen`` keeps the lanes it wants.  The gate and the
-    screen each read one ``verifiers.LaneFacts`` record built here, over
-    the block and over the selected lanes, with the class's part ranges.
-    Only the lanes left are picked out by index and unpacked to a row
-    tuple, sigma and ecc lists and a ``consume`` call, in enumeration order,
-    so findings and kept certificates are those of every lane; each kept
-    finding's digraph6 is written here.  Returns (strong, checked, findings
-    per key, kept (digraph6, key, info) findings)."""
+    block of byte-plane columns at a time.  The gate's mask rules lanes
+    out, then one ``Lanes.select`` cuts the columns to the lanes the
+    consumer sees: the screened lanes, or with ``every`` all lanes in the
+    shard.  ``lane_bfs`` runs on them when the consumer has a screen or
+    reads only strong lanes, and its not-strong mask says which are strong;
+    without ``every`` only those stay.  ``checked`` counts them once per
+    lane set, before the ``screen`` keeps the lanes it wants.  The gate and
+    the screen each read one ``verifiers.LaneFacts`` record built here,
+    over the block and over the selected lanes, with the class's part
+    ranges.  Only the lanes left are picked out by index and unpacked to a
+    row tuple, sigma and ecc lists and a ``consume`` call, in enumeration
+    order, so findings and kept certificates are those of every lane; each
+    kept finding's digraph6 is written here.  Returns (strong, checked,
+    findings per key, kept (digraph6, key, info) findings)."""
     cls, n, parts, start, stop, make, arg = job
     order, _, _, _, part_ranges = _layout(cls, n, parts)
     consume, gate, every, weight, cap, trim, screen = make(order, part_ranges, arg)
@@ -267,7 +268,7 @@ def _scan(job) -> Tuple[int, int, Counter, list]:
         if not seen:
             continue
         # a lane: its rows, then sigma(u) and ecc(u) per source, then 1 if not strong
-        arrays = [*map(L.lanes, sub), *map(L.lanes, sigmas), *map(L.lanes, eccs), L.lanes(bad)]
+        arrays = [*map(L.sets, sub), *map(L.lanes, sigmas), *map(L.lanes, eccs), L.lanes(bad)]
         picks = list(compress(range(L.count), L.lanes(seen)))
         for lane in zip(*[[a[i] for i in picks] for a in arrays]):
             rows = lane[:order]
@@ -353,12 +354,12 @@ class SearchResult:
 
 def _tournament_lanes(f: LaneFacts) -> int:
     """``digraph.is_tournament`` on lanes: n(n-1)/2 arcs and no 2-cycle."""
-    L, cols, n = f.lanes, f.cols, f.n
+    L, cols, n, shift = f.lanes, f.cols, f.n, f.lanes.shift
     two_cycles = 0
     for u, c in enumerate(cols):
         for v in range(u + 1, n):
-            two_cycles |= (c >> v) & (cols[v] >> u)
-    return L.equal(sum(f.degrees), n * (n - 1) // 2) & (L.E ^ (two_cycles & L.E))
+            two_cycles |= (c >> shift[v]) & (cols[v] >> shift[u])
+    return L.equal(sum(f.degrees), n * (n - 1) // 2) & (L.E ^ L.widen(two_cycles & L.B))
 
 
 def _regular_lanes(f: LaneFacts) -> int:

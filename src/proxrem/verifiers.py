@@ -173,8 +173,8 @@ class InstanceFacts:
 
 class LaneFacts:
     """What the lane tests read about a set of instances of order n, one per
-    lane of the lane ints of ``lanes`` (a ``metrics.Lanes``): the columns
-    ``cols`` (row v of every lane), the mask ``strong`` and, from the lane
+    lane of ``lanes`` (a ``metrics.Lanes``): the columns ``cols`` as byte
+    planes (row v of every lane), the mask ``strong`` and, from the lane
     kernel, the lane ints of sigma(u) and ecc(u) per source u (empty
     without a kernel run).  ``parts`` lists the parts' vertex sets in any
     order, as ``bipartite.bad_witness`` takes them (None outside the
@@ -212,12 +212,13 @@ class LaneFacts:
 
     @cached_property
     def degrees(self) -> List[int]:
-        return [self.lanes.popcount(c) for c in self.cols]
+        L = self.lanes
+        return [L.widen(L.planes_add(L.byte_counts(c))) for c in self.cols]
 
     @cached_property
     def in_degrees(self) -> List[int]:
-        E = self.lanes.E
-        return [sum((c >> v) & E for c in self.cols) for v in range(self.n)]
+        L = self.lanes
+        return [L.widen(sum((c >> s) & L.B for c in self.cols)) for s in L.shift]
 
     @cached_property
     def max_out(self) -> int:
@@ -244,17 +245,17 @@ class LaneFacts:
         """(bad, mu) in one pass over the unordered pairs {u, v} of one part: a
         proper nesting is a lane where exactly one of the rows lies inside the
         other, and equal rows add 1 to mu at both ends."""
-        L, cols, E = self.lanes, self.cols, self.lanes.E
-        bad, mu = 0, [E] * self.n
+        L, cols, B = self.lanes, self.cols, self.lanes.B
+        bad, mu = 0, [B] * self.n
         for u, v in (pair for part in self.parts for pair in combinations(part, 2)):
             cu, cv = cols[u], cols[v]
             d = cu ^ cv
-            a, b = L.nonzero(cu & d), L.nonzero(cv & d)
+            a, b = L.any_byte(cu & d), L.any_byte(cv & d)
             bad |= a ^ b
-            same = E ^ (a | b)
+            same = B ^ (a | b)
             mu[u] += same
             mu[v] += same
-        return bad, mu
+        return L.widen(bad), [L.widen(m) for m in mu]
 
     @cached_property
     def other(self) -> List[int]:
@@ -308,8 +309,9 @@ def _is_extremal(f: InstanceFacts) -> bool:
 def _thm22_certificate(f: InstanceFacts) -> Optional[Dict[str, object]]:
     """thm-2.2's certificate: ``_spanning_order`` and a vertex of out-degree
     n-1 among its last two, or None.  By L2 (see ``_thm_2_2_lanes``) the
-    first ordering shows the certificate whenever any does."""
-    order = _spanning_order(f)
+    first ordering shows the certificate whenever any does, and none does
+    without a vertex of out-degree n-1, so then no ordering is walked."""
+    order = _spanning_order(f) if f.max_out == f.n - 1 else None
     for v in order[-2:] if order else ():
         if f.degrees[v] == f.n - 1:
             return {"ordering": order, "dominant_vertex": v}

@@ -113,15 +113,16 @@ def sample_strong_orientation(n: int, pairs, rng, max_tries: int = 10000) -> Dig
     raise RuntimeError(f"no strong orientation found in {max_tries} tries")
 
 
-def gray_order_oracle(cls: str, pairs: List[Tuple[int, int]], n: int) -> List[Tuple[int, ...]]:
-    """The adjacency rows of code c at index c, for every code of a class
-    whose code bit k decides pair k = (u, v) of ``pairs``.  Code c stands
+def gray_order_oracle(cls: str, pairs: List[Tuple[int, int]], n: int, codes=None) -> List[Tuple[int, ...]]:
+    """The adjacency rows of each code of ``codes`` (every code of the class
+    by default, code c at index c), for a class whose code bit k decides
+    pair k = (u, v) of ``pairs``.  Code c stands
     for Gray(c) = c XOR (c >> 1), decoded one bit at a time into an n x n
     matrix: in ``all_digraphs`` the bit is the arc u -> v; in
     ``symmetric_digraphs`` it is both arcs; in the oriented classes 0 is
     u -> v and 1 is v -> u."""
     out = []
-    for c in range(2 ** len(pairs)):
+    for c in range(2 ** len(pairs)) if codes is None else codes:
         gray = c ^ (c >> 1)
         adj = [[False] * n for _ in range(n)]
         for k, (u, v) in enumerate(pairs):

@@ -11,6 +11,7 @@ and brute isomorphism, and compare every claim's lane verdict and report
 with the oracles on seeded instances of orders 8 to 27.
 """
 
+import importlib
 from functools import lru_cache
 from random import Random
 
@@ -24,7 +25,7 @@ from proxrem.constructions import (
     ham_extremal,
     hub_digraph,
 )
-from proxrem.digraph import Digraph, is_strong, permute
+from proxrem.digraph import Digraph, distance_sums, is_strong, permute
 from proxrem.search import enumerate_class, exhaustive_verify
 from proxrem.verifiers import CLAIMS, InstanceFacts, _is_extremal, _thm22_certificate, resolve_theorems, verify
 
@@ -156,6 +157,28 @@ def test_l2_thm22_certificate_iff_long_and_dominant_vertices(cls, n, parts):
             assert dominant in ordering[-2:] and degrees[dominant] == order - 1, rows
 
 
+def test_thm22_report_walks_no_ordering_without_a_dominant_vertex(monkeypatch):
+    """By L2 no thm-2.2 certificate exists without a vertex of out-degree
+    n-1, so thm-2.2's report walks no ordering then.  Of the strong
+    symmetric digraphs of order 6, none has out-degree 5 on the 360
+    labeled paths, the only ones with a vertex of eccentricity 5: their
+    reports carry no witness and ``_spanning_order`` runs 0 times.  On the
+    hub digraph, which has a dominant vertex, it runs once."""
+    verifiers = importlib.import_module("proxrem.verifiers")
+    walks, spanning_order = [], verifiers._spanning_order
+    monkeypatch.setattr(verifiers, "_spanning_order", lambda f: walks.append(f.rows) or spanning_order(f))
+    paths = 0
+    for D in enumerate_class("symmetric_digraphs", 6):
+        sigmas, eccs = distance_sums(D.rows, 6)
+        if sigmas is None or max(r.bit_count() for r in D.rows) == 5:
+            continue
+        paths += max(eccs) == 5
+        assert verify("thm-2.2", D).witnesses == {}, D.rows
+    assert (paths, walks) == (360, [])
+    assert verify("thm-2.2", hub_digraph(6, 5)).witnesses["dominant_vertex"] == 0
+    assert len(walks) == 1
+
+
 @pytest.mark.parametrize("cls, n, parts", TOURNAMENTS, ids=_ids)
 def test_l3_extremal_iff_a_vertex_of_eccentricity_n_minus_1(cls, n, parts):
     """L3: a strong tournament is the extremal one iff max ecc = n-1, by
@@ -174,7 +197,8 @@ def test_l3_extremal_iff_a_vertex_of_eccentricity_n_minus_1(cls, n, parts):
 #
 # The exhaustive lane tests stop at order 8 (bipartite (2,6)).  Here seeded
 # families and random strong instances of orders 8 to 27, on both sides of
-# each byte-plane boundary of the lane kernel (8|9, 16|17, 24|25), are packed
+# each byte-plane boundary of the lane kernel (8|9, 16|17, 24|25) and of
+# the lane-width boundary (11|12, byte lanes below it), are packed
 # into one lane set per order and checked claim by claim: the lane test marks
 # a lane clean iff the oracle passes the instance iff verify's report is ok.
 
@@ -207,7 +231,7 @@ def _reverse_cycles(D, sample, tries=200):
     return Digraph(D.n, rows)
 
 
-@pytest.mark.parametrize("n", [8, 9, 16, 17, 24, 25, 27])
+@pytest.mark.parametrize("n", [8, 9, 11, 12, 16, 17, 24, 25, 27])
 def test_general_claims_at_large_orders(n):
     """thm-2.1 and thm-2.2 on the hub digraph (thm-2.2's equality case), the
     dicycle, the complete digraph, ham_extremal members and random strong
@@ -233,7 +257,7 @@ def _near_regular(n):
     return Digraph(n, [r & ~(1 << n) for r in rotational_tournament(n + 1).rows[:n]])
 
 
-@pytest.mark.parametrize("n", [8, 9, 11, 16, 17, 19, 23, 24, 25, 27])
+@pytest.mark.parametrize("n", [8, 9, 11, 12, 16, 17, 19, 23, 24, 25, 27])
 def test_tournament_claims_at_large_orders(n):
     """thm-3.2, thm-3.3 and prop-3.1 on relabelled extremal tournaments, the
     same with one arc reversed, rotational and quadratic-residue tournaments
@@ -280,6 +304,8 @@ def test_tournament_claims_at_large_orders(n):
         ((4, 4), [bipartite_equal(2)]),
         ((4, 5), []),
         ((4, 6), [bipartite_blowup(1)]),
+        ((5, 6), []),
+        ((6, 6), [bipartite_equal(3)]),
         ((8, 8), [bipartite_equal(4)]),
         ((8, 9), []),
         ((8, 12), [bipartite_blowup(2)]),

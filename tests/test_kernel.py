@@ -10,7 +10,6 @@ sides of each lane-width and byte-plane boundary.
 """
 
 import importlib
-from array import array
 from random import Random
 
 import pytest
@@ -27,6 +26,7 @@ from proxrem.metrics import Lanes, distance_layers, lane_bfs
 from proxrem.search import enumerate_class
 
 from oracles import bfs_distances, floyd_warshall, unreachable_pair_oracle
+from test_lanes import _planes
 
 metrics_mod = importlib.import_module("proxrem.metrics")
 
@@ -128,10 +128,10 @@ def test_frontier_bits_lists_the_set_vertices():
 
 
 def lane_distance_sums(batch, n):
-    """``lane_bfs`` on row tuples, one lane each, packed with plain shifts:
+    """``lane_bfs`` on row tuples, one lane each, packed into byte planes:
     per row tuple its (sigmas, eccs) lists, or (None, None) if not strong."""
     L = Lanes(n, len(batch))
-    sigmas, eccs, bad = lane_bfs(L, [sum(rows[v] << (L.w * i) for i, rows in enumerate(batch)) for v in range(n)])
+    sigmas, eccs, bad = lane_bfs(L, [_planes([rows[v] for rows in batch], L.P) for v in range(n)])
     if bad == L.E:
         return [(None, None)] * len(batch)
     return [
@@ -165,11 +165,13 @@ def test_lanes_agree_on_every_small_instance(cls, n, parts):
         assert lane_distance_sums(chunk, order) == per_digraph(chunk, order)
 
 
-#: Both sides of each lane-width boundary: 7 | 8 (w = 8 | 16), 15 | 16
-#: (16 | 32) and 31 | 32 (32 | 64); and of each byte-plane boundary of the
-#: kernel: 8 | 9, 16 | 17 and 24 | 25, where vertex 8, 16 or 24 is the first
-#: of plane 1, 2 or 3.
-LANE_ORDERS = (1, 7, 8, 9, 15, 16, 17, 24, 25, 27, 31, 32)
+#: Both sides of the lane-width boundary 11 | 12 (w = 8 | 16), and of each
+#: byte-plane boundary: 8 | 9, 16 | 17 and 24 | 25, where vertex 8, 16 or 24
+#: is the first of plane 1, 2 or 3; n = 9, 10 and 11 hold two planes with
+#: byte lanes.  Below n = 8 bit 7 of the one plane is free, which
+#: ``any_byte`` reads; 15 | 16 and 31 | 32 leave the last plane one vertex
+#: short of full, and full.
+LANE_ORDERS = (1, 7, 8, 9, 10, 11, 12, 15, 16, 17, 24, 25, 27, 31, 32)
 
 
 @pytest.mark.parametrize("n", LANE_ORDERS)
@@ -192,9 +194,10 @@ def test_lane_edge_cases():
     assert lane_distance_sums([], 5) == []
     assert lane_distance_sums([(0,)], 1) == [([0], [0])]
     assert lane_distance_sums([(0,)] * 3, 1) == [([0], [0])] * 3
-    for w, code in metrics_mod._LANE_CODES.items():
-        assert array(code).itemsize * 8 == w
-    assert sorted(metrics_mod._LANE_CODES) == [8, 16, 32, 64]
+    raw = bytes(range(250, 256)) + bytes(range(10))
+    for size in (1, 2, 4, 8):
+        want = [int.from_bytes(raw[i : i + size], "little") for i in range(0, 16, size)]
+        assert list(metrics_mod._items(raw, size)) == want, size
     cycle = [1 << ((v + 1) % 63) for v in range(63)]
     assert lane_distance_sums([cycle], 63) == [distance_sums(cycle, 63)]
     for n in (0, 64, 100):

@@ -3,7 +3,7 @@ import math
 import time
 import tracemalloc
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from random import Random
 
 import pytest
@@ -1047,15 +1047,16 @@ GRAY_ORDER_CASES = (
 
 
 @lru_cache(maxsize=None)
-def _gray_order(cls, n, parts):
-    """The oracle's rows for a class.  Code bit k decides the k-th pair in
-    lexicographic order: ordered pairs u != v for all digraphs, u < v for
-    tournaments and symmetric digraphs, (i, a + j) across the parts."""
+def _gray_order(cls, n, parts, codes=None):
+    """The oracle's rows for a class, or for its ``codes``.  Code bit k
+    decides the k-th pair in lexicographic order: ordered pairs u != v for
+    all digraphs, u < v for tournaments and symmetric digraphs, (i, a + j)
+    across the parts."""
     if parts is not None:
         a, b = parts
-        return gray_order_oracle(cls, [(i, a + j) for i in range(a) for j in range(b)], a + b)
+        return gray_order_oracle(cls, [(i, a + j) for i in range(a) for j in range(b)], a + b, codes)
     pairs = permutations(range(n), 2) if cls == "all_digraphs" else combinations(range(n), 2)
-    return gray_order_oracle(cls, list(pairs), n)
+    return gray_order_oracle(cls, list(pairs), n, codes)
 
 
 class TestGrayOrder:
@@ -1076,15 +1077,17 @@ class TestGrayOrder:
 
 
 class TestBlocks:
-    """``_blocks`` yields each block as lane ints with the mask of the lanes
-    inside the shard and the mask of those that pass the strongness screen;
-    ``Lanes.select`` on the in-shard mask gives the shard's rows."""
+    """``_blocks`` yields each block as byte-plane columns with the mask of
+    the lanes inside the shard and the mask of those that pass the
+    strongness screen; ``Lanes.select`` on the in-shard mask gives the
+    shard's rows."""
 
     @pytest.mark.parametrize(
         "cls, n, parts, cuts",
         [
-            ("tournaments", 5, None, [(3, 700), (0, 1), (1023, 1024)]),  # one block of 1-byte lanes
-            ("bipartite_tournaments", None, (3, 5), [(5, 4000), (4095, 4097), (1000, 30000)]),  # 16-bit lanes
+            ("tournaments", 5, None, [(3, 700), (0, 1), (1023, 1024)]),  # one block
+            ("bipartite_tournaments", None, (3, 5), [(5, 4000), (4095, 4097), (1000, 30000)]),  # full planes
+            ("bipartite_tournaments", None, (2, 7), [(100, 4200), (16380, 16384)]),  # two planes
         ],
     )
     def test_in_shard_mask_cuts_a_block(self, cls, n, parts, cuts):
@@ -1094,15 +1097,15 @@ class TestBlocks:
             for L, cols, inside, passed in search_mod._blocks(cls, n, parts, start, stop):
                 assert passed & inside == passed
                 picked = [Lanes(L.n, mask.bit_count()) for mask in (inside, passed)]
-                rows += zip(*map(picked[0].lanes, L.select(cols, inside)))
-                screened += zip(*map(picked[1].lanes, L.select(cols, passed)))
+                rows += zip(*map(picked[0].sets, L.select(cols, inside)))
+                screened += zip(*map(picked[1].sets, L.select(cols, passed)))
             assert rows == want[start:stop]
             assert screened == [r for r in want[start:stop] if _passes_screen(r)]
 
     def test_first_block_peak_memory(self):
         """The lane pattern is built by doubling, so a block of the bipartite
-        (4,5) class, 4,096 lanes of 16 bits, costs a few copies of its nine
-        columns, not a table of row tuples per code."""
+        (4,5) class, 4,096 lanes of two byte planes, costs a few copies of
+        its nine columns, not a table of row tuples per code."""
         total = total_count("bipartite_tournaments", parts=(4, 5))
         tracemalloc.start()
         try:
@@ -1111,6 +1114,47 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 512 * 1024, peak
+
+
+def _every_row(order, part_ranges, arg):
+    """A consumer that sees every instance and keeps its rows."""
+    return search_mod._Consumer(lambda rows, sigmas, eccs: [("rows", rows)], every=True, cap=math.inf)
+
+
+class TestPlaneRows:
+    """The rows that ``_scan`` and ``enumerate_class`` unpack from byte-plane
+    columns are the Gray oracle's, code for code, and ``_blocks``' screen
+    keeps those that pass it: on one plane (n = 7 and 8) and two (n = 9,
+    with byte lanes, and n = 12, with 16-bit lanes), across a block
+    boundary, the cuts of three shards and the end of the class."""
+
+    @pytest.mark.parametrize(
+        "cls, n, parts",
+        [
+            ("tournaments", 7, None),
+            ("tournaments", 8, None),
+            ("symmetric_digraphs", 8, None),
+            ("bipartite_tournaments", None, (2, 7)),
+            ("bipartite_tournaments", None, (4, 5)),
+            ("bipartite_tournaments", None, (2, 10)),
+        ],
+        ids=lambda v: str(v).replace(" ", ""),
+    )
+    def test_unpacked_rows_follow_the_gray_code(self, cls, n, parts):
+        total = total_count(cls, n, parts)
+        cuts = [search_mod._LANES, total // 3, 2 * total // 3]
+        for start, stop in [(c - 40, c + 40) for c in cuts] + [(total - 40, total)]:
+            want = _gray_order(cls, n, parts, range(start, stop))
+            kept = search_mod._scan((cls, n, parts, start, stop, _every_row, None))[3]
+            assert [info for _, _, info in kept] == want, (start, stop)
+            screened = []
+            for L, cols, _, passed in search_mod._blocks(cls, n, parts, start, stop):
+                screened += zip(*map(Lanes(L.n, passed.bit_count()).sets, L.select(cols, passed)))
+            assert screened == [r for r in want if _passes_screen(r)], (start, stop)
+        for index in (1, 2):
+            start = shard_range(total, index, 3)[0]
+            head = [D.rows for D in islice(enumerate_class(cls, n, parts, shard=(index, 3)), 80)]
+            assert head == _gray_order(cls, n, parts, range(start, start + 80)), index
 
 
 def _slow_failing_d6():
